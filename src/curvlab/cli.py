@@ -6,7 +6,8 @@ metrics or run the golden-record regression), and ``lemmas`` (the
 standalone component-data verification of the two condition lemmas).
 
 Exit codes: 0 success, 1 parse/validation failure (including golden
-mismatches), 2 degenerate metric at a point, 3 invalid or missing
+mismatches and expression errors such as ``abs`` under a derivative or a
+division by zero), 2 degenerate metric at a point, 3 invalid or missing
 tetrad, 4 classification hit a point whose Petrov type contradicts the
 admissibility theorem.
 """
@@ -27,6 +28,7 @@ from .analysis import (
 from .classify import TheoremViolationError
 from .conventions import RESIDUAL_TOL
 from .corpus import CORPUS_NAMES, GOLDEN, load_corpus_metric
+from .expressions import ExprError
 from .geometry import DegenerateMetricError
 from .metricfile import MetricFileError, load_metric_file
 from .newman_penrose import InvalidTetradError
@@ -143,7 +145,7 @@ def main(argv=None) -> int:
         if args.command == "corpus":
             return _cmd_corpus(args)
         return _cmd_lemmas()
-    except MetricFileError as exc:
+    except (MetricFileError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except KeyError as exc:

@@ -1,9 +1,10 @@
 """Frozen sign and ordering conventions.
 
 Every sign choice that downstream numerics depend on lives here, so that
-the whole package is calibrated against a single module.  See
-CONVENTIONS.md at the repository root for the worked calibration
-(values on the unit 2-sphere, de Sitter space, and a plane wave).
+the whole package is calibrated against a single module.  The summary
+below is the calibration: each choice is stated together with the
+values it gives on the unit 2-sphere, de Sitter space, a plane wave and
+a product of two 2d factors.
 
 Summary of the fixed choices
 ----------------------------

@@ -60,7 +60,3 @@ def load_corpus_metric(name: str) -> MetricField:
     text = (resources.files("curvlab") / "corpus_data"
             / f"{name}.ini").read_text(encoding="utf-8")
     return parse_metric_text(text, name)
-
-
-def corpus_metrics() -> list:
-    return [load_corpus_metric(name) for name in CORPUS_NAMES]

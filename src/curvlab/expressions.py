@@ -377,7 +377,9 @@ def differentiate(e: Expr, var: str) -> Expr:
     elif kind == "/":
         a, b = e.args
         num = sub(mul(differentiate(a, var), b), mul(a, differentiate(b, var)))
-        d = div(num, pow_(b, const(2.0)))
+        # a zero numerator must not leave a 0/b^2 node behind: it is dead
+        # weight in every higher derivative and raises where b vanishes
+        d = ZERO if num is ZERO else div(num, pow_(b, const(2.0)))
     elif kind == "^":
         a, b = e.args
         da = differentiate(a, var)
@@ -391,7 +393,11 @@ def differentiate(e: Expr, var: str) -> Expr:
         fname = e.payload
         u = e.args[0]
         du = differentiate(u, var)
-        if fname == "sin":
+        if fname == "abs":
+            raise DerivativeError("abs has no derivative in this language")
+        if du is ZERO:
+            d = ZERO
+        elif fname == "sin":
             d = mul(call("cos", u), du)
         elif fname == "cos":
             d = neg(mul(call("sin", u), du))
@@ -407,10 +413,8 @@ def differentiate(e: Expr, var: str) -> Expr:
             d = mul(e, du)
         elif fname == "log":
             d = div(du, u)
-        elif fname == "sqrt":
+        else:  # sqrt
             d = div(du, mul(const(2.0), e))
-        else:  # abs
-            raise DerivativeError("abs has no derivative in this language")
     else:  # pragma: no cover
         raise ExprError(f"unknown node kind {kind!r}")
     _DIFF_MEMO[key] = d
@@ -420,16 +424,6 @@ def differentiate(e: Expr, var: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def check_bindings(bindings: Mapping[str, float], names: Iterable[str]) -> None:
-    """Every name bound exactly once to a finite float."""
-    for name in names:
-        if name not in bindings:
-            raise ExprError(f"missing binding for '{name}'")
-    for name, value in bindings.items():
-        if not math.isfinite(value):
-            raise ExprError(f"non-finite binding {name}={value!r}")
-
 
 def evaluate(e: Expr, bindings: Mapping[str, float],
              memo: dict[int, float] | None = None) -> float:

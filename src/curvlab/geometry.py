@@ -213,7 +213,8 @@ class MetricField:
                     cols = tuple(c for c in all_idx if c != j)
                     minor = _det_expr(g, rows, cols)
                     cof = minor if (i + j) % 2 == 0 else neg(minor)
-                    ginv[i, j] = ginv[j, i] = div(cof, det)
+                    ginv[i, j] = ginv[j, i] = (
+                        ZERO if cof is ZERO else div(cof, det))
             self._cache["gdet"] = det
             self._cache["ginv"] = ginv
         return self._cache["ginv"]
@@ -354,6 +355,17 @@ class MetricField:
 
     def _cov1(self, t: SymbolicTensor) -> SymbolicTensor:
         gamma = self.christoffel_symbolic()
+        # the nonzero connection coefficients per (a, i): Γ^e_{ai} for a
+        # down slot, Γ^i_{ae} for an up slot.  Skipping ZERO factors (and
+        # ZERO components below) builds the same interned DAG as the
+        # dense sum, since mul(ZERO, x) is ZERO and add(c, ZERO) is c.
+        def nonzero(v, a, i):
+            pairs = ((e, gamma[e, a, i] if v == "d" else gamma[i, a, e])
+                     for e in range(DIM))
+            return [(e, gam) for e, gam in pairs if gam is not ZERO]
+
+        conn = {v: [[nonzero(v, a, i) for i in range(DIM)] for a in range(DIM)]
+                for v in set(t.variance)}
         r = t.rank
         comp = t.components
         out = np.empty((DIM,) * (r + 1), dtype=object)
@@ -361,15 +373,16 @@ class MetricField:
             va = self.chart[a]
             for idx in np.ndindex(*(DIM,) * r):
                 term = differentiate(comp[idx], va)
-                for slot in range(r):
-                    i_s = idx[slot]
+                for slot, v in enumerate(t.variance):
                     corr = ZERO
-                    for e in range(DIM):
-                        jdx = idx[:slot] + (e,) + idx[slot + 1:]
-                        if t.variance[slot] == "d":
-                            corr = add(corr, mul(gamma[e, a, i_s], comp[jdx]))
+                    for e, gam in conn[v][a][idx[slot]]:
+                        c = comp[idx[:slot] + (e,) + idx[slot + 1:]]
+                        if c is ZERO:
+                            continue
+                        if v == "d":
+                            corr = add(corr, mul(gam, c))
                         else:
-                            corr = sub(corr, mul(gamma[i_s, a, e], comp[jdx]))
+                            corr = sub(corr, mul(gam, c))
                     term = sub(term, corr)
                 out[(a,) + idx] = term
         return SymbolicTensor(out, ("d",) + t.variance)

@@ -221,6 +221,27 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "analyze", self.write(tmp_path, text))
         assert code == 3 and "tetrad" in err
 
+    def minkowski_with_g11(self, tmp_path, g11):
+        with open(MINKOWSKI, encoding="utf-8") as fh:
+            text = fh.read().replace("g11 = -1\n", f"g11 = {g11}\n")
+        assert f"g11 = {g11}" in text
+        return self.write(tmp_path, text)
+
+    def test_derivative_error_is_one(self, capsys, tmp_path):
+        path = self.minkowski_with_g11(tmp_path, "-1 - abs(x)*0.01")
+        code, out, err = run_cli(capsys, "analyze", path, "--json")
+        assert code == 1 and out == ""
+        assert err == "error: abs has no derivative in this language\n"
+
+    def test_domain_error_is_one(self, capsys, tmp_path):
+        # sqrt(x) has an infinite slope at the origin; the error names the
+        # live derivative node, not a folded-away 0/(2 sqrt(x))
+        path = self.minkowski_with_g11(tmp_path, "-1 - sqrt(x)")
+        code, out, err = run_cli(capsys, "analyze", path, "--json")
+        assert code == 1 and out == ""
+        assert err == ("error: division by zero in "
+                       "'1.0/(2.0*sqrt(x))'\n")
+
     def test_theorem_violation_is_four(self, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise TheoremViolationError((0, 0, 0, 0), "II", "holds")

@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from curvlab.expressions import (
+    FUNCTIONS,
+    ZERO,
     DerivativeError,
     DomainError,
     ParseError,
@@ -98,6 +100,22 @@ class TestDerivatives:
         e = parse_expr("abs(t)", CHART, PARAMS)
         with pytest.raises(DerivativeError):
             differentiate(e, "t")
+
+    @pytest.mark.parametrize("var", CHART)
+    def test_abs_derivative_rejected_for_every_variable(self, var):
+        # folding a zero inner derivative must not hide the missing rule
+        e = parse_expr("abs(r)", CHART, PARAMS)
+        with pytest.raises(DerivativeError):
+            differentiate(e, var)
+
+    def test_zero_quotient_numerator_folds(self):
+        e = parse_expr("1/r", CHART, PARAMS)
+        assert differentiate(e, "t") is ZERO
+
+    @pytest.mark.parametrize("fname", sorted(set(FUNCTIONS) - {"abs"}))
+    def test_zero_inner_derivative_folds(self, fname):
+        e = parse_expr(f"{fname}(r)", CHART, PARAMS)
+        assert differentiate(e, "t") is ZERO
 
 
 class TestRoundTrip:

@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curvlab.expressions import ZERO, differentiate, parse_expr
+from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
+from curvlab.expressions import ZERO, add, differentiate, mul, parse_expr, sub
 from curvlab.geometry import (
     DegenerateMetricError,
     MetricField,
@@ -327,6 +328,88 @@ class TestCommutatorAction:
         c = curvature(schwarzschild, p)
         with pytest.raises(ValueError):
             commutator_action(c.riemann_up, c.riemann_up)
+
+
+# ---------------------------------------------------------------------------
+# symbolic zeros: folded, never built
+# ---------------------------------------------------------------------------
+
+def dense_cov1(m, t):
+    """Reference ∇_a T: the full connection sum over every e, zeros
+    included, left to the smart constructors to fold."""
+    gamma = m.christoffel_symbolic()
+    comp = t.components
+    out = np.empty((4,) * (t.rank + 1), dtype=object)
+    for a in range(4):
+        for idx in np.ndindex(*(4,) * t.rank):
+            term = differentiate(comp[idx], m.chart[a])
+            for slot in range(t.rank):
+                i_s = idx[slot]
+                corr = ZERO
+                for e in range(4):
+                    jdx = idx[:slot] + (e,) + idx[slot + 1:]
+                    if t.variance[slot] == "d":
+                        corr = add(corr, mul(gamma[e, a, i_s], comp[jdx]))
+                    else:
+                        corr = sub(corr, mul(gamma[i_s, a, e], comp[jdx]))
+                term = sub(term, corr)
+            out[(a,) + idx] = term
+    return SymbolicTensor(out, ("d",) + t.variance)
+
+
+def dag_size(roots):
+    """Distinct nodes reachable from ``roots``, walked without recursion."""
+    seen, stack = set(), list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            stack.extend(e.args)
+    return len(seen)
+
+
+def assert_same_nodes(fast, reference, what):
+    # compare identities only: on failure pytest would print the
+    # expressions, and a printed DAG grows exponentially with its depth
+    assert fast.variance == reference.variance
+    differ = [idx for idx in np.ndindex(*fast.components.shape)
+              if fast.components[idx] is not reference.components[idx]]
+    assert not differ, f"{what}: components differ from the dense sum"
+
+
+class TestZeroFolding:
+    def test_diagonal_inverse_off_diagonals_are_zero(self, all_metrics):
+        off_diagonal = [(i, j) for i in range(4) for j in range(4) if i != j]
+        diagonal = [m for m in all_metrics
+                    if all(m.g[ij] is ZERO for ij in off_diagonal)]
+        assert len(diagonal) == 4
+        for m in diagonal:
+            ginv = m.inverse_symbolic()
+            for ij in off_diagonal:
+                assert ginv[ij] is ZERO, (m.name, ij)
+
+    def test_schwarzschild_second_derivative_node_count(self, schwarzschild):
+        # machine-independent size guard on the largest DAG the corpus builds
+        nabla2 = schwarzschild.nabla_field("riemann", 2)
+        nodes = dag_size(nabla2.components.ravel())
+        assert nodes == 11_681
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_sparse_connection_sum_builds_the_dense_dag(self, name):
+        m = load_corpus_metric(name)
+        first = m.nabla_field("riemann", 1)
+        assert_same_nodes(first, dense_cov1(m, m.riemann_field()), name)
+        if name in ("nariai", "product2x2"):
+            assert_same_nodes(m.nabla_field("riemann", 2),
+                              dense_cov1(m, first), name)
+
+    def test_sparse_connection_sum_handles_up_slots(self, schwarzschild):
+        m = schwarzschild
+        v = SymbolicTensor(np.array([parse_expr(s, m.chart) for s in
+                                     ("1/r", "0", "sin(theta)", "0")],
+                                    dtype=object), ("u",))
+        assert_same_nodes(covariant_derivative(m, v), dense_cov1(m, v),
+                          "vector")
 
 
 # ---------------------------------------------------------------------------
