@@ -18,15 +18,9 @@ import numpy as np
 from .classify import ClassificationReport, classify_point
 from .conventions import RESIDUAL_DEAD_BAND, RESIDUAL_TOL, SCALE_FLOOR
 from .corpus import CORPUS_NAMES, GOLDEN, load_corpus_metric
-from .geometry import MetricField, curvature
-from .newman_penrose import (
-    NPData,
-    adapt_weyl,
-    np_scalars,
-    null_rotate_frame,
-    spin_coefficients,
-    tetrad_frame,
-)
+# perfbench/tracing.py wraps this module's `curvature`, so the name stays
+from .geometry import MetricField, curvature  # noqa: F401
+from .newman_penrose import NPData, adapt_tetrad, spin_coefficients
 from .spinors import (
     SymSpinor,
     check_contracted_condition,
@@ -76,19 +70,6 @@ class PointReport:
     cross: dict | None = None
 
 
-def adapted_np_data(curv, frame, tol: float = RESIDUAL_TOL) -> NPData:
-    """Curvature scalars in the frame aligned with the repeated
-    principal null direction (identity transformation when the declared
-    tetrad is already adapted)."""
-    data = np_scalars(curv, frame, tol)
-    _, transforms = adapt_weyl(data.psi, tol)
-    for kind, param in transforms:
-        frame = null_rotate_frame(frame, param, kind)
-    if transforms:
-        data = np_scalars(curv, frame, tol)
-    return data
-
-
 def spinor_family_check(data: NPData, tol: float = RESIDUAL_TOL) -> dict | None:
     """Run the component-level condition checks when adapted NP data
     matches one of the two admissible families (radiation: psi4/phi22
@@ -99,23 +80,11 @@ def spinor_family_check(data: NPData, tol: float = RESIDUAL_TOL) -> dict | None:
     quadratic in the curvature).
     """
     scale = max(data.scale(), SCALE_FLOOR)
-    patterns = {"N": (4, (2, 2)), "D": (2, (1, 1))}
-    family = None
-    for name, (keep_psi, keep_phi) in patterns.items():
-        worst = 0.0
-        for i in range(5):
-            if i != keep_psi:
-                worst = max(worst, abs(data.psi[i]))
-        for ij in np.ndindex(3, 3):
-            if ij != keep_phi:
-                worst = max(worst, abs(data.phi[ij]))
-        if name == "N":
-            worst = max(worst, abs(data.scalar))
-        else:
-            worst = max(worst, abs(data.scalar + 12.0 * data.psi[2]))
-        if worst <= tol * scale:
-            family = name
-            break
+    misfit = {"N": max(data.off_pattern(4, (2, 2)), abs(data.scalar)),
+              "D": max(data.off_pattern(2, (1, 1)),
+                       abs(data.scalar + 12.0 * data.psi[2]))}
+    family = next((name for name, worst in misfit.items()
+                   if worst <= tol * scale), None)
     if family is None:
         return None
     psi_s = SymSpinor.from_weyl(data.psi)
@@ -158,11 +127,9 @@ def analyze_point(m: MetricField, pname: str, tol: float = RESIDUAL_TOL,
     residuals = {}
     for name in RESIDUAL_ORDER:
         residuals[name] = _RESIDUAL_FUNCS[name](m, coords, tol)
-    curv = curvature(m, coords)
-    frame = tetrad_frame(m, m.tetrad, coords)
     spin = spin_coefficients(m, m.tetrad, coords, tol).as_dict()
     classification = classify_point(m, coords, tol=tol, dec_seed=seed)
-    data = adapted_np_data(curv, frame, tol)
+    data = adapt_tetrad(m, m.tetrad, coords, tol).data
     checks = None
     if classification.semi_verdict == "holds":
         checks = spinor_family_check(data, tol)

@@ -20,11 +20,8 @@ from .geometry import MetricField, TensorValue, curvature
 from .newman_penrose import (
     NullTetrad,
     TetradFrame,
-    adapt_weyl,
-    np_scalars,
-    null_rotate,
+    adapt_tetrad,
     petrov_classify,
-    rotate_tetrad_field,
     spin_coefficients,
     tetrad_frame,
 )
@@ -201,17 +198,6 @@ def static_note(report: ClassificationReport,
     return report
 
 
-def _adapted(m: MetricField, tetrad: NullTetrad, frame: TetradFrame,
-             psi, tol: float):
-    """Re-align tetrad and frame so the repeated null direction sits on
-    the k leg (constant-parameter rotations computed at this point)."""
-    _, transforms = adapt_weyl(psi, tol)
-    for kind, param in transforms:
-        tetrad = rotate_tetrad_field(tetrad, param, kind)
-        frame = null_rotate(frame, param, kind)
-    return tetrad, frame
-
-
 def _relative(value: float, scale: float) -> float:
     return float(value) / max(float(scale), SCALE_FLOOR)
 
@@ -227,9 +213,9 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
             f"metric '{m.name}' carries no null tetrad field")
     curv = curvature(m, p)
     frame = tetrad_frame(m, tetrad, p)
-    data = np_scalars(curv, frame, tol)
+    ad = adapt_tetrad(m, tetrad, p, tol)
     semi = semi_symmetry_residual(m, p, tol)
-    petrov = petrov_classify(data.psi, tol)
+    petrov = petrov_classify(ad.declared.psi, tol)
     einstein = TensorValue(
         np.real(curv.ricci.array) - 0.5 * curv.scalar * curv.metric,
         ("d", "d"), p)
@@ -252,8 +238,7 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
     if petrov in ("I", "II", "III"):
         raise TheoremViolationError(p, petrov, semi.verdict)
 
-    tet_ad, frame_ad = _adapted(m, tetrad, frame, data.psi, tol)
-    adapted = np_scalars(curv, frame_ad, tol)
+    tet_ad, frame_ad, adapted = ad.tetrad, ad.frame, ad.data
     spin = spin_coefficients(m, tet_ad, p, tol)
     coeff = spin.as_dict()
     sc_scale = max(max(abs(v) for v in coeff.values()), SCALE_FLOOR)
@@ -272,23 +257,9 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
                        coeff, np_scale, tol)
 
 
-def _pattern_residual(adapted, keep_psi: int, keep_phi: tuple) -> float:
-    """Largest curvature scalar outside the admissible slots."""
-    worst = 0.0
-    for i in range(5):
-        if i != keep_psi:
-            worst = max(worst, abs(adapted.psi[i]))
-    for i in range(3):
-        for j in range(3):
-            if (i, j) != keep_phi:
-                worst = max(worst, abs(adapted.phi[i, j]))
-    return worst
-
-
 def _classify_n(m, p, report, tet_ad, adapted, coeff, sc_scale, np_scale,
                 tol):
-    pattern = max(_pattern_residual(adapted, 4, (2, 2)),
-                  abs(adapted.scalar))
+    pattern = max(adapted.off_pattern(4, (2, 2)), abs(adapted.scalar))
     if verdict_for(pattern, np_scale, tol) != "holds":
         report.warnings.append(
             "radiation pattern violated: curvature scalars outside "
@@ -309,7 +280,7 @@ def _classify_n(m, p, report, tet_ad, adapted, coeff, sc_scale, np_scale,
 def _classify_d(m, p, report, tet_ad, frame_ad, curv, adapted, coeff,
                 np_scale, tol):
     psi2 = adapted.psi[2]
-    pattern = _pattern_residual(adapted, 2, (1, 1))
+    pattern = adapted.off_pattern(2, (1, 1))
     lock = abs(adapted.scalar + 12.0 * psi2)
     lock_scale = max(abs(adapted.scalar), 12.0 * abs(psi2), SCALE_FLOOR)
     if verdict_for(pattern, np_scale, tol) != "holds" or \

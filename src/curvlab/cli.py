@@ -6,9 +6,10 @@ metrics or run the golden-record regression), and ``lemmas`` (the
 standalone component-data verification of the two condition lemmas).
 
 Exit codes: 0 success, 1 parse/validation failure (including golden
-mismatches and expression errors such as ``abs`` under a derivative or a
-division by zero), 2 degenerate metric at a point, 3 invalid or missing
-tetrad, 4 classification hit a point whose Petrov type contradicts the
+mismatches, expression errors such as ``abs`` under a derivative or a
+division by zero, and expressions nested too deeply for the recursive
+evaluator), 2 degenerate metric at a point, 3 invalid or missing tetrad,
+4 classification hit a point whose Petrov type contradicts the
 admissibility theorem.
 """
 
@@ -25,7 +26,7 @@ from .analysis import (
     reports_to_json,
     run_analysis,
 )
-from .classify import TheoremViolationError
+from .classify import TheoremViolationError, classify_point
 from .conventions import RESIDUAL_TOL
 from .corpus import CORPUS_NAMES, GOLDEN, load_corpus_metric
 from .expressions import ExprError
@@ -95,12 +96,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_classify(args) -> int:
     m = load_metric_file(args.file)
-    reports = run_analysis(m, tol=args.tol, seed=args.seed)
-    for rep in reports:
-        c = rep.classification
+    for pname in sorted(m.points):
+        c = classify_point(m, m.points[pname], tol=args.tol,
+                           dec_seed=args.seed)
         extra = f"  [{'; '.join(c.warnings)}]" if c.warnings else ""
-        print(f"{m.name} {rep.point_name}: {c.branch} "
-              f"(petrov {rep.petrov}, semi-symmetry {c.semi_verdict}, "
+        print(f"{m.name} {pname}: {c.branch} "
+              f"(petrov {c.petrov}, semi-symmetry {c.semi_verdict}, "
               f"dec {c.dec}){extra}")
     return EXIT_OK
 
@@ -147,6 +148,10 @@ def main(argv=None) -> int:
         return _cmd_lemmas()
     except (MetricFileError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: expression nested too deeply to evaluate",
+              file=sys.stderr)
         return EXIT_INPUT
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)

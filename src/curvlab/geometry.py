@@ -16,7 +16,7 @@ covector reads ``(∇_a ∇_b - ∇_b ∇_a) w_c = + R^e_{cab} w_e``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,6 +145,7 @@ class MetricField:
         self.tetrad = tetrad
         self.static = bool(static)
         self._cache: dict = {}
+        self._context: PointContext | None = None
         for pname, coords in self.points.items():
             self._validate_signature(pname, coords)
 
@@ -155,14 +156,20 @@ class MetricField:
         b.update(self.params)
         return b
 
-    def metric_value(self, point) -> np.ndarray:
+    def at(self, point) -> PointContext:
+        """The evaluation context of ``point``.  Only the most recent one
+        is kept: callers visit one point at a time."""
         b = self.bindings(point)
-        memo: dict = {}
-        out = np.empty((DIM, DIM), dtype=float)
-        for i in range(DIM):
-            for j in range(i, DIM):
-                out[i, j] = out[j, i] = evaluate(self.g[i, j], b, memo)
-        return out
+        # hex forms tell -0.0 from 0.0; a changed parameter also misses
+        key = tuple(float(v).hex() for v in b.values())
+        if self._context is None or self._context.key != key:
+            self._context = PointContext(
+                tuple(float(x) for x in point), b, key)
+        return self._context
+
+    def metric_value(self, point) -> np.ndarray:
+        g = self.evaluate_field(SymbolicTensor(self.g, ("d", "d")), point)
+        return np.ascontiguousarray(g.array.real)
 
     def inverse_value(self, point) -> np.ndarray:
         gv = self.metric_value(point)
@@ -186,18 +193,16 @@ class MetricField:
                 f"metric '{self.name}' at point '{pname}' {coords} does not have "
                 f"signature (+,-,-,-): eigenvalues {eigenvalues}")
 
-    def evaluate_field(self, t: SymbolicTensor, point,
-                       memo: dict | None = None) -> TensorValue:
-        b = self.bindings(point)
-        if memo is None:
-            memo = {}
-        arr = np.empty((DIM,) * t.rank, dtype=complex)
-        for idx in np.ndindex(*arr.shape):
-            arr[idx] = evaluate(t.components[idx], b, memo)
+    def evaluate_field(self, t: SymbolicTensor, point) -> TensorValue:
+        ctx = self.at(point)
+        values = [evaluate(e, ctx.bindings, ctx.memo)
+                  for e in t.components.ravel()]
+        arr = np.array(values, dtype=complex).reshape(t.components.shape)
         return TensorValue(arr, t.variance, point)
 
-    def evaluate_scalar(self, e: Expr, point, memo: dict | None = None) -> float:
-        return evaluate(e, self.bindings(point), {} if memo is None else memo)
+    def evaluate_scalar(self, e: Expr, point) -> float:
+        ctx = self.at(point)
+        return evaluate(e, ctx.bindings, ctx.memo)
 
     # -- symbolic pipeline --------------------------------------------------
 
@@ -436,13 +441,8 @@ class MetricField:
 def christoffel(m: MetricField, point) -> TensorValue:
     """Connection coefficients Γ^a_{bc} at ``point`` (variance u,d,d)."""
     m._check_det(m.metric_value(point), point)
-    gamma = m.christoffel_symbolic()
-    b = m.bindings(point)
-    memo: dict = {}
-    arr = np.empty((DIM, DIM, DIM), dtype=complex)
-    for idx in np.ndindex(DIM, DIM, DIM):
-        arr[idx] = evaluate(gamma[idx], b, memo)
-    return TensorValue(arr, ("u", "d", "d"), point)
+    gamma = SymbolicTensor(m.christoffel_symbolic(), ("u", "d", "d"))
+    return m.evaluate_field(gamma, point)
 
 
 @dataclass(eq=False)
@@ -458,35 +458,41 @@ class Curvature:
     inverse: np.ndarray         # g^ab numeric
 
 
+@dataclass(eq=False)
+class PointContext:
+    """What has been evaluated at one point of one metric.
+
+    Expression nodes are interned for the life of the process, so one
+    memo keyed by node id serves every field evaluated at the point.
+    ``tetrad_data`` holds numeric results derived from a tetrad, keyed by
+    the ``NullTetrad`` object itself: the live key keeps its id from
+    being recycled (see ``MetricField._field_key``).  Cached results are
+    handed to every caller at the point without a copy; callers must not
+    modify them.
+    """
+
+    point: tuple
+    bindings: dict
+    key: tuple
+    memo: dict = field(default_factory=dict)
+    curvature: Curvature | None = None
+    tetrad_data: dict = field(default_factory=dict)
+
+
 def curvature(m: MetricField, point) -> Curvature:
-    gv = m.metric_value(point)
-    m._check_det(gv, point)
-    b = m.bindings(point)
-    memo: dict = {}
-
-    def ev(field: SymbolicTensor) -> TensorValue:
-        arr = np.empty((DIM,) * field.rank, dtype=complex)
-        for idx in np.ndindex(*arr.shape):
-            arr[idx] = evaluate(field.components[idx], b, memo)
-        return TensorValue(arr, field.variance, point)
-
-    riemann = ev(m.riemann_field())
-    rup_sym = m.riemann_up_symbolic()
-    rup_arr = np.empty((DIM,) * 4, dtype=complex)
-    for idx in np.ndindex(*rup_arr.shape):
-        rup_arr[idx] = evaluate(rup_sym[idx], b, memo)
-    riemann_up = TensorValue(rup_arr, ("u", "d", "d", "d"), point)
-    ricci = ev(m.ricci_field())
-    scalar = evaluate(m.scalar_field(), b, memo)
-    weyl = ev(m.weyl_field())
-    return Curvature(riemann, riemann_up, ricci, float(np.real(scalar)),
-                     weyl, gv, np.linalg.inv(gv))
-
-
-def covariant_derivative(m: MetricField, t: SymbolicTensor,
-                         order: int = 1) -> SymbolicTensor:
-    """∇_a T (or ∇_a ∇_b T): one new leading down slot per order."""
-    return m.covariant_derivative_field(t, order)
+    """The curvature at ``point``, evaluated once per point context."""
+    ctx = m.at(point)
+    if ctx.curvature is None:
+        gv = m.metric_value(point)
+        m._check_det(gv, point)
+        rup = SymbolicTensor(m.riemann_up_symbolic(), ("u", "d", "d", "d"))
+        ctx.curvature = Curvature(
+            m.evaluate_field(m.riemann_field(), point),
+            m.evaluate_field(rup, point),
+            m.evaluate_field(m.ricci_field(), point),
+            float(np.real(m.evaluate_scalar(m.scalar_field(), point))),
+            m.evaluate_field(m.weyl_field(), point), gv, np.linalg.inv(gv))
+    return ctx.curvature
 
 
 def commutator_action(riemann_up: TensorValue, t: TensorValue) -> TensorValue:

@@ -15,12 +15,13 @@ without leaving the symbolic representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .conventions import PHI_SIGN, RESIDUAL_TOL, SCALE_FLOOR
 from .expressions import ZERO, add, const, mul
-from .geometry import Curvature, MetricField, SymbolicTensor
+from .geometry import Curvature, MetricField, SymbolicTensor, curvature
 
 PETROV_TYPES = ("I", "II", "D", "III", "N", "O")
 
@@ -69,12 +70,16 @@ class TetradFrame:
 
 
 def tetrad_frame(metric: MetricField, tetrad: NullTetrad, point) -> TetradFrame:
-    memo: dict = {}
-    k = metric.evaluate_field(tetrad.k, point, memo).array
-    l = metric.evaluate_field(tetrad.l, point, memo).array
-    mre = metric.evaluate_field(tetrad.m_re, point, memo).array
-    mim = metric.evaluate_field(tetrad.m_im, point, memo).array
-    return TetradFrame(k, l, mre + 1j * mim, tuple(point))
+    """The legs at ``point``, evaluated once per point context."""
+    ctx = metric.at(point)
+    key = ("frame", tetrad)
+    if key not in ctx.tetrad_data:
+        k = metric.evaluate_field(tetrad.k, point).array
+        l = metric.evaluate_field(tetrad.l, point).array
+        mre = metric.evaluate_field(tetrad.m_re, point).array
+        mim = metric.evaluate_field(tetrad.m_im, point).array
+        ctx.tetrad_data[key] = TetradFrame(k, l, mre + 1j * mim, ctx.point)
+    return ctx.tetrad_data[key]
 
 
 @dataclass(eq=False)
@@ -122,6 +127,13 @@ class NPData:
     def scale(self) -> float:
         return max(self.weyl_scale(), float(np.max(np.abs(self.phi))),
                    abs(self.scalar))
+
+    def off_pattern(self, keep_psi: int, keep_phi: tuple) -> float:
+        """Largest curvature scalar outside the admissible slots Ψ_keep_psi
+        and Φ_keep_phi."""
+        psi = [abs(z) for i, z in enumerate(self.psi) if i != keep_psi]
+        phi = [abs(self.phi[ij]) for ij in np.ndindex(3, 3) if ij != keep_phi]
+        return max(psi + phi)
 
 
 def np_scalars(curv: Curvature, frame: TetradFrame,
@@ -227,12 +239,11 @@ def spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
     """The twelve NP connection scalars, from covariant derivatives of
     the tetrad legs (sign table frozen in the conventions document)."""
     frame = require_valid_tetrad(metric, tetrad, point, tol)
-    memo: dict = {}
 
     def grad_of(field: SymbolicTensor) -> np.ndarray:
         dn = metric.lowered_vector_field(field)
         return metric.evaluate_field(
-            metric.covector_gradient_field(dn), point, memo).array
+            metric.covector_gradient_field(dn), point).array
 
     nk = grad_of(tetrad.k)
     nl = grad_of(tetrad.l)
@@ -581,3 +592,49 @@ def _dominant_cluster(roots: list, inf_mult: int):
             best_center = complex(np.mean(finite)) if len(finite) == len(idx) \
                 else None
     return best_center, best_count
+
+
+@dataclass(eq=False)
+class AdaptedTetrad:
+    """A tetrad re-aligned so the repeated principal null direction sits
+    on the k leg (constant-parameter rotations computed at one point)."""
+
+    given: NullTetrad       # the tetrad fields before rotation
+    transforms: list        # (kind, param) pairs from adapt_weyl
+    frame: TetradFrame      # the adapted legs at the point
+    data: NPData            # curvature scalars in the adapted frame
+    declared: NPData        # curvature scalars in the given frame
+
+    @cached_property
+    def tetrad(self) -> NullTetrad:
+        """The rotated tetrad fields, built only when a caller needs
+        their derivatives (new expression nodes live as long as the
+        process)."""
+        tetrad = self.given
+        for kind, param in self.transforms:
+            tetrad = rotate_tetrad_field(tetrad, param, kind)
+        return tetrad
+
+
+def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
+                 tol: float = RESIDUAL_TOL) -> AdaptedTetrad:
+    """Rotate ``tetrad`` by the transformations ``adapt_weyl`` finds for
+    its Ψ at ``point`` (identity when it is already adapted).
+
+    Computed once per (tetrad, tol) in the point context: ``tol`` gates
+    both the tetrad check and the degenerate-pair rotation.  A failed
+    tetrad check raises and caches nothing.
+    """
+    ctx = metric.at(point)
+    key = ("adapted", tetrad, tol)
+    if key not in ctx.tetrad_data:
+        curv = curvature(metric, point)
+        frame = tetrad_frame(metric, tetrad, point)
+        declared = np_scalars(curv, frame, tol)
+        _, transforms = adapt_weyl(declared.psi, tol)
+        for kind, param in transforms:
+            frame = null_rotate(frame, param, kind)
+        data = np_scalars(curv, frame, tol) if transforms else declared
+        ctx.tetrad_data[key] = AdaptedTetrad(tetrad, transforms, frame,
+                                             data, declared)
+    return ctx.tetrad_data[key]

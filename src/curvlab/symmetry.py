@@ -148,30 +148,21 @@ def _require_field(field, name: str) -> SymbolicTensor:
     return field
 
 
-def _lowered(m: MetricField, v_up: SymbolicTensor) -> SymbolicTensor:
-    return m.lowered_vector_field(v_up)
-
-
-def _nabla_covector(m: MetricField, v_dn: SymbolicTensor) -> SymbolicTensor:
-    return m.covector_gradient_field(v_dn)
-
-
-def _gradient_scale(m: MetricField, point, v_dn: SymbolicTensor,
-                    memo: dict) -> float:
+def _gradient_scale(m: MetricField, point, v_dn: SymbolicTensor) -> float:
     """Magnitude scale for ∇v residuals: the larger of the partial
     derivatives of the components and of |Γ|·|v| (so that points where
     both happen to be small do not inflate verdicts)."""
-    b = m.bindings(point)
+    ctx = m.at(point)
     dmax = 0.0
     for a in range(4):
         for i in range(4):
             d = differentiate(v_dn.components[i], m.chart[a])
-            dmax = max(dmax, abs(evaluate(d, b, memo)))
+            dmax = max(dmax, abs(evaluate(d, ctx.bindings, ctx.memo)))
     gamma = m.christoffel_symbolic()
     gmax = 0.0
     for idx in np.ndindex(4, 4, 4):
-        gmax = max(gmax, abs(evaluate(gamma[idx], b, memo)))
-    vval = m.evaluate_field(v_dn, point, memo)
+        gmax = max(gmax, abs(evaluate(gamma[idx], ctx.bindings, ctx.memo)))
+    vval = m.evaluate_field(v_dn, point)
     return max(dmax, gmax * vval.max_abs(), SCALE_FLOOR)
 
 
@@ -182,14 +173,13 @@ def recurrence_check(m: MetricField, k: SymbolicTensor,
     through the partner field ℓ normalised so k·ℓ = 1."""
     k = _require_field(k, "k")
     partner = _require_field(partner, "partner")
-    memo: dict = {}
-    k_dn = _lowered(m, k)
-    nabla_k = m.evaluate_field(_nabla_covector(m, k_dn), point, memo).array
-    k_val = m.evaluate_field(k_dn, point, memo).array
-    l_val = m.evaluate_field(partner, point, memo).array
+    k_dn = m.lowered_vector_field(k)
+    nabla_k = m.evaluate_field(m.covector_gradient_field(k_dn), point).array
+    k_val = m.evaluate_field(k_dn, point).array
+    l_val = m.evaluate_field(partner, point).array
     v = np.einsum("b,ab->a", l_val, nabla_k)
     resid = np.max(np.abs(nabla_k - np.outer(v, k_val)))
-    scale = _gradient_scale(m, point, k_dn, memo)
+    scale = _gradient_scale(m, point, k_dn)
     return RecurrenceResult(v, float(resid), float(scale),
                             verdict_for(resid, scale, tol), tuple(point))
 
@@ -201,17 +191,16 @@ def decomposability_check(m: MetricField, k: SymbolicTensor,
     covectors is covariantly constant exactly on 2x2 product geometries."""
     k = _require_field(k, "k")
     partner = _require_field(partner, "partner")
-    memo: dict = {}
-    k_dn = _lowered(m, k)
-    l_dn = _lowered(m, partner)
-    nk = m.evaluate_field(_nabla_covector(m, k_dn), point, memo).array
-    nl = m.evaluate_field(_nabla_covector(m, l_dn), point, memo).array
-    kv = m.evaluate_field(k_dn, point, memo).array
-    lv = m.evaluate_field(l_dn, point, memo).array
+    k_dn = m.lowered_vector_field(k)
+    l_dn = m.lowered_vector_field(partner)
+    nk = m.evaluate_field(m.covector_gradient_field(k_dn), point).array
+    nl = m.evaluate_field(m.covector_gradient_field(l_dn), point).array
+    kv = m.evaluate_field(k_dn, point).array
+    lv = m.evaluate_field(l_dn, point).array
     grad = np.einsum("ca,b->cab", nk, lv) + np.einsum("a,cb->cab", kv, nl)
     scale = max(
-        _gradient_scale(m, point, k_dn, memo) * np.max(np.abs(lv)),
-        _gradient_scale(m, point, l_dn, memo) * np.max(np.abs(kv)),
+        _gradient_scale(m, point, k_dn) * np.max(np.abs(lv)),
+        _gradient_scale(m, point, l_dn) * np.max(np.abs(kv)),
         SCALE_FLOOR)
     return _report("decomposable", np.max(np.abs(grad)), scale, point, tol)
 
@@ -220,15 +209,14 @@ def constant_null_vector_check(m: MetricField, k: SymbolicTensor, point,
                                tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Residual of ∇_a k_b = 0 for a null field k (nullity is asserted)."""
     k = _require_field(k, "k")
-    memo: dict = {}
-    k_dn = _lowered(m, k)
-    kv_dn = m.evaluate_field(k_dn, point, memo).array
-    kv_up = m.evaluate_field(k, point, memo).array
+    k_dn = m.lowered_vector_field(k)
+    kv_dn = m.evaluate_field(k_dn, point).array
+    kv_up = m.evaluate_field(k, point).array
     norm = complex(np.dot(kv_up, kv_dn))
     null_scale = max(np.max(np.abs(kv_up)) * np.max(np.abs(kv_dn)), SCALE_FLOOR)
     if abs(norm) > tol * null_scale:
         raise ValueError(
             f"field is not null at {tuple(point)}: k·k = {norm:.3e}")
-    nk = m.evaluate_field(_nabla_covector(m, k_dn), point, memo).array
-    scale = _gradient_scale(m, point, k_dn, memo)
+    nk = m.evaluate_field(m.covector_gradient_field(k_dn), point).array
+    scale = _gradient_scale(m, point, k_dn)
     return _report("constant_null", np.max(np.abs(nk)), scale, point, tol)

@@ -14,15 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from curvlab.analysis import (
-    adapted_np_data,
-    corpus_regression,
-    cross_validate_point,
-)
+from curvlab.analysis import corpus_regression, cross_validate_point
 from curvlab.classify import TheoremViolationError, classify_point, dec_check
 from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
 from curvlab.geometry import TensorValue, curvature
 from curvlab.newman_penrose import (
+    adapt_tetrad,
     np_scalars,
     null_rotate_weyl,
     petrov_classify,
@@ -166,8 +163,7 @@ def test_criterion_05_adapted_curvature_patterns(corpus):
     R = -12 psi2; the affine wave shows only psi4 and phi22 with R = 0."""
     m = corpus["nariai"]
     for coords in m.points.values():
-        data = adapted_np_data(curvature(m, coords),
-                               tetrad_frame(m, m.tetrad, coords))
+        data = adapt_tetrad(m, m.tetrad, coords).data
         assert abs(data.scalar + 12.0 * data.psi[2]) <= 1e-9 * abs(data.scalar)
         worst = max(max(abs(data.psi[i]) for i in range(5) if i != 2),
                     max(abs(data.phi[ij]) for ij in np.ndindex(3, 3)
@@ -175,8 +171,7 @@ def test_criterion_05_adapted_curvature_patterns(corpus):
         assert worst <= 1e-9 * data.scale()
     m = corpus["ppwave_linear"]
     for coords in m.points.values():
-        data = adapted_np_data(curvature(m, coords),
-                               tetrad_frame(m, m.tetrad, coords))
+        data = adapt_tetrad(m, m.tetrad, coords).data
         worst = max(max(abs(data.psi[i]) for i in range(4)),
                     max(abs(data.phi[ij]) for ij in np.ndindex(3, 3)
                         if ij != (2, 2)),

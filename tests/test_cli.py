@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -18,8 +19,28 @@ from curvlab.classify import TheoremViolationError
 from curvlab.cli import main
 from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
 
-NARIAI = "src/curvlab/corpus_data/nariai.ini"
-MINKOWSKI = "src/curvlab/corpus_data/minkowski.ini"
+CORPUS_FILE = "src/curvlab/corpus_data/{}.ini"
+NARIAI = CORPUS_FILE.format("nariai")
+MINKOWSKI = CORPUS_FILE.format("minkowski")
+
+# SHA-256 of `analyze <metric> --json` at the default seed; a change that
+# moves any byte of a corpus report must say why and update these
+ANALYZE_JSON_SHA256 = {
+    "bertotti_robinson":
+        "c21eface5b59c061b705b8fdbdafc70c58170b907ec44e5817ec53adcfea2569",
+    "minkowski":
+        "f2eeb0ce7c2d94c28e750c354c9fc5ee67ad429cac9abc6350cf21eea27444fa",
+    "nariai":
+        "6c43e57418a94b1b94ec49dd148e4133b2d191aad52eb26714b4827bcdf33d6a",
+    "ppwave_linear":
+        "7a71d97afabb8e5e6b01a0038b7edc3cc8f15d34e8736ea63a111ecbbcd36ff5",
+    "ppwave_quadratic_u":
+        "41d62e2a2a335c4dbd028add9cd8c3a7fa55112ca70a2c23aafd2ff1cc15711f",
+    "product2x2":
+        "4000892a52fa65daf3850990b54afeb2343a608ae5cb7963a5fa514301c925cb",
+    "schwarzschild":
+        "7923328436b52472276664c1eff8b041f1309cc6a8114fb58b5495a1f04fbebe",
+}
 
 SCHEMA_KEYS = {"metric", "point", "residuals", "petrov", "np",
                "spin_coefficients", "classification", "tolerances", "seed"}
@@ -94,6 +115,14 @@ class TestAnalyzeJson:
         names = [obj["point"]["name"] for obj in json.loads(out)]
         assert names == sorted(names) and len(names) == 5
 
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus_reports_are_pinned(self, capsys, name):
+        code, out, err = run_cli(capsys, "analyze", CORPUS_FILE.format(name),
+                                 "--json")
+        assert code == 0, err
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == ANALYZE_JSON_SHA256[name]
+
     def test_byte_identical_across_runs(self, capsys):
         first = run_cli(capsys, "analyze", NARIAI, "--json", "--seed", "7")
         second = run_cli(capsys, "analyze", NARIAI, "--json", "--seed", "7")
@@ -133,6 +162,20 @@ class TestClassifyCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 5
         assert all("D-generic-decomposable" in ln for ln in lines)
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_lines_match_full_analysis(self, capsys, name):
+        code, out, err = run_cli(capsys, "classify", CORPUS_FILE.format(name))
+        assert code == 0, err
+        expected = []
+        for rep in run_analysis(load_corpus_metric(name)):
+            c = rep.classification
+            extra = f"  [{'; '.join(c.warnings)}]" if c.warnings else ""
+            expected.append(
+                f"{rep.metric} {rep.point_name}: {c.branch} (petrov "
+                f"{rep.petrov}, semi-symmetry {c.semi_verdict}, dec "
+                f"{c.dec}){extra}")
+        assert out.splitlines() == expected
 
 
 class TestCorpusCommand:
@@ -218,8 +261,10 @@ class TestExitCodes:
                 "g00 = 1\ng01 = 0\ng02 = 0\ng03 = 0\ng11 = -1\ng12 = 0\n"
                 "g13 = 0\ng22 = -1\ng23 = 0\ng33 = -1\n"
                 "[points]\np0 = 0, 0, 0, 0\n")
-        code, _, err = run_cli(capsys, "analyze", self.write(tmp_path, text))
-        assert code == 3 and "tetrad" in err
+        path = self.write(tmp_path, text)
+        for command in ("analyze", "classify"):
+            code, _, err = run_cli(capsys, command, path)
+            assert code == 3 and "tetrad" in err
 
     def minkowski_with_g11(self, tmp_path, g11):
         with open(MINKOWSKI, encoding="utf-8") as fh:
@@ -241,6 +286,16 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == ("error: division by zero in "
                        "'1.0/(2.0*sqrt(x))'\n")
+
+    def test_deep_nesting_is_one(self, capsys, tmp_path):
+        # 3000 chained terms exceed the recursive evaluator's depth while
+        # the signature is checked at load time
+        terms = " + ".join(["0.0001*x"] * 3000)
+        path = self.minkowski_with_g11(tmp_path, f"-1 - ({terms})")
+        for command in ("analyze", "classify"):
+            code, out, err = run_cli(capsys, command, path)
+            assert code == 1 and out == ""
+            assert err == "error: expression nested too deeply to evaluate\n"
 
     def test_theorem_violation_is_four(self, capsys, monkeypatch):
         def explode(*args, **kwargs):

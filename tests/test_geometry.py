@@ -12,7 +12,6 @@ from curvlab.geometry import (
     TensorValue,
     christoffel,
     commutator_action,
-    covariant_derivative,
     curvature,
     lower_index,
     raise_index,
@@ -193,8 +192,8 @@ class TestCovariantDerivative:
     def test_metric_is_parallel(self, all_metrics):
         rng = np.random.default_rng(2024)
         for m in all_metrics:
-            nabla_g = covariant_derivative(
-                m, SymbolicTensor(m.g, ("d", "d")), order=1)
+            nabla_g = m.covariant_derivative_field(
+                SymbolicTensor(m.g, ("d", "d")), order=1)
             for p in jittered_points(m, rng, count=5):
                 val = m.evaluate_field(nabla_g, p)
                 scale = max(np.max(np.abs(m.metric_value(p))), 1e-10)
@@ -204,20 +203,19 @@ class TestCovariantDerivative:
     def test_scalar_derivative_is_partial(self, schwarzschild):
         m = schwarzschild
         rs = m.scalar_field()
-        grad = covariant_derivative(
-            m, SymbolicTensor(np.array(rs, dtype=object), ()), order=1)
+        grad = m.covariant_derivative_field(
+            SymbolicTensor(np.array(rs, dtype=object), ()), order=1)
         p = m.points["p0"]
-        memo = {}
         for a in range(4):
-            lhs = m.evaluate_scalar(grad.components[a], p, memo)
-            rhs = m.evaluate_scalar(differentiate(rs, m.chart[a]), p, memo)
+            lhs = m.evaluate_scalar(grad.components[a], p)
+            rhs = m.evaluate_scalar(differentiate(rs, m.chart[a]), p)
             npt.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
 
     def test_ppwave_wave_vector_is_parallel(self, ppwave):
         # k_a = (du)_a has exactly vanishing covariant derivative
         k = np.array([parse_expr("1", ppwave.chart), ZERO, ZERO, ZERO],
                      dtype=object)
-        nabla_k = covariant_derivative(ppwave, SymbolicTensor(k, ("d",)))
+        nabla_k = ppwave.covariant_derivative_field(SymbolicTensor(k, ("d",)))
         for idx in np.ndindex(4, 4):
             e = nabla_k.components[idx]
             assert e.kind == "const" and e.payload == 0.0, (
@@ -225,14 +223,14 @@ class TestCovariantDerivative:
 
     def test_second_derivative_ranks(self, minkowski):
         t = SymbolicTensor(minkowski.g, ("d", "d"))
-        d2 = covariant_derivative(minkowski, t, order=2)
+        d2 = minkowski.covariant_derivative_field(t, order=2)
         assert d2.rank == 4
         assert d2.variance == ("d", "d", "d", "d")
 
     def test_rank_overflow(self, minkowski):
         r5 = SymbolicTensor(np.full((4,) * 5, ZERO, dtype=object), ("d",) * 5)
         with pytest.raises(RankOverflowError):
-            covariant_derivative(minkowski, r5, order=2)
+            minkowski.covariant_derivative_field(r5, order=2)
 
     def test_gradient_cache_shared_across_wrapper_objects(self, schwarzschild):
         m = schwarzschild
@@ -258,7 +256,7 @@ class TestCovariantDerivative:
                 np.array([parse_expr(f"{i + 2}*r", m.chart), ZERO, ZERO,
                           ZERO], dtype=object), ("d",))
             cached = m.evaluate_field(m.covector_gradient_field(v), p).array
-            fresh = m.evaluate_field(covariant_derivative(m, v), p).array
+            fresh = m.evaluate_field(m.covariant_derivative_field(v), p).array
             npt.assert_allclose(
                 cached, fresh, rtol=1e-13, atol=1e-15,
                 err_msg=f"cache returned a stale gradient on pass {i}")
@@ -271,12 +269,12 @@ class TestCovariantDerivative:
         m = schwarzschild
         one = parse_expr("1", m.chart)
         v_up = np.array([one, ZERO, ZERO, ZERO], dtype=object)
-        nabla_v = covariant_derivative(m, SymbolicTensor(v_up, ("u",)))
+        nabla_v = m.covariant_derivative_field(SymbolicTensor(v_up, ("u",)))
         p = m.points["p2"]
         val = m.evaluate_field(nabla_v, p).array
         # oracle: nabla_a v^b = g^{bc} nabla_a v_c with v_c = g_ct
         v_dn = np.array([m.g[i, 0] for i in range(4)], dtype=object)
-        nabla_vdn = covariant_derivative(m, SymbolicTensor(v_dn, ("d",)))
+        nabla_vdn = m.covariant_derivative_field(SymbolicTensor(v_dn, ("d",)))
         vdn_val = m.evaluate_field(nabla_vdn, p).array
         ginv = m.inverse_value(p)
         oracle = np.einsum("bc,ac->ab", ginv, vdn_val)
@@ -408,7 +406,7 @@ class TestZeroFolding:
         v = SymbolicTensor(np.array([parse_expr(s, m.chart) for s in
                                      ("1/r", "0", "sin(theta)", "0")],
                                     dtype=object), ("u",))
-        assert_same_nodes(covariant_derivative(m, v), dense_cov1(m, v),
+        assert_same_nodes(m.covariant_derivative_field(v), dense_cov1(m, v),
                           "vector")
 
 
