@@ -5,12 +5,12 @@ Subcommands: ``analyze`` (full per-point reports, text or JSON),
 metrics or run the golden-record regression), and ``lemmas`` (the
 standalone component-data verification of the two condition lemmas).
 
-Exit codes: 0 success, 1 parse/validation failure (including golden
-mismatches, expression errors such as ``abs`` under a derivative or a
-division by zero, and expressions nested too deeply for the recursive
-evaluator), 2 degenerate metric at a point, 3 invalid or missing tetrad,
-4 classification hit a point whose Petrov type contradicts the
-admissibility theorem.
+Exit codes: 0 success, 1 parse/validation failure (including a metric
+file that is missing or cannot be read, golden mismatches, expression
+errors such as ``abs`` under a derivative or a division by zero, and
+expressions nested too deeply for the recursive evaluator), 2 degenerate
+metric at a point, 3 invalid or missing tetrad, 4 classification hit a
+point whose Petrov type contradicts the admissibility theorem.
 """
 
 from __future__ import annotations
@@ -82,8 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(path: str):
+    """The metric in ``path``; a file that cannot be read is an input
+    error like a malformed one."""
+    try:
+        return load_metric_file(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise MetricFileError(f"cannot read '{path}': {reason}") from None
+
+
 def _cmd_analyze(args) -> int:
-    m = load_metric_file(args.file)
+    m = _load(args.file)
     point = args.point if args.point else None
     reports = run_analysis(m, tol=args.tol, seed=args.seed, point=point,
                            cross_validate=args.cross_validate)
@@ -95,7 +105,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    m = load_metric_file(args.file)
+    m = _load(args.file)
     for pname in sorted(m.points):
         c = classify_point(m, m.points[pname], tol=args.tol,
                            dec_seed=args.seed)

@@ -20,14 +20,27 @@ Unary minus binds tighter than '*', and '^' binds tighter still, so
 Nodes are hash-consed: structurally identical subtrees are the same
 object, which makes identity-keyed memoisation of differentiation and
 evaluation effective across large tensor component arrays.
+
+Two evaluators give the same doubles.  ``evaluate`` is the interpreter:
+it walks the DAG with a memo keyed by node id and raises ``DomainError``
+naming the first sub-expression that is out of domain or overflows.
+``Tape`` is a field's DAG flattened once into straight-line
+instructions; running it costs one call per node and no memo.  The
+geometry layer interprets a field at its first point and builds the tape
+when the field is evaluated at a second one.  A tape run that raises or
+computes any non-finite or complex value returns ``None``, and the
+caller interprets the field instead, so errors always come from the
+interpreter.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import threading
-from typing import Callable, Iterable, Mapping
+from array import array
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class ExprError(Exception):
@@ -77,9 +90,6 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sqrt": math.sqrt,
     "abs": abs,
 }
-
-_BINARY_KINDS = ("+", "-", "*", "/", "^")
-
 
 class Expr:
     """Immutable expression node.  Instances are interned, so equality is
@@ -486,6 +496,86 @@ def _eval(e: Expr, bindings: Mapping[str, float], memo: dict[int, float]) -> flo
         raise DomainError("overflow", e)
     memo[key] = v
     return v
+
+
+# ``_eval``'s operations as callables, so that a tape computes the same
+# doubles
+_TAPE_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+             "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+
+
+class Tape:
+    """The DAG below ``roots`` as straight-line code.
+
+    Values live in one list: first the leaves (a constant's value, or the
+    name of a coordinate or parameter to read from the bindings), then
+    one value per inner node in topological order.  Inner node ``i``
+    applies ``fns[i]`` to the values at ``a[i]`` and, for a binary node,
+    ``b[i]`` (``-1`` marks a unary one).  ``outputs`` indexes the roots'
+    values.
+    """
+
+    __slots__ = ("leaves", "fns", "a", "b", "outputs")
+
+    def __init__(self, roots: Sequence[Expr]):
+        # the slot of every node emitted so far: ~j for the j-th leaf and
+        # i for the i-th inner node, until the leaves move in front below
+        slot: dict[int, int] = {}
+        leaves: list = []
+        fns: list = []
+        a: list[int] = []
+        b: list[int | None] = []
+        # iterative post-order walk: a node is emitted once all of its
+        # arguments have been, however deep the expression
+        stack = list(reversed(roots))
+        while stack:
+            node = stack[-1]
+            args = node.args
+            for x in args:
+                if id(x) not in slot:
+                    stack.append(x)
+                    break
+            else:
+                stack.pop()
+                if id(node) in slot:
+                    continue
+                if not args:
+                    slot[id(node)] = ~len(leaves)
+                    leaves.append(node.payload)
+                    continue
+                slot[id(node)] = len(fns)
+                fns.append(FUNCTIONS[node.payload] if node.kind == "call"
+                           else _TAPE_OPS[node.kind])
+                a.append(slot[id(args[0])])
+                b.append(slot[id(args[1])] if len(args) == 2 else None)
+        n = len(leaves)
+        self.leaves = leaves
+        self.fns = fns
+        self.a = array("i", [~i if i < 0 else i + n for i in a])
+        self.b = array("i", [-1 if i is None else ~i if i < 0 else i + n
+                             for i in b])
+        self.outputs = array("i", [~i if i < 0 else i + n
+                                   for i in (slot[id(r)] for r in roots)])
+
+    def run(self, bindings: Mapping[str, float]) -> list[float] | None:
+        """The roots' values, or ``None`` when any step raises or any
+        value is non-finite or complex: the interpreter then decides
+        (it raises where it should, or returns finite values where only
+        an intermediate sum overflowed here)."""
+        try:
+            vals = [float(bindings[x]) if type(x) is str else x
+                    for x in self.leaves]
+            append = vals.append
+            for fn, x, y in zip(self.fns, self.a, self.b):
+                append(fn(vals[x]) if y < 0 else fn(vals[x], vals[y]))
+        except (ArithmeticError, ValueError, TypeError, KeyError):
+            return None
+        # one sum sees every value: an inf, a nan or a complex anywhere
+        # leaves a non-finite or complex total
+        total = sum(vals)
+        if type(total) is not float or not math.isfinite(total):
+            return None
+        return [vals[i] for i in self.outputs]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 from .conventions import RIEMANN_SIGN, SCALE_FLOOR
 from .expressions import (
     Expr,
+    Tape,
     ZERO,
     add,
     const,
@@ -48,10 +49,17 @@ class RankOverflowError(Exception):
 
 @dataclass(eq=False)
 class SymbolicTensor:
-    """Tensor field: object array of Expr plus a variance per slot."""
+    """Tensor field: object array of Expr plus a variance per slot.
+
+    ``MetricField.evaluate_field`` interprets the field at its first
+    point and keeps a ``Tape`` of it from the second on, so the
+    components must not be replaced once the field has been evaluated.
+    """
 
     components: np.ndarray
     variance: tuple
+    evaluated: bool = field(default=False, init=False, repr=False)
+    tape: Tape | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.components.shape != (DIM,) * len(self.variance):
@@ -82,24 +90,6 @@ class TensorValue:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.array))) if self.array.size else 0.0
-
-
-def raise_index(t: TensorValue, slot: int, ginv: np.ndarray) -> TensorValue:
-    if t.variance[slot] != "d":
-        raise ValueError(f"slot {slot} is already up")
-    arr = np.tensordot(ginv, t.array, axes=([1], [slot]))
-    arr = np.moveaxis(arr, 0, slot)
-    variance = t.variance[:slot] + ("u",) + t.variance[slot + 1:]
-    return TensorValue(arr, variance, t.point)
-
-
-def lower_index(t: TensorValue, slot: int, g: np.ndarray) -> TensorValue:
-    if t.variance[slot] != "u":
-        raise ValueError(f"slot {slot} is already down")
-    arr = np.tensordot(g, t.array, axes=([1], [slot]))
-    arr = np.moveaxis(arr, 0, slot)
-    variance = t.variance[:slot] + ("d",) + t.variance[slot + 1:]
-    return TensorValue(arr, variance, t.point)
 
 
 def _det_expr(g: np.ndarray, rows: tuple, cols: tuple) -> Expr:
@@ -139,6 +129,7 @@ class MetricField:
                 arr[i, j] = e
                 arr[j, i] = e
         self.g = arr
+        self._g_field = SymbolicTensor(arr, ("d", "d"))
         self.params = {str(k): float(v) for k, v in (params or {}).items()}
         self.points = {str(k): tuple(float(x) for x in v)
                        for k, v in (points or {}).items()}
@@ -168,13 +159,8 @@ class MetricField:
         return self._context
 
     def metric_value(self, point) -> np.ndarray:
-        g = self.evaluate_field(SymbolicTensor(self.g, ("d", "d")), point)
+        g = self.evaluate_field(self._g_field, point)
         return np.ascontiguousarray(g.array.real)
-
-    def inverse_value(self, point) -> np.ndarray:
-        gv = self.metric_value(point)
-        self._check_det(gv, point)
-        return np.linalg.inv(gv)
 
     def _check_det(self, gv: np.ndarray, point) -> float:
         det = float(np.linalg.det(gv))
@@ -194,17 +180,46 @@ class MetricField:
                 f"signature (+,-,-,-): eigenvalues {eigenvalues}")
 
     def evaluate_field(self, t: SymbolicTensor, point) -> TensorValue:
+        """``t`` at ``point``, evaluated once per point context: by the
+        interpreter at the field's first point, by its tape after that
+        (the interpreter again wherever the tape declines)."""
         ctx = self.at(point)
-        values = [evaluate(e, ctx.bindings, ctx.memo)
-                  for e in t.components.ravel()]
-        arr = np.array(values, dtype=complex).reshape(t.components.shape)
-        return TensorValue(arr, t.variance, point)
+        value = ctx.fields.get(t)
+        if value is None:
+            comps = t.components.ravel()
+            values = None
+            if t.evaluated:
+                if t.tape is None:
+                    t.tape = Tape(comps)
+                values = t.tape.run(ctx.bindings)
+            t.evaluated = True
+            if values is None:
+                values = [evaluate(e, ctx.bindings, ctx.memo) for e in comps]
+            arr = np.array(values, dtype=complex).reshape(t.components.shape)
+            value = ctx.fields[t] = TensorValue(arr, t.variance, ctx.point)
+        return value
 
     def evaluate_scalar(self, e: Expr, point) -> float:
         ctx = self.at(point)
         return evaluate(e, ctx.bindings, ctx.memo)
 
     # -- symbolic pipeline --------------------------------------------------
+    # a field evaluated at many points needs one wrapper object: its tape
+    # and its entry in the point cache belong to that object
+
+    def christoffel_field(self) -> SymbolicTensor:
+        """Γ^a_{bc} (variance u,d,d)."""
+        if "christoffel" not in self._cache:
+            self._cache["christoffel"] = SymbolicTensor(
+                self.christoffel_symbolic(), ("u", "d", "d"))
+        return self._cache["christoffel"]
+
+    def riemann_up_field(self) -> SymbolicTensor:
+        """R^a_{bcd}."""
+        if "riemann_up_field" not in self._cache:
+            self._cache["riemann_up_field"] = SymbolicTensor(
+                self.riemann_up_symbolic(), ("u", "d", "d", "d"))
+        return self._cache["riemann_up_field"]
 
     def inverse_symbolic(self) -> np.ndarray:
         if "ginv" not in self._cache:
@@ -438,13 +453,6 @@ class MetricField:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def christoffel(m: MetricField, point) -> TensorValue:
-    """Connection coefficients Γ^a_{bc} at ``point`` (variance u,d,d)."""
-    m._check_det(m.metric_value(point), point)
-    gamma = SymbolicTensor(m.christoffel_symbolic(), ("u", "d", "d"))
-    return m.evaluate_field(gamma, point)
-
-
 @dataclass(eq=False)
 class Curvature:
     """All curvature objects at one point (down-index unless noted)."""
@@ -464,11 +472,14 @@ class PointContext:
 
     Expression nodes are interned for the life of the process, so one
     memo keyed by node id serves every field evaluated at the point.
-    ``tetrad_data`` holds numeric results derived from a tetrad, keyed by
-    the ``NullTetrad`` object itself: the live key keeps its id from
-    being recycled (see ``MetricField._field_key``).  Cached results are
-    handed to every caller at the point without a copy; callers must not
-    modify them.
+    ``fields`` holds the value of every field evaluated at the point,
+    keyed by the ``SymbolicTensor`` object, so a field is evaluated at
+    most once per point however many probes read it.  ``tetrad_data``
+    holds numeric results derived from a tetrad, keyed by the
+    ``NullTetrad`` object itself.  Live keys keep their ids from being
+    recycled (see ``MetricField._field_key``).  Cached results are handed
+    to every caller at the point without a copy; callers must not modify
+    them.
     """
 
     point: tuple
@@ -476,6 +487,7 @@ class PointContext:
     key: tuple
     memo: dict = field(default_factory=dict)
     curvature: Curvature | None = None
+    fields: dict = field(default_factory=dict)
     tetrad_data: dict = field(default_factory=dict)
 
 
@@ -485,10 +497,9 @@ def curvature(m: MetricField, point) -> Curvature:
     if ctx.curvature is None:
         gv = m.metric_value(point)
         m._check_det(gv, point)
-        rup = SymbolicTensor(m.riemann_up_symbolic(), ("u", "d", "d", "d"))
         ctx.curvature = Curvature(
             m.evaluate_field(m.riemann_field(), point),
-            m.evaluate_field(rup, point),
+            m.evaluate_field(m.riemann_up_field(), point),
             m.evaluate_field(m.ricci_field(), point),
             float(np.real(m.evaluate_scalar(m.scalar_field(), point))),
             m.evaluate_field(m.weyl_field(), point), gv, np.linalg.inv(gv))

@@ -237,9 +237,21 @@ class SpinCoefficients:
 def spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
                       tol: float = RESIDUAL_TOL) -> SpinCoefficients:
     """The twelve NP connection scalars, from covariant derivatives of
-    the tetrad legs (sign table frozen in the conventions document)."""
-    frame = require_valid_tetrad(metric, tetrad, point, tol)
+    the tetrad legs (sign table frozen in the conventions document).
 
+    The tetrad check runs on every call; the contraction once per
+    (point, tetrad, tol), and a failed check caches nothing.
+    """
+    frame = require_valid_tetrad(metric, tetrad, point, tol)
+    ctx = metric.at(point)
+    key = ("spin", tetrad, tol)
+    if key not in ctx.tetrad_data:
+        ctx.tetrad_data[key] = _spin_coefficients(metric, tetrad, point, frame)
+    return ctx.tetrad_data[key]
+
+
+def _spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
+                       frame: TetradFrame) -> SpinCoefficients:
     def grad_of(field: SymbolicTensor) -> np.ndarray:
         dn = metric.lowered_vector_field(field)
         return metric.evaluate_field(

@@ -63,20 +63,6 @@ class GeneralSpinor:
         return slot < self.unprimed
 
 
-def spinor_outer(*factors: GeneralSpinor) -> GeneralSpinor:
-    """Tensor product, regrouping so unprimed slots stay in front."""
-    arr = np.array(1.0, dtype=complex)
-    layout = []          # (is_unprimed, running-axis) bookkeeping
-    for f in factors:
-        arr = np.tensordot(arr, f.components, axes=0)
-        layout += [True] * f.unprimed + [False] * f.primed
-    order = [i for i, up in enumerate(layout) if up] + \
-        [i for i, up in enumerate(layout) if not up]
-    arr = np.transpose(arr, order) if layout else arr
-    p = sum(1 for up in layout if up)
-    return GeneralSpinor(arr, p, len(layout) - p)
-
-
 def vector_spinor(components, primed: bool = False) -> GeneralSpinor:
     arr = np.asarray(components, dtype=complex)
     return GeneralSpinor(arr, 0 if primed else 1, 1 if primed else 0)

@@ -158,10 +158,7 @@ def _gradient_scale(m: MetricField, point, v_dn: SymbolicTensor) -> float:
         for i in range(4):
             d = differentiate(v_dn.components[i], m.chart[a])
             dmax = max(dmax, abs(evaluate(d, ctx.bindings, ctx.memo)))
-    gamma = m.christoffel_symbolic()
-    gmax = 0.0
-    for idx in np.ndindex(4, 4, 4):
-        gmax = max(gmax, abs(evaluate(gamma[idx], ctx.bindings, ctx.memo)))
+    gmax = m.evaluate_field(m.christoffel_field(), point).max_abs()
     vval = m.evaluate_field(v_dn, point)
     return max(dmax, gmax * vval.max_abs(), SCALE_FLOOR)
 

@@ -11,10 +11,65 @@ import numpy as np
 import pytest
 
 from curvlab.expressions import ZERO, parse_expr
-from curvlab.geometry import MetricField, SymbolicTensor
+from curvlab.geometry import MetricField, SymbolicTensor, TensorValue
 from curvlab.newman_penrose import NullTetrad
+from curvlab.spinors import GeneralSpinor
 
 PI = math.pi
+
+
+# ---------------------------------------------------------------------------
+# numeric helpers the analysis itself does not need
+# ---------------------------------------------------------------------------
+
+def christoffel(m, point):
+    """Connection coefficients Γ^a_{bc} at ``point`` (variance u,d,d)."""
+    m._check_det(m.metric_value(point), point)
+    return m.evaluate_field(m.christoffel_field(), point)
+
+
+def inverse_value(m, point):
+    """g^{ab} at ``point``, after the degeneracy check."""
+    gv = m.metric_value(point)
+    m._check_det(gv, point)
+    return np.linalg.inv(gv)
+
+
+def raise_index(t, slot, ginv):
+    if t.variance[slot] != "d":
+        raise ValueError(f"slot {slot} is already up")
+    arr = np.tensordot(ginv, t.array, axes=([1], [slot]))
+    arr = np.moveaxis(arr, 0, slot)
+    variance = t.variance[:slot] + ("u",) + t.variance[slot + 1:]
+    return TensorValue(arr, variance, t.point)
+
+
+def lower_index(t, slot, g):
+    if t.variance[slot] != "u":
+        raise ValueError(f"slot {slot} is already down")
+    arr = np.tensordot(g, t.array, axes=([1], [slot]))
+    arr = np.moveaxis(arr, 0, slot)
+    variance = t.variance[:slot] + ("d",) + t.variance[slot + 1:]
+    return TensorValue(arr, variance, t.point)
+
+
+def spinor_outer(*factors):
+    """Tensor product, regrouping so unprimed slots stay in front."""
+    arr = np.array(1.0, dtype=complex)
+    layout = []          # (is_unprimed, running-axis) bookkeeping
+    for f in factors:
+        arr = np.tensordot(arr, f.components, axes=0)
+        layout += [True] * f.unprimed + [False] * f.primed
+    order = [i for i, up in enumerate(layout) if up] + \
+        [i for i, up in enumerate(layout) if not up]
+    arr = np.transpose(arr, order) if layout else arr
+    p = sum(1 for up in layout if up)
+    return GeneralSpinor(arr, p, len(layout) - p)
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+# ---------------------------------------------------------------------------
 
 
 def vector_field(m, strings):

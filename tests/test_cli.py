@@ -221,8 +221,24 @@ class TestExitCodes:
         return str(target)
 
     def test_missing_file(self, capsys, tmp_path):
-        with pytest.raises(OSError):
-            main(["analyze", str(tmp_path / "absent.ini")])
+        path = str(tmp_path / "absent.ini")
+        for command in ("analyze", "classify"):
+            code, out, err = run_cli(capsys, command, path)
+            assert code == 1 and out == ""
+            assert err == (f"error: cannot read '{path}': "
+                           "No such file or directory\n")
+
+    def test_unreadable_file_is_one(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "analyze", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"error: cannot read '{tmp_path}': ")
+        assert len(err.splitlines()) == 1
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[chart]\ncoords = t, x, y, \xe9\n")
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 1
+        assert err.startswith(f"error: cannot read '{path}': ")
+        assert len(err.splitlines()) == 1
 
     def test_parse_error_is_one(self, capsys, tmp_path):
         path = self.write(tmp_path, "[chart\n")

@@ -1,6 +1,7 @@
-"""The per-point evaluation context: each point's curvature and tetrad
-data are evaluated once, the one-slot cache never serves another point,
-and tetrad checks still run on every call."""
+"""The per-point evaluation context: each point's curvature, fields and
+tetrad data are evaluated once, a field's tape is built only once the
+field is reused, the one-slot cache never serves another point, and
+tetrad checks still run on every call."""
 
 import os
 import subprocess
@@ -11,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvlab import geometry, newman_penrose
 from curvlab.analysis import DEFAULT_SEED, analyze_point, reports_to_json
 from curvlab.classify import classify_point
 from curvlab.conventions import RESIDUAL_TOL
 from curvlab.corpus import load_corpus_metric
-from curvlab.expressions import const, mul
+from curvlab.expressions import Tape, const, mul, parse_expr
 from curvlab.geometry import MetricField, SymbolicTensor, curvature
 from curvlab.newman_penrose import (
     InvalidTetradError,
@@ -91,6 +93,103 @@ class TestEvaluatedOnce:
         assert ad is adapt_tetrad(m, m.tetrad, p)
         assert ad.tetrad is ad.tetrad
 
+    def test_spin_coefficients_once_per_point_and_tetrad(self, monkeypatch):
+        # on points that need no adaptation analyze_point and
+        # classify_point ask for the same tetrad's coefficients
+        contractions = Counter()
+        original = newman_penrose._spin_coefficients
+
+        def counting(metric, tetrad, point, frame):
+            contractions[(tuple(point), id(tetrad))] += 1
+            return original(metric, tetrad, point, frame)
+
+        monkeypatch.setattr(newman_penrose, "_spin_coefficients", counting)
+        m = load_corpus_metric("nariai")
+        for pname in sorted(m.points):
+            analyze_point(m, pname)
+        assert contractions and set(contractions.values()) == {1}
+        p = m.points["p0"]
+        assert spin_coefficients(m, m.tetrad, p) is \
+            spin_coefficients(m, m.tetrad, p)
+        unadapted = sum(adapt_tetrad(m, m.tetrad, q).tetrad is m.tetrad
+                        for q in m.points.values())
+        assert unadapted > 0
+
+
+@pytest.fixture
+def tapes_built(monkeypatch):
+    """The roots of every tape built, as lists of components."""
+    built = []
+
+    class CountingTape(Tape):
+        __slots__ = ()
+
+        def __init__(self, roots):
+            built.append(list(roots))
+            super().__init__(roots)
+
+    monkeypatch.setattr(geometry, "Tape", CountingTape)
+    return built
+
+
+class TestTapes:
+    def field(self, m, texts):
+        comp = np.array([parse_expr(s, m.chart) for s in texts],
+                        dtype=object)
+        return SymbolicTensor(comp, ("u",))
+
+    def test_field_at_one_point_builds_no_tape(self, tapes_built):
+        m = load_corpus_metric("minkowski")
+        f = self.field(m, ["t*x", "y", "z + 1", "x^2"])
+        p = m.points["origin"]
+        first = m.evaluate_field(f, p)
+        assert m.evaluate_field(f, list(p)) is first
+        assert f.tape is None
+        assert list(f.components) not in tapes_built
+
+    def test_field_at_three_points_builds_one_tape(self, tapes_built):
+        m = load_corpus_metric("minkowski")
+        f = self.field(m, ["t*x", "y", "z + 1", "x^2"])
+        values = []
+        for x in (1.0, 2.0, 3.0):
+            p = (0.5, x, -1.0, 2.0)
+            values.append(m.evaluate_field(f, p).array)
+            m.evaluate_field(f, p)
+        assert tapes_built.count(list(f.components)) == 1
+        assert np.array_equal(values[2], [1.5, -1.0, 3.0, 9.0])
+
+    def test_nabla2_riemann_once_per_point_cross_validated(self, monkeypatch):
+        # second_order and the direct semi route both read ∇∇R; the
+        # interpreter runs at the first point, the tape at the rest
+        m = load_corpus_metric("schwarzschild")
+        target = m.nabla_field("riemann", 2)
+        served = []
+        original = MetricField.evaluate_field
+
+        def recording(self, t, point):
+            value = original(self, t, point)
+            if t is target:
+                served.append(value)
+            return value
+
+        runs = Counter()
+        run = Tape.run
+
+        def counting_run(self, bindings):
+            runs[id(self)] += 1
+            return run(self, bindings)
+
+        monkeypatch.setattr(MetricField, "evaluate_field", recording)
+        monkeypatch.setattr(Tape, "run", counting_run)
+        for i, pname in enumerate(sorted(m.points)):
+            served.clear()
+            before = runs[id(target.tape)] if target.tape else 0
+            analyze_point(m, pname, cross_validate=True)
+            assert len(served) == 2 and served[0] is served[1], pname
+            assert (target.tape is None) == (i == 0), pname
+            if i:
+                assert runs[id(target.tape)] - before == 1, pname
+
 
 class TestTetradKeys:
     def test_frames_of_dropped_tetrads_are_never_served(self):
@@ -159,6 +258,8 @@ class TestChecksStillRun:
             spin_coefficients(m, bad, p)
         with pytest.raises(InvalidTetradError):
             classify_point(m, p, tetrad=bad)
+        assert not any(key[1] is bad for key in m.at(p).tetrad_data
+                       if key[0] == "spin")
 
     def test_stricter_tol_raises_where_the_default_passed(self):
         # k·l = 1 + 1e-11: inside the default tolerance, outside 1e-14

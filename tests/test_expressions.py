@@ -1,15 +1,19 @@
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
 from curvlab.expressions import (
     FUNCTIONS,
     ZERO,
     DerivativeError,
     DomainError,
+    ExprError,
     ParseError,
+    Tape,
     UndeclaredNameError,
     differentiate,
     evaluate,
@@ -17,6 +21,7 @@ from curvlab.expressions import (
     parse_expr,
     to_string,
 )
+from curvlab.geometry import SymbolicTensor
 
 CHART = ("t", "r", "theta", "phi")
 PARAMS = ("M", "a")
@@ -261,3 +266,123 @@ class TestStructure:
     def test_free_names(self):
         e = parse_expr("sin(theta)*M + r", CHART, PARAMS)
         assert free_names(e) == {"theta", "M", "r"}
+
+
+# ---------------------------------------------------------------------------
+# the tape: same doubles as the interpreter, the interpreter's errors
+# ---------------------------------------------------------------------------
+
+def signed(values):
+    """Values paired with their sign, so that -0.0 and 0.0 differ."""
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+def cached_fields(m):
+    """Every field the analysis evaluates at a point, and the scalar
+    curvature as a rank-0 field."""
+    return {
+        "g": m._g_field, "christoffel": m.christoffel_field(),
+        "riemann": m.riemann_field(), "riemann_up": m.riemann_up_field(),
+        "ricci": m.ricci_field(),
+        "scalar": SymbolicTensor(np.array(m.scalar_field(), dtype=object), ()),
+        "weyl": m.weyl_field(),
+        "nabla_riemann": m.nabla_field("riemann", 1),
+        "nabla2_riemann": m.nabla_field("riemann", 2),
+        "nabla2_weyl": m.nabla_field("weyl", 2),
+        "nabla2_ricci": m.nabla_field("ricci", 2),
+    }
+
+
+class TestTapeMatchesInterpreter:
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_bit_identical_on_the_corpus(self, name):
+        m = load_corpus_metric(name)
+        tapes = {key: (Tape(t.components.ravel()), t.components.ravel())
+                 for key, t in cached_fields(m).items()}
+        for pname, point in sorted(m.points.items()):
+            b = m.bindings(point)
+            memo = {}
+            for key, (tape, comps) in tapes.items():
+                want = [evaluate(e, b, memo) for e in comps]
+                got = tape.run(b)
+                assert got is not None, (pname, key)
+                assert signed(got) == signed(want), (pname, key)
+
+    def test_signed_zero_survives(self):
+        e = parse_expr("-(t*0.5)", CHART)
+        got = Tape([e]).run({"t": 0.0})
+        assert signed(got) == signed([evaluate(e, {"t": 0.0})]) == [(0.0, -1.0)]
+
+
+# (component, first point's t, second point's t): fine at the first
+# point, out of domain at the second
+DOMAIN_CASES = {
+    "division by zero": ("1/(t - 1)", 2.0, 1.0),
+    "log of a non-positive value": ("log(t)", 2.0, -1.0),
+    "sqrt of a negative value": ("sqrt(t)", 2.0, -4.0),
+    "complex power": ("t^0.5", 2.0, -4.0),
+    "overflow that vanishes": ("1/(t*1e200*1e200)", 1e-300, 1.0),
+}
+
+
+class TestTapeFallback:
+    def field(self, text, m):
+        comps = [parse_expr(text, m.chart), parse_expr("t + 1", m.chart)]
+        return SymbolicTensor(np.array(comps + [ZERO, ZERO], dtype=object),
+                              ("u",))
+
+    @pytest.mark.parametrize("case", sorted(DOMAIN_CASES))
+    def test_second_point_raises_the_interpreters_error(self, minkowski,
+                                                        case):
+        text, t_ok, t_bad = DOMAIN_CASES[case]
+        m = minkowski
+        field = self.field(text, m)
+        m.evaluate_field(field, (t_ok, 0.0, 0.0, 0.0))
+        bad = (t_bad, 0.0, 0.0, 0.0)
+        with pytest.raises(DomainError) as interpreted:
+            evaluate(field.components[0], m.bindings(bad))
+        with pytest.raises(DomainError) as taped:
+            m.evaluate_field(field, bad)
+        assert field.tape is not None
+        assert field.tape.run(m.bindings(bad)) is None
+        assert str(taped.value) == str(interpreted.value)
+        assert taped.value.expression is interpreted.value.expression
+
+    def test_overflowing_sum_falls_back_to_finite_values(self, minkowski):
+        # each value is finite, their sum is not: the tape declines and
+        # the interpreter returns the values
+        m = minkowski
+        field = self.field("t*1.7e308", m)
+        m.evaluate_field(field, (0.5, 0.0, 0.0, 0.0))
+        got = m.evaluate_field(field, (1.0, 0.0, 0.0, 0.0)).array
+        assert field.tape.run(m.bindings((1.0, 0.0, 0.0, 0.0))) is None
+        assert got[0] == 1.7e308 and got[1] == 2.0
+
+    def test_missing_binding_is_the_interpreters_error(self):
+        e = parse_expr("t*r", CHART)
+        assert Tape([e]).run({"t": 1.0}) is None
+        with pytest.raises(ExprError, match="missing binding for 'r'"):
+            evaluate(e, {"t": 1.0})
+
+
+class TestTapeBuild:
+    def test_deep_expression_builds_without_recursion(self):
+        # 3000 chained terms exceed the interpreter's recursion depth; the
+        # tape is built and run by loops
+        assert sys.getrecursionlimit() < 3000
+        coeffs = [1e-4 * (i + 1) for i in range(3000)]
+        e = parse_expr(" + ".join(f"{c!r}*t" for c in coeffs), CHART)
+        with pytest.raises(RecursionError):
+            evaluate(e, {"t": 0.3})
+        tape = Tape([e])
+        want = coeffs[0] * 0.3
+        for c in coeffs[1:]:
+            want = want + c * 0.3
+        assert tape.run({"t": 0.3}) == [want]
+
+    def test_shared_nodes_appear_once(self):
+        e = parse_expr("sin(t)*sin(t) + sin(t)", CHART)
+        tape = Tape([e, e])
+        # t, then sin(t), the product and the sum; no constants
+        assert tape.leaves == ["t"] and len(tape.fns) == 3
+        assert tape.run({"t": 0.7}) == [evaluate(e, {"t": 0.7})] * 2

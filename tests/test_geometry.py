@@ -10,12 +10,11 @@ from curvlab.geometry import (
     RankOverflowError,
     SymbolicTensor,
     TensorValue,
-    christoffel,
     commutator_action,
     curvature,
-    lower_index,
-    raise_index,
 )
+
+from conftest import christoffel, inverse_value, lower_index, raise_index
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,7 @@ class TestCovariantDerivative:
         v_dn = np.array([m.g[i, 0] for i in range(4)], dtype=object)
         nabla_vdn = m.covariant_derivative_field(SymbolicTensor(v_dn, ("d",)))
         vdn_val = m.evaluate_field(nabla_vdn, p).array
-        ginv = m.inverse_value(p)
+        ginv = inverse_value(m, p)
         oracle = np.einsum("bc,ac->ab", ginv, vdn_val)
         npt.assert_allclose(val, oracle, rtol=1e-11, atol=1e-13,
                             err_msg="up-slot connection term is wrong")

@@ -20,7 +20,6 @@ from curvlab.spinors import (
     curvature_spinor,
     make_condition_data,
     raise_slot,
-    spinor_outer,
     symmetrize,
     vector_spinor,
 )
@@ -28,6 +27,8 @@ from curvlab.symmetry import (
     conformal_semi_symmetry_residual,
     ricci_semi_symmetry_residual,
 )
+
+from conftest import spinor_outer
 
 O = vector_spinor(O_DN)
 IOTA = vector_spinor(IOTA_DN)
