@@ -48,8 +48,6 @@ _RESIDUAL_FUNCS = {
     "second_order": second_order_symmetry_residual,
     "nabla_riemann": locally_symmetric_residual,
 }
-# the two residuals with only one computation route
-_SINGLE_ROUTE = ("second_order", "nabla_riemann")
 SPIN_NAMES = ("kappa", "sigma", "rho", "tau", "epsilon", "beta", "alpha",
               "gamma", "pi", "lambda", "mu", "nu")
 

@@ -25,12 +25,12 @@ Two evaluators give the same doubles.  ``evaluate`` is the interpreter:
 it walks the DAG with a memo keyed by node id and raises ``DomainError``
 naming the first sub-expression that is out of domain or overflows.
 ``Tape`` is a field's DAG flattened once into straight-line
-instructions; running it costs one call per node and no memo.  The
-geometry layer interprets a field at its first point and builds the tape
-when the field is evaluated at a second one.  A tape run that raises or
-computes any non-finite or complex value returns ``None``, and the
-caller interprets the field instead, so errors always come from the
-interpreter.
+instructions; running it costs one call per node and no memo.  The only
+caller of both in the package, ``MetricField.evaluate_field``, interprets
+a field at its first point and runs its tape from the second on.  A tape
+run that raises or computes any non-finite or complex value returns
+``None``, and the caller interprets the field instead, so errors always
+come from the interpreter.
 """
 
 from __future__ import annotations

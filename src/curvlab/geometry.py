@@ -150,13 +150,21 @@ class MetricField:
     def at(self, point) -> PointContext:
         """The evaluation context of ``point``.  Only the most recent one
         is kept: callers visit one point at a time."""
+        ctx = self._context
+        # hex forms tell -0.0 from 0.0; a changed parameter also misses.
+        # A tuple cannot change in place, so the last one asked for is
+        # still the same point while the parameters are unchanged.
+        params = tuple(float(v).hex() for v in self.params.values())
+        if ctx is not None and point is ctx.source and params == ctx.params:
+            return ctx
         b = self.bindings(point)
-        # hex forms tell -0.0 from 0.0; a changed parameter also misses
         key = tuple(float(v).hex() for v in b.values())
-        if self._context is None or self._context.key != key:
-            self._context = PointContext(
+        if ctx is None or ctx.key != key:
+            ctx = self._context = PointContext(
                 tuple(float(x) for x in point), b, key)
-        return self._context
+        ctx.source = point if type(point) is tuple else None
+        ctx.params = params
+        return ctx
 
     def metric_value(self, point) -> np.ndarray:
         g = self.evaluate_field(self._g_field, point)
@@ -199,29 +207,12 @@ class MetricField:
             value = ctx.fields[t] = TensorValue(arr, t.variance, ctx.point)
         return value
 
-    def evaluate_scalar(self, e: Expr, point) -> float:
-        ctx = self.at(point)
-        return evaluate(e, ctx.bindings, ctx.memo)
-
     # -- symbolic pipeline --------------------------------------------------
-    # a field evaluated at many points needs one wrapper object: its tape
-    # and its entry in the point cache belong to that object
+    # each builder caches one SymbolicTensor: a field's tape and its entry
+    # in the point cache belong to that object
 
-    def christoffel_field(self) -> SymbolicTensor:
-        """Γ^a_{bc} (variance u,d,d)."""
-        if "christoffel" not in self._cache:
-            self._cache["christoffel"] = SymbolicTensor(
-                self.christoffel_symbolic(), ("u", "d", "d"))
-        return self._cache["christoffel"]
-
-    def riemann_up_field(self) -> SymbolicTensor:
-        """R^a_{bcd}."""
-        if "riemann_up_field" not in self._cache:
-            self._cache["riemann_up_field"] = SymbolicTensor(
-                self.riemann_up_symbolic(), ("u", "d", "d", "d"))
-        return self._cache["riemann_up_field"]
-
-    def inverse_symbolic(self) -> np.ndarray:
+    def inverse_symbolic(self) -> SymbolicTensor:
+        """g^{ab}."""
         if "ginv" not in self._cache:
             g = self.g
             all_idx = tuple(range(DIM))
@@ -235,14 +226,14 @@ class MetricField:
                     cof = minor if (i + j) % 2 == 0 else neg(minor)
                     ginv[i, j] = ginv[j, i] = (
                         ZERO if cof is ZERO else div(cof, det))
-            self._cache["gdet"] = det
-            self._cache["ginv"] = ginv
+            self._cache["ginv"] = SymbolicTensor(ginv, ("u", "u"))
         return self._cache["ginv"]
 
-    def christoffel_symbolic(self) -> np.ndarray:
+    def christoffel_symbolic(self) -> SymbolicTensor:
+        """Γ^a_{bc}."""
         if "gamma" not in self._cache:
             g = self.g
-            ginv = self.inverse_symbolic()
+            ginv = self.inverse_symbolic().components
             dg = np.empty((DIM, DIM, DIM), dtype=object)  # dg[a,b,c] = d_a g_bc
             for a in range(DIM):
                 va = self.chart[a]
@@ -260,12 +251,13 @@ class MetricField:
                             inner = sub(add(dg[b, d, c], dg[c, d, b]), dg[d, b, c])
                             s = add(s, mul(ginv[a, d], inner))
                         gamma[a, b, c] = gamma[a, c, b] = mul(half, s)
-            self._cache["gamma"] = gamma
+            self._cache["gamma"] = SymbolicTensor(gamma, ("u", "d", "d"))
         return self._cache["gamma"]
 
-    def riemann_up_symbolic(self) -> np.ndarray:
+    def riemann_up_symbolic(self) -> SymbolicTensor:
+        """R^a_{bcd}."""
         if "riemann_up" not in self._cache:
-            gamma = self.christoffel_symbolic()
+            gamma = self.christoffel_symbolic().components
             dgamma = np.empty((DIM, DIM, DIM, DIM), dtype=object)
             for c in range(DIM):
                 vc = self.chart[c]
@@ -288,13 +280,13 @@ class MetricField:
                             val = neg(s) if RIEMANN_SIGN < 0 else s
                             rup[a, b, c, d] = val
                             rup[a, b, d, c] = neg(val)
-            self._cache["riemann_up"] = rup
+            self._cache["riemann_up"] = SymbolicTensor(rup, ("u", "d", "d", "d"))
         return self._cache["riemann_up"]
 
     def riemann_field(self) -> SymbolicTensor:
         if "riemann" not in self._cache:
             g = self.g
-            rup = self.riemann_up_symbolic()
+            rup = self.riemann_up_symbolic().components
             rdown = np.empty((DIM, DIM, DIM, DIM), dtype=object)
             for a in range(DIM):
                 for b in range(DIM):
@@ -312,7 +304,7 @@ class MetricField:
 
     def ricci_field(self) -> SymbolicTensor:
         if "ricci" not in self._cache:
-            rup = self.riemann_up_symbolic()
+            rup = self.riemann_up_symbolic().components
             ric = np.empty((DIM, DIM), dtype=object)
             for a in range(DIM):
                 for b in range(a, DIM):
@@ -323,15 +315,16 @@ class MetricField:
             self._cache["ricci"] = SymbolicTensor(ric, ("d", "d"))
         return self._cache["ricci"]
 
-    def scalar_field(self) -> Expr:
+    def scalar_field(self) -> SymbolicTensor:
+        """R, as a rank-0 field."""
         if "scalar" not in self._cache:
-            ginv = self.inverse_symbolic()
+            ginv = self.inverse_symbolic().components
             ric = self.ricci_field().components
             s = ZERO
             for a in range(DIM):
                 for b in range(DIM):
                     s = add(s, mul(ginv[a, b], ric[a, b]))
-            self._cache["scalar"] = s
+            self._cache["scalar"] = SymbolicTensor(np.array(s, dtype=object), ())
         return self._cache["scalar"]
 
     def weyl_field(self) -> SymbolicTensor:
@@ -339,7 +332,7 @@ class MetricField:
             g = self.g
             rdown = self.riemann_field().components
             ric = self.ricci_field().components
-            rs = self.scalar_field()
+            rs = self.scalar_field().components[()]
             half = const(0.5)
             sixth = div(rs, const(6.0))
             weyl = np.empty((DIM, DIM, DIM, DIM), dtype=object)
@@ -374,7 +367,7 @@ class MetricField:
         return out
 
     def _cov1(self, t: SymbolicTensor) -> SymbolicTensor:
-        gamma = self.christoffel_symbolic()
+        gamma = self.christoffel_symbolic().components
         # the nonzero connection coefficients per (a, i): Γ^e_{ai} for a
         # down slot, Γ^i_{ae} for an up slot.  Skipping ZERO factors (and
         # ZERO components below) builds the same interned DAG as the
@@ -448,6 +441,16 @@ class MetricField:
             self._cache[key] = self._cov1(v_dn)
         return self._cache[key]
 
+    def partial_gradient_field(self, v_dn: SymbolicTensor) -> SymbolicTensor:
+        """∂_a v_b for a covector field (not a tensor), cached per field
+        contents."""
+        key = self._field_key("partial_vec", v_dn)
+        if key not in self._cache:
+            comp = np.array([[differentiate(e, va) for e in v_dn.components]
+                             for va in self.chart], dtype=object)
+            self._cache[key] = SymbolicTensor(comp, ("d", "d"))
+        return self._cache[key]
+
 
 # ---------------------------------------------------------------------------
 # module-level operations
@@ -470,25 +473,30 @@ class Curvature:
 class PointContext:
     """What has been evaluated at one point of one metric.
 
-    Expression nodes are interned for the life of the process, so one
-    memo keyed by node id serves every field evaluated at the point.
     ``fields`` holds the value of every field evaluated at the point,
     keyed by the ``SymbolicTensor`` object, so a field is evaluated at
-    most once per point however many probes read it.  ``tetrad_data``
-    holds numeric results derived from a tetrad, keyed by the
-    ``NullTetrad`` object itself.  Live keys keep their ids from being
-    recycled (see ``MetricField._field_key``).  Cached results are handed
-    to every caller at the point without a copy; callers must not modify
+    most once per point however many probes read it.  ``memo`` (keyed by
+    node id: nodes are interned) serves only the interpreter, at a field's
+    first point or where its tape declines.  ``tetrad_data`` holds results
+    derived from a tetrad, keyed by the ``NullTetrad`` object itself, and
+    ``residuals`` the commutator reports by (condition, method, tol).
+    Live keys keep their ids from being recycled (see
+    ``MetricField._field_key``).  ``source`` and ``params`` let
+    ``MetricField.at`` serve a repeated tuple without rebuilding ``key``.
+    Cached results are handed out without a copy; callers must not modify
     them.
     """
 
     point: tuple
     bindings: dict
     key: tuple
+    source: tuple | None = None
+    params: tuple = ()
     memo: dict = field(default_factory=dict)
     curvature: Curvature | None = None
     fields: dict = field(default_factory=dict)
     tetrad_data: dict = field(default_factory=dict)
+    residuals: dict = field(default_factory=dict)
 
 
 def curvature(m: MetricField, point) -> Curvature:
@@ -499,9 +507,9 @@ def curvature(m: MetricField, point) -> Curvature:
         m._check_det(gv, point)
         ctx.curvature = Curvature(
             m.evaluate_field(m.riemann_field(), point),
-            m.evaluate_field(m.riemann_up_field(), point),
+            m.evaluate_field(m.riemann_up_symbolic(), point),
             m.evaluate_field(m.ricci_field(), point),
-            float(np.real(m.evaluate_scalar(m.scalar_field(), point))),
+            float(m.evaluate_field(m.scalar_field(), point).array.real),
             m.evaluate_field(m.weyl_field(), point), gv, np.linalg.inv(gv))
     return ctx.curvature
 

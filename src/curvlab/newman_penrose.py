@@ -23,8 +23,6 @@ from .conventions import PHI_SIGN, RESIDUAL_TOL, SCALE_FLOOR
 from .expressions import ZERO, add, const, mul
 from .geometry import Curvature, MetricField, SymbolicTensor, curvature
 
-PETROV_TYPES = ("I", "II", "D", "III", "N", "O")
-
 
 class InvalidTetradError(Exception):
     """A tetrad failed its cross-normalization products; carries the report."""
@@ -285,8 +283,6 @@ def _spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
 # ---------------------------------------------------------------------------
 # tetrad transformations
 # ---------------------------------------------------------------------------
-
-ROTATION_KINDS = ("about-k", "about-l", "boost-spin")
 
 
 def null_rotate_weyl(psi, param: complex, kind: str) -> np.ndarray:

@@ -26,9 +26,6 @@ EPS_UP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 O_DN = np.array([1.0, 0.0], dtype=complex)
 IOTA_DN = np.array([0.0, 1.0], dtype=complex)
-# ξ^A = ε^{AB} ξ_B
-O_UP = np.array([0.0, -1.0], dtype=complex)
-IOTA_UP = np.array([1.0, 0.0], dtype=complex)
 
 
 class SpinorSlotError(ValueError):

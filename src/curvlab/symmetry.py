@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import RESIDUAL_DEAD_BAND, RESIDUAL_TOL, SCALE_FLOOR
-from .expressions import differentiate, evaluate
 from .geometry import (
     MetricField,
     SymbolicTensor,
@@ -85,6 +84,11 @@ def _report(condition: str, residual: float, scale: float, point,
 
 def _commutator_residual(m: MetricField, point, condition: str, which: str,
                          tol: float, method: str) -> ResidualReport:
+    """The report, computed once per point context and key."""
+    reports = m.at(point).residuals
+    key = (condition, method, tol)
+    if key in reports:
+        return reports[key]
     c = curvature(m, point)
     target = {"riemann": c.riemann, "weyl": c.weyl, "ricci": c.ricci}[which]
     scale = max(c.riemann_up.max_abs(), c.riemann.max_abs(), target.max_abs())
@@ -95,7 +99,8 @@ def _commutator_residual(m: MetricField, point, condition: str, which: str,
         out = d2 - np.swapaxes(d2, 0, 1)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _report(condition, np.max(np.abs(out)), scale, point, tol)
+    reports[key] = _report(condition, np.max(np.abs(out)), scale, point, tol)
+    return reports[key]
 
 
 def semi_symmetry_residual(m: MetricField, point, tol: float = RESIDUAL_TOL,
@@ -152,13 +157,8 @@ def _gradient_scale(m: MetricField, point, v_dn: SymbolicTensor) -> float:
     """Magnitude scale for ∇v residuals: the larger of the partial
     derivatives of the components and of |Γ|·|v| (so that points where
     both happen to be small do not inflate verdicts)."""
-    ctx = m.at(point)
-    dmax = 0.0
-    for a in range(4):
-        for i in range(4):
-            d = differentiate(v_dn.components[i], m.chart[a])
-            dmax = max(dmax, abs(evaluate(d, ctx.bindings, ctx.memo)))
-    gmax = m.evaluate_field(m.christoffel_field(), point).max_abs()
+    dmax = m.evaluate_field(m.partial_gradient_field(v_dn), point).max_abs()
+    gmax = m.evaluate_field(m.christoffel_symbolic(), point).max_abs()
     vval = m.evaluate_field(v_dn, point)
     return max(dmax, gmax * vval.max_abs(), SCALE_FLOOR)
 

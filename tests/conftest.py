@@ -25,7 +25,7 @@ PI = math.pi
 def christoffel(m, point):
     """Connection coefficients Γ^a_{bc} at ``point`` (variance u,d,d)."""
     m._check_det(m.metric_value(point), point)
-    return m.evaluate_field(m.christoffel_field(), point)
+    return m.evaluate_field(m.christoffel_symbolic(), point)
 
 
 def inverse_value(m, point):

@@ -1,8 +1,10 @@
-"""The per-point evaluation context: each point's curvature, fields and
-tetrad data are evaluated once, a field's tape is built only once the
-field is reused, the one-slot cache never serves another point, and
-tetrad checks still run on every call."""
+"""The per-point evaluation context: each point's curvature, fields,
+tetrad data and commutator residuals are evaluated once, a field's tape
+is built only once the field is reused, revisited fields are never
+interpreted, the one-slot cache never serves another point, and tetrad
+checks still run on every call."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,7 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvlab import geometry, newman_penrose
+from curvlab import (
+    analysis,
+    classify,
+    corpus,
+    geometry,
+    metricfile,
+    newman_penrose,
+    symmetry,
+)
 from curvlab.analysis import DEFAULT_SEED, analyze_point, reports_to_json
 from curvlab.classify import classify_point
 from curvlab.conventions import RESIDUAL_TOL
@@ -28,6 +38,7 @@ from curvlab.newman_penrose import (
     spin_coefficients,
     tetrad_frame,
 )
+from curvlab.symmetry import semi_symmetry_residual
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -115,6 +126,37 @@ class TestEvaluatedOnce:
                         for q in m.points.values())
         assert unadapted > 0
 
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_commutator_action_three_times_per_point(self, monkeypatch,
+                                                      cross):
+        # classify_point asks for semi again, and cross-validation for
+        # all three commutator residuals
+        calls = Counter()
+        original = symmetry.commutator_action
+
+        def counting(riemann_up, t):
+            calls["commutator_action"] += 1
+            return original(riemann_up, t)
+
+        monkeypatch.setattr(symmetry, "commutator_action", counting)
+        m = load_corpus_metric("nariai")
+        for pname in sorted(m.points):
+            calls.clear()
+            analyze_point(m, pname, cross_validate=cross)
+            assert calls["commutator_action"] == 3, pname
+
+    def test_residual_reports_are_kept_per_tolerance_and_method(self):
+        m = load_corpus_metric("schwarzschild")
+        p = m.points["p0"]
+        report = semi_symmetry_residual(m, p)
+        assert semi_symmetry_residual(m, list(p)) is report
+        loose = semi_symmetry_residual(m, p, tol=1.0)
+        assert (report.verdict, loose.verdict) == ("fails", "holds")
+        direct = semi_symmetry_residual(m, p, method="direct")
+        assert direct is not report and direct.verdict == "fails"
+        with pytest.raises(ValueError):
+            semi_symmetry_residual(m, p, method="neither")
+
 
 @pytest.fixture
 def tapes_built(monkeypatch):
@@ -191,6 +233,40 @@ class TestTapes:
                 assert runs[id(target.tape)] - before == 1, pname
 
 
+@pytest.fixture
+def interpreted(monkeypatch):
+    """Counts calls of the expression interpreter, which only
+    MetricField.evaluate_field makes."""
+    calls = Counter()
+    original = geometry.evaluate
+
+    def counting(e, bindings, memo=None):
+        calls["evaluate"] += 1
+        return original(e, bindings, memo)
+
+    monkeypatch.setattr(geometry, "evaluate", counting)
+    return calls
+
+
+class TestOneEvaluator:
+    @pytest.mark.parametrize("name, cross", [
+        ("ppwave_linear", False),
+        ("schwarzschild", False),
+        ("schwarzschild", True),
+    ])
+    def test_fields_seen_before_are_not_interpreted(self, interpreted,
+                                                    name, cross):
+        # these points read only fields the first point evaluated (no
+        # rotated tetrad), so tapes serve every number
+        m = load_corpus_metric(name)
+        analyze_point(m, "p0", cross_validate=cross)
+        assert interpreted["evaluate"] > 0
+        for pname in ("p1", "p2", "p3", "p4"):
+            interpreted.clear()
+            analyze_point(m, pname, cross_validate=cross)
+            assert interpreted["evaluate"] == 0, pname
+
+
 class TestTetradKeys:
     def test_frames_of_dropped_tetrads_are_never_served(self):
         # short-lived tetrads are created and dropped at one point; the
@@ -220,6 +296,38 @@ class TestOneSlot:
         m = load_corpus_metric("minkowski")
         ctx = m.at((0.0, 0.0, 0.0, 0.0))
         assert m.at((0.0, -0.0, 0.0, 0.0)) is not ctx
+
+    def test_same_tuple_is_served_without_rebuilding_the_key(self):
+        m = load_corpus_metric("schwarzschild")
+        p = m.points["p0"]
+        ctx = m.at(p)
+
+        def rebuilt(point):
+            raise AssertionError("bindings rebuilt")
+
+        m.bindings = rebuilt
+        assert m.at(p) is ctx
+
+    def test_list_mutated_in_place_is_never_served_the_old_context(self):
+        m = load_corpus_metric("schwarzschild")
+        p = list(m.points["p0"])
+        ctx = m.at(p)
+        old = curvature(m, p).riemann.array
+        p[1] += 1.0
+        moved = m.at(p)
+        assert moved is not ctx and moved.point == tuple(p)
+        fresh = load_corpus_metric("schwarzschild")
+        got = curvature(m, p).riemann.array
+        assert not np.array_equal(got, old)
+        assert np.array_equal(got, curvature(fresh, p).riemann.array)
+
+    def test_signed_zero_parameter_misses_the_same_tuple(self):
+        m = load_corpus_metric("schwarzschild")
+        p = m.points["p0"]
+        m.params["M"] = 0.0
+        ctx = m.at(p)
+        m.params["M"] = -0.0
+        assert m.at(p) is not ctx
 
     def test_changed_parameter_misses_the_slot(self):
         m = load_corpus_metric("schwarzschild")
@@ -293,3 +401,28 @@ class TestTracerHooks:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    def test_every_patched_name_resolves(self):
+        # install skips a newman_penrose function missing from a module,
+        # so a rename would drop its spans without failing; the names
+        # below are those install patches
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        cls = MetricField
+        wanted = [(cls, name) for name in tracing._BUILD_METHODS
+                  + ("nabla_field", "evaluate_field")]
+        wanted += [(module, "curvature")
+                   for module in (analysis, classify, symmetry)]
+        wanted += [(newman_penrose, name) for name in tracing._NP_FUNCS]
+        wanted += [(classify, name) for name in
+                   ("semi_symmetry_residual",) + tracing.NULL_PROBES]
+        wanted += [(analysis, name) for name in tracing._SPINOR_FUNCS
+                   + ("classify_point", "analyze_point", "reports_to_json")]
+        wanted += [(metricfile, "parse_metric_text"),
+                   (corpus, "parse_metric_text")]
+        missing = [f"{owner.__name__}.{name}" for owner, name in wanted
+                   if not hasattr(owner, name)]
+        assert not missing
+        assert set(tracing.RESIDUALS) <= set(analysis._RESIDUAL_FUNCS)

@@ -278,18 +278,22 @@ def signed(values):
 
 
 def cached_fields(m):
-    """Every field the analysis evaluates at a point, and the scalar
-    curvature as a rank-0 field."""
+    """Every curvature field the analysis evaluates at a point, the
+    scalar curvature as a rank-0 field, and the partial derivatives of
+    the declared null legs that scale the null-field probes."""
+    k_dn = m.lowered_vector_field(m.tetrad.k)
+    l_dn = m.lowered_vector_field(m.tetrad.l)
     return {
-        "g": m._g_field, "christoffel": m.christoffel_field(),
-        "riemann": m.riemann_field(), "riemann_up": m.riemann_up_field(),
-        "ricci": m.ricci_field(),
-        "scalar": SymbolicTensor(np.array(m.scalar_field(), dtype=object), ()),
+        "g": m._g_field, "christoffel": m.christoffel_symbolic(),
+        "riemann": m.riemann_field(), "riemann_up": m.riemann_up_symbolic(),
+        "ricci": m.ricci_field(), "scalar": m.scalar_field(),
         "weyl": m.weyl_field(),
         "nabla_riemann": m.nabla_field("riemann", 1),
         "nabla2_riemann": m.nabla_field("riemann", 2),
         "nabla2_weyl": m.nabla_field("weyl", 2),
         "nabla2_ricci": m.nabla_field("ricci", 2),
+        "partial_k": m.partial_gradient_field(k_dn),
+        "partial_l": m.partial_gradient_field(l_dn),
     }
 
 

@@ -2,10 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvlab.conventions import SCALE_FLOOR
+from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
+from curvlab.expressions import differentiate, evaluate
 from curvlab.geometry import curvature
 from curvlab.symmetry import (
     RecurrenceResult,
     TetradMissingError,
+    _gradient_scale,
     conformal_semi_symmetry_residual,
     constant_null_vector_check,
     decomposability_check,
@@ -248,3 +252,30 @@ class TestConstantNullVector:
         with pytest.raises(ValueError):
             constant_null_vector_check(minkowski, timelike,
                                        minkowski.points["origin"])
+
+
+def loop_gradient_scale(m, point, v_dn):
+    """Reference scale: each of the sixteen partial derivatives built
+    and interpreted on its own."""
+    bindings = m.bindings(point)
+    dmax = 0.0
+    for a in range(4):
+        for i in range(4):
+            d = differentiate(v_dn.components[i], m.chart[a])
+            dmax = max(dmax, abs(evaluate(d, bindings)))
+    gmax = m.evaluate_field(m.christoffel_symbolic(), point).max_abs()
+    vval = m.evaluate_field(v_dn, point)
+    return max(dmax, gmax * vval.max_abs(), SCALE_FLOOR)
+
+
+class TestGradientScale:
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_field_equals_the_derivative_loop(self, name):
+        # points in order: the first is interpreted, the rest run tapes
+        m = load_corpus_metric(name)
+        t = m.tetrad
+        for pname, p in sorted(m.points.items()):
+            for leg in (t.k, t.l, t.m_re, t.m_im):
+                v_dn = m.lowered_vector_field(leg)
+                assert _gradient_scale(m, p, v_dn) == \
+                    loop_gradient_scale(m, p, v_dn), pname
