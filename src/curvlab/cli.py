@@ -6,16 +6,18 @@ metrics or run the golden-record regression), and ``lemmas`` (the
 standalone component-data verification of the two condition lemmas).
 
 Exit codes: 0 success, 1 parse/validation failure (including a metric
-file that is missing or cannot be read, golden mismatches, expression
-errors such as ``abs`` under a derivative or a division by zero, and
-expressions nested too deeply for the recursive evaluator), 2 degenerate
-metric at a point, 3 invalid or missing tetrad, 4 classification hit a
-point whose Petrov type contradicts the admissibility theorem.
+file that is missing or cannot be read, a ``--tol`` that is not a
+positive finite number, golden mismatches, expression errors such as
+``abs`` under a derivative or a division by zero, and expressions nested
+too deeply for the recursive evaluator), 2 degenerate metric at a point,
+3 invalid or missing tetrad, 4 classification hit a point whose Petrov
+type contradicts the admissibility theorem.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .analysis import (
@@ -41,6 +43,9 @@ EXIT_DEGENERATE = 2
 EXIT_TETRAD = 3
 EXIT_THEOREM = 4
 
+TOL_HELP = "residual tolerance, positive and finite (default %(default)g)"
+SEED_HELP = "seed for the energy-condition sampling (default %(default)s)"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,12 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all-points", action="store_true",
                        help="analyze every declared point (the default)")
     analyze.add_argument("--tol", type=float, default=RESIDUAL_TOL,
-                         help="residual tolerance (default %(default)g)")
+                         help=TOL_HELP)
     analyze.add_argument("--json", action="store_true",
                          help="emit the JSON report instead of text")
     analyze.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                         help="seed for the energy-condition sampling "
-                              "(default %(default)s)")
+                         help=SEED_HELP)
     analyze.add_argument("--cross-validate", action="store_true",
                          help="also compare the commutator residuals "
                               "against explicit double differentiation")
@@ -69,8 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     classify = sub.add_parser(
         "classify", help="one classification line per point")
     classify.add_argument("file", help="metric definition file")
-    classify.add_argument("--tol", type=float, default=RESIDUAL_TOL)
-    classify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    classify.add_argument("--tol", type=float, default=RESIDUAL_TOL,
+                          help=TOL_HELP)
+    classify.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                          help=SEED_HELP)
 
     corpus = sub.add_parser("corpus", help="bundled-metric operations")
     corpus.add_argument("action", choices=("list", "run"),
@@ -148,6 +154,13 @@ def main(argv=None) -> int:
         # argparse exits on --help (0) and usage errors; fold the latter
         # into the parse/validation code
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
+    tol = getattr(args, "tol", RESIDUAL_TOL)
+    if not (math.isfinite(tol) and tol > 0):
+        # nan makes every comparison false, so every verdict would read
+        # indeterminate; zero or a negative tol rejects every tetrad
+        print("error: --tol must be a positive finite number",
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         if args.command == "analyze":
             return _cmd_analyze(args)

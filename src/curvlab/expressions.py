@@ -19,7 +19,10 @@ Unary minus binds tighter than '*', and '^' binds tighter still, so
 
 Nodes are hash-consed: structurally identical subtrees are the same
 object, which makes identity-keyed memoisation of differentiation and
-evaluation effective across large tensor component arrays.
+evaluation effective across large tensor component arrays.  The intern
+table and the derivative memo are plain module-level dicts, filled
+without a lock: the package is single-threaded, and a caller that
+builds expressions from several threads must serialise the calls.
 
 Two evaluators give the same doubles.  ``evaluate`` is the interpreter:
 it walks the DAG with a memo keyed by node id and raises ``DomainError``
@@ -38,7 +41,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import threading
 from array import array
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -113,18 +115,13 @@ class Expr:
 
 
 _INTERN: dict[tuple, Expr] = {}
-_INTERN_LOCK = threading.Lock()
 
 
 def _node(kind: str, payload, args: tuple) -> Expr:
-    key = (kind, payload, tuple(id(a) for a in args))
+    key = (kind, payload, *map(id, args))
     node = _INTERN.get(key)
     if node is None:
-        with _INTERN_LOCK:
-            node = _INTERN.get(key)
-            if node is None:
-                node = Expr(kind, payload, args)
-                _INTERN[key] = node
+        node = _INTERN[key] = Expr(kind, payload, args)
     return node
 
 

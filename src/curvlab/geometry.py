@@ -370,8 +370,9 @@ class MetricField:
         gamma = self.christoffel_symbolic().components
         # the nonzero connection coefficients per (a, i): Γ^e_{ai} for a
         # down slot, Γ^i_{ae} for an up slot.  Skipping ZERO factors (and
-        # ZERO components below) builds the same interned DAG as the
-        # dense sum, since mul(ZERO, x) is ZERO and add(c, ZERO) is c.
+        # ZERO components and corrections below) builds the same interned
+        # DAG as the dense sum, since mul(ZERO, x) is ZERO and add(c, ZERO)
+        # and sub(c, ZERO) are c.
         def nonzero(v, a, i):
             pairs = ((e, gamma[e, a, i] if v == "d" else gamma[i, a, e])
                      for e in range(DIM))
@@ -379,25 +380,44 @@ class MetricField:
 
         conn = {v: [[nonzero(v, a, i) for i in range(DIM)] for a in range(DIM)]
                 for v in set(t.variance)}
+        # feeds[v][a][e]: the slot values i whose correction reads e
+        feeds = {v: [[[i for i in range(DIM) if e in dict(rows[i])]
+                      for e in range(DIM)] for rows in conn[v]]
+                 for v in conn}
         r = t.rank
         comp = t.components
-        out = np.empty((DIM,) * (r + 1), dtype=object)
-        for a in range(DIM):
-            va = self.chart[a]
-            for idx in np.ndindex(*(DIM,) * r):
-                term = differentiate(comp[idx], va)
+        # An output (a, idx') is live when comp[idx'] is nonzero (its own
+        # derivative), or when a nonzero comp[idx] differs from idx' in
+        # one slot and conn[v][a][idx'[slot]] holds idx[slot].  A dead
+        # output is exactly the ZERO the dense sum gives: its derivative
+        # is differentiate(ZERO) = ZERO, and each of its corrections reads
+        # only ZERO components, which are skipped.
+        live = set()
+        for idx in np.ndindex(*(DIM,) * r):
+            if comp[idx] is ZERO:
+                continue
+            for a in range(DIM):
+                live.add((a,) + idx)
                 for slot, v in enumerate(t.variance):
-                    corr = ZERO
-                    for e, gam in conn[v][a][idx[slot]]:
-                        c = comp[idx[:slot] + (e,) + idx[slot + 1:]]
-                        if c is ZERO:
-                            continue
-                        if v == "d":
-                            corr = add(corr, mul(gam, c))
-                        else:
-                            corr = sub(corr, mul(gam, c))
+                    for i in feeds[v][a][idx[slot]]:
+                        live.add((a,) + idx[:slot] + (i,) + idx[slot + 1:])
+        out = np.full((DIM,) * (r + 1), ZERO, dtype=object)
+        for key in sorted(live):
+            a, idx = key[0], key[1:]
+            term = differentiate(comp[idx], self.chart[a])
+            for slot, v in enumerate(t.variance):
+                corr = ZERO
+                for e, gam in conn[v][a][idx[slot]]:
+                    c = comp[idx[:slot] + (e,) + idx[slot + 1:]]
+                    if c is ZERO:
+                        continue
+                    if v == "d":
+                        corr = add(corr, mul(gam, c))
+                    else:
+                        corr = sub(corr, mul(gam, c))
+                if corr is not ZERO:
                     term = sub(term, corr)
-                out[(a,) + idx] = term
+            out[key] = term
         return SymbolicTensor(out, ("d",) + t.variance)
 
     def nabla_field(self, which: str, order: int = 1) -> SymbolicTensor:

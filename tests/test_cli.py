@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +24,7 @@ from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
 CORPUS_FILE = "src/curvlab/corpus_data/{}.ini"
 NARIAI = CORPUS_FILE.format("nariai")
 MINKOWSKI = CORPUS_FILE.format("minkowski")
+SCHWARZSCHILD = CORPUS_FILE.format("schwarzschild")
 
 # SHA-256 of `analyze <metric> --json` at the default seed; a change that
 # moves any byte of a corpus report must say why and update these
@@ -41,6 +44,40 @@ ANALYZE_JSON_SHA256 = {
     "schwarzschild":
         "7923328436b52472276664c1eff8b041f1309cc6a8114fb58b5495a1f04fbebe",
 }
+
+# `analyze <metric> --json` at the default seed, checked in when the
+# pins above were last confirmed.  A change that moves last bits but no
+# branch, verdict or Petrov type still passes this value-level guard
+# while it re-pins the SHA-256 values; ULP_BOUND never grows to let one
+# pass.
+REPORT_DIR = Path(__file__).resolve().parent / "data" / "analyze_json"
+ULP_BOUND = 64
+ABS_FLOOR = 1e-300      # values this close to zero have no useful ulp
+
+
+def report_differences(got, want, where="$"):
+    """Where ``got`` differs from ``want``: any key, string, bool or int,
+    or a float further than ULP_BOUND ulps (or ABS_FLOOR) away."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or sorted(got) != sorted(want):
+            return [f"{where}: keys differ"]
+        return [d for k in want
+                for d in report_differences(got[k], want[k], f"{where}.{k}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{where}: length differs"]
+        return [d for i, (g, w) in enumerate(zip(got, want))
+                for d in report_differences(g, w, f"{where}[{i}]")]
+    if type(want) is float and type(got) is float:
+        bound = max(ULP_BOUND * math.ulp(max(abs(got), abs(want))),
+                    ABS_FLOOR)
+        if got == want or abs(got - want) <= bound:
+            return []
+        return [f"{where}: {got!r} != {want!r}"]
+    if type(got) is not type(want) or got != want:
+        return [f"{where}: {got!r} != {want!r}"]
+    return []
+
 
 SCHEMA_KEYS = {"metric", "point", "residuals", "petrov", "np",
                "spin_coefficients", "classification", "tolerances", "seed"}
@@ -123,6 +160,31 @@ class TestAnalyzeJson:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == ANALYZE_JSON_SHA256[name]
 
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus_reports_match_the_checked_in_values(self, capsys, name):
+        code, out, err = run_cli(capsys, "analyze", CORPUS_FILE.format(name),
+                                 "--json")
+        assert code == 0, err
+        want = json.loads((REPORT_DIR / f"{name}.json").read_text("utf-8"))
+        assert report_differences(json.loads(out), want) == []
+
+    def test_value_guard_bounds(self):
+        want = {"branch": "D", "x": [1.0, 0.0], "n": 7, "ok": True}
+        assert report_differences(want, want) == []
+        moved = 1.0 + ULP_BOUND * math.ulp(1.0)
+        assert report_differences(
+            {"branch": "D", "x": [moved, 1e-301], "n": 7, "ok": True},
+            want) == []
+        for got in ({"branch": "N", "x": [1.0, 0.0], "n": 7, "ok": True},
+                    {"branch": "D", "x": [math.nextafter(moved, 2.0), 0.0],
+                     "n": 7, "ok": True},
+                    {"branch": "D", "x": [1.0, 2e-300], "n": 7, "ok": True},
+                    {"branch": "D", "x": [1.0, 0.0], "n": 7.0, "ok": True},
+                    {"branch": "D", "x": [1.0, 0.0], "n": 7, "ok": 1},
+                    {"branch": "D", "x": [1.0], "n": 7, "ok": True},
+                    {"branch": "D", "x": [1.0, 0.0], "n": 7}):
+            assert report_differences(got, want) != [], got
+
     def test_byte_identical_across_runs(self, capsys):
         first = run_cli(capsys, "analyze", NARIAI, "--json", "--seed", "7")
         second = run_cli(capsys, "analyze", NARIAI, "--json", "--seed", "7")
@@ -153,6 +215,13 @@ class TestAnalyzeText:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
+
+    @pytest.mark.parametrize("command", ("analyze", "classify"))
+    def test_subcommand_help_documents_tol_and_seed(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert "residual tolerance, positive and finite" in out
+        assert "seed for the energy-condition sampling" in out
 
 
 class TestClassifyCommand:
@@ -281,6 +350,21 @@ class TestExitCodes:
         for command in ("analyze", "classify"):
             code, _, err = run_cli(capsys, command, path)
             assert code == 3 and "tetrad" in err
+
+    @pytest.mark.parametrize("command", ("analyze", "classify"))
+    @pytest.mark.parametrize("tol", ("nan", "inf", "-inf", "-1", "0", "-0"))
+    def test_meaningless_tol_is_one(self, capsys, command, tol):
+        code, out, err = run_cli(capsys, command, SCHWARZSCHILD, f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert err == "error: --tol must be a positive finite number\n"
+
+    @pytest.mark.parametrize("command, marker", (("analyze", "petrov: D"),
+                                                 ("classify", "(petrov D,")))
+    def test_positive_tol_is_accepted(self, capsys, command, marker):
+        code, out, err = run_cli(capsys, command, SCHWARZSCHILD,
+                                 "--tol=1e-8")
+        assert code == 0 and err == ""
+        assert out.count(marker) == 5
 
     def minkowski_with_g11(self, tmp_path, g11):
         with open(MINKOWSKI, encoding="utf-8") as fh:

@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -19,6 +22,7 @@ from curvlab.expressions import (
     evaluate,
     free_names,
     parse_expr,
+    sub,
     to_string,
 )
 from curvlab.geometry import SymbolicTensor
@@ -266,6 +270,32 @@ class TestStructure:
     def test_free_names(self):
         e = parse_expr("sin(theta)*M + r", CHART, PARAMS)
         assert free_names(e) == {"theta", "M", "r"}
+
+    def test_subtracting_zero_is_identity(self):
+        # what lets the covariant derivative skip a ZERO correction
+        for text in ("sin(r)*M", "2.5", "-0.0", "0"):
+            e = parse_expr(text, CHART, PARAMS)
+            assert sub(e, ZERO) is e
+
+    def test_corpus_run_leaves_the_pinned_table_sizes(self):
+        # machine-independent build-size guard: the intern table and the
+        # derivative memo after analysing every corpus point in a fresh
+        # process.  A change that moves these counts re-pins them.
+        script = (
+            "from curvlab import expressions\n"
+            "from curvlab.analysis import run_analysis\n"
+            "from curvlab.corpus import CORPUS_NAMES, load_corpus_metric\n"
+            "for name in CORPUS_NAMES:\n"
+            "    run_analysis(load_corpus_metric(name))\n"
+            "print(len(expressions._INTERN), len(expressions._DIFF_MEMO))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        interned, memo = map(int, done.stdout.split())
+        assert (interned, memo) == (20_634, 15_718)
 
 
 # ---------------------------------------------------------------------------

@@ -397,9 +397,22 @@ class TestZeroFolding:
         m = load_corpus_metric(name)
         first = m.nabla_field("riemann", 1)
         assert_same_nodes(first, dense_cov1(m, m.riemann_field()), name)
-        if name in ("nariai", "product2x2"):
-            assert_same_nodes(m.nabla_field("riemann", 2),
-                              dense_cov1(m, first), name)
+        assert_same_nodes(m.nabla_field("riemann", 2),
+                          dense_cov1(m, first), name)
+        # R^a_bcd: the one up slot sits in front of three down slots
+        rup = m.riemann_up_symbolic()
+        assert_same_nodes(m.covariant_derivative_field(rup),
+                          dense_cov1(m, rup), name)
+
+    @pytest.mark.parametrize("name", ("schwarzschild", "nariai"))
+    @pytest.mark.parametrize("which", ("weyl", "ricci"))
+    def test_sparse_build_of_weyl_and_ricci_derivatives(self, name, which):
+        m = load_corpus_metric(name)
+        first = m.nabla_field(which, 1)
+        base = m.weyl_field() if which == "weyl" else m.ricci_field()
+        assert_same_nodes(first, dense_cov1(m, base), f"{name} {which}")
+        assert_same_nodes(m.nabla_field(which, 2), dense_cov1(m, first),
+                          f"{name} {which}")
 
     def test_sparse_connection_sum_handles_up_slots(self, schwarzschild):
         m = schwarzschild
