@@ -71,6 +71,62 @@ class SymbolicTensor:
 
 
 @dataclass(eq=False)
+class LinearField:
+    """A constant combination Σ cᵢ fᵢ of fields, held as (cᵢ, fᵢ) terms.
+    A tetrad rotated by constant parameters has such legs; ``MetricField``
+    maps their lowering, ∇ and ∂ over the terms, so they build nothing."""
+
+    terms: tuple
+    variance: tuple
+    __array_ufunc__ = None      # numpy scalars defer to the operators below
+
+    def __post_init__(self):    # one term per field, none with c = 0
+        merged: dict = {}
+        for c, f in self.terms:
+            merged[f] = merged[f] + c if f in merged else c
+        self.terms = tuple((c, f) for f, c in merged.items() if c != 0)
+
+    @classmethod
+    def of(cls, f) -> LinearField:
+        return f if isinstance(f, LinearField) else cls(((1.0, f),), f.variance)
+
+    def map(self, fn) -> LinearField:
+        terms = tuple((c, fn(f)) for c, f in self.terms)
+        return LinearField(terms, terms[0][1].variance)
+
+    def _scaled(self, fn) -> LinearField:
+        return LinearField(tuple((fn(c), f) for c, f in self.terms),
+                           self.variance)
+
+    def __add__(self, other: LinearField) -> LinearField:
+        return LinearField(self.terms + other.terms, self.variance)
+
+    def __mul__(self, scalar) -> LinearField:
+        return self._scaled(lambda c: c * scalar)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> LinearField:
+        return self._scaled(lambda c: c / scalar)
+
+    def conjugate(self) -> LinearField:
+        return self._scaled(lambda c: c.conjugate())
+
+    @property
+    def real(self) -> LinearField:
+        return self._scaled(lambda c: float(c.real))
+
+    @property
+    def imag(self) -> LinearField:
+        return self._scaled(lambda c: float(c.imag))
+
+
+# what the evaluator and the field builders take: a declared field, or a
+# constant combination of declared fields
+Field = SymbolicTensor | LinearField
+
+
+@dataclass(eq=False)
 class TensorValue:
     """Dense numeric tensor at a point.  ``variance`` holds 'u'/'d' per slot."""
 
@@ -187,12 +243,18 @@ class MetricField:
                 f"metric '{self.name}' at point '{pname}' {coords} does not have "
                 f"signature (+,-,-,-): eigenvalues {eigenvalues}")
 
-    def evaluate_field(self, t: SymbolicTensor, point) -> TensorValue:
+    def evaluate_field(self, t: Field, point) -> TensorValue:
         """``t`` at ``point``, evaluated once per point context: by the
         interpreter at the field's first point, by its tape after that
-        (the interpreter again wherever the tape declines)."""
+        (the interpreter again wherever the tape declines).  A
+        ``LinearField`` is Σ cᵢ·value(fᵢ) over its terms' values."""
         ctx = self.at(point)
         value = ctx.fields.get(t)
+        if value is None and isinstance(t, LinearField):
+            parts = [c * self.evaluate_field(f, point).array
+                     for c, f in t.terms]
+            value = ctx.fields[t] = TensorValue(
+                sum(parts[1:], parts[0]), t.variance, ctx.point)
         if value is None:
             comps = t.components.ravel()
             values = None
@@ -441,8 +503,10 @@ class MetricField:
         # id must not be used (wrappers are mortal and ids get recycled)
         return (tag, t.variance, tuple(id(c) for c in t.components.ravel()))
 
-    def lowered_vector_field(self, v_up: SymbolicTensor) -> SymbolicTensor:
+    def lowered_vector_field(self, v_up: Field) -> Field:
         """v_b = g_be v^e, cached per field contents."""
+        if isinstance(v_up, LinearField):
+            return v_up.map(self.lowered_vector_field)
         key = self._field_key("lowered", v_up)
         if key not in self._cache:
             comp = np.empty(DIM, dtype=object)
@@ -454,16 +518,22 @@ class MetricField:
             self._cache[key] = SymbolicTensor(comp, ("d",))
         return self._cache[key]
 
-    def covector_gradient_field(self, v_dn: SymbolicTensor) -> SymbolicTensor:
-        """∇_a v_b for a covector field, cached per field contents."""
+    def covector_gradient_field(self, v_dn: Field) -> Field:
+        """∇_a v_b for a covector field, cached per field contents, and ∂_a
+        v_b with it (∇'s own derivatives), ready for any rotated leg."""
+        if isinstance(v_dn, LinearField):
+            return v_dn.map(self.covector_gradient_field)
         key = self._field_key("nabla_vec", v_dn)
         if key not in self._cache:
             self._cache[key] = self._cov1(v_dn)
+            self.partial_gradient_field(v_dn)
         return self._cache[key]
 
-    def partial_gradient_field(self, v_dn: SymbolicTensor) -> SymbolicTensor:
+    def partial_gradient_field(self, v_dn: Field) -> Field:
         """∂_a v_b for a covector field (not a tensor), cached per field
         contents."""
+        if isinstance(v_dn, LinearField):
+            return v_dn.map(self.partial_gradient_field)
         key = self._field_key("partial_vec", v_dn)
         if key not in self._cache:
             comp = np.array([[differentiate(e, va) for e in v_dn.components]

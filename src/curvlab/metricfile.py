@@ -30,12 +30,15 @@ the shared grammar (coordinates, declared parameters, arithmetic,
     static = true
 
 Loading validates everything up front: chart arity, expression syntax,
-signature at every named point, point arity, and (when a tetrad is
-declared) the nine tetrad normalization products at every named point.
+parameter names distinct from the coordinates, finite parameter and
+point values, signature at every named point, point arity, and (when a
+tetrad is declared) the nine tetrad normalization products at every
+named point.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -135,6 +138,13 @@ def _require(sections: dict, name: str) -> list:
     return sections[name]
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _parse_entry_expr(text: str, chart, params, lineno: int):
     try:
         return parse_expr(text, chart, params)
@@ -168,11 +178,15 @@ def parse_metric_text(text: str, name: str) -> MetricField:
         if not _NAME_RE.match(key):
             raise MetricFileValidationError(
                 f"[params] name {key!r} is not a valid identifier")
+        if key in chart:
+            raise MetricFileValidationError(
+                f"[params] entry '{key}' is also a [chart] coordinate")
         try:
-            params[key] = float(value)
+            params[key] = _finite(value)
         except ValueError:
             raise MetricFileValidationError(
-                f"[params] entry '{key}' must be a number, got {value!r}") from None
+                f"[params] entry '{key}' must be a finite number, "
+                f"got {value!r}") from None
 
     metric_entries = _require(sections, "metric")
     seen = {}
@@ -198,10 +212,11 @@ def parse_metric_text(text: str, name: str) -> MetricField:
                 f"[points] entry '{key}' must bind all 4 coordinates, "
                 f"got {len(parts)} values")
         try:
-            points[key] = tuple(float(v) for v in parts)
+            points[key] = tuple(_finite(v) for v in parts)
         except ValueError:
             raise MetricFileValidationError(
-                f"[points] entry '{key}' must hold numbers, got {value!r}") from None
+                f"[points] entry '{key}' must hold finite numbers, "
+                f"got {value!r}") from None
     if not points:
         raise MetricFileValidationError("[points] must declare at least one point")
 

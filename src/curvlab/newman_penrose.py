@@ -7,21 +7,19 @@ coefficients.  On top of those this module implements the Petrov
 classification two independent ways (invariant chain and root
 clustering of the direction quartic) and the tetrad transformation
 group (null rotations about either real direction, boosts and spins),
-including transformations of tetrad *fields* by constant parameters so
-that a misaligned tetrad can be adapted to a degenerate direction
-without leaving the symbolic representation.
+including transformations of tetrad *fields* by constant parameters: the
+legs adapted to a degenerate direction are constant combinations of the
+declared legs (``LinearField``), so adapting builds no expression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .conventions import PHI_SIGN, RESIDUAL_TOL, SCALE_FLOOR
-from .expressions import ZERO, add, const, mul
-from .geometry import Curvature, MetricField, SymbolicTensor, curvature
+from .geometry import Curvature, Field, LinearField, MetricField, curvature
 
 
 class InvalidTetradError(Exception):
@@ -38,24 +36,26 @@ class InvalidTetradError(Exception):
 
 @dataclass(eq=False)
 class NullTetrad:
-    """Four symbolic vector fields; the complex leg is m = m_re + i m_im."""
+    """Four vector fields, declared or rotated (``LinearField``); the
+    complex leg is m = m_re + i m_im."""
 
-    k: SymbolicTensor
-    l: SymbolicTensor
-    m_re: SymbolicTensor
-    m_im: SymbolicTensor
+    k: Field
+    l: Field
+    m_re: Field
+    m_im: Field
 
     def __post_init__(self):
         for name in ("k", "l", "m_re", "m_im"):
             f = getattr(self, name)
-            if not isinstance(f, SymbolicTensor) or f.variance != ("u",):
+            if not isinstance(f, Field) or f.variance != ("u",):
                 raise TypeError(f"tetrad field '{name}' must be a "
                                 "contravariant vector field")
 
 
 @dataclass(eq=False)
 class TetradFrame:
-    """Numeric tetrad legs at one point (contravariant components)."""
+    """Tetrad legs at one point (contravariant components): numeric, or
+    the LinearField legs that rotate_tetrad_field passes through."""
 
     k: np.ndarray
     l: np.ndarray
@@ -250,7 +250,7 @@ def spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
 
 def _spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
                        frame: TetradFrame) -> SpinCoefficients:
-    def grad_of(field: SymbolicTensor) -> np.ndarray:
+    def grad_of(field: Field) -> np.ndarray:
         dn = metric.lowered_vector_field(field)
         return metric.evaluate_field(
             metric.covector_gradient_field(dn), point).array
@@ -319,9 +319,10 @@ def null_rotate_weyl(psi, param: complex, kind: str) -> np.ndarray:
 
 def null_rotate_frame(frame: TetradFrame, param: complex,
                       kind: str) -> TetradFrame:
-    """The same transformation applied to numeric tetrad legs."""
+    """The same transformation applied to tetrad legs: numeric arrays, or
+    the LinearField legs of rotate_tetrad_field."""
     k, l, m = frame.k, frame.l, frame.m
-    mb = np.conj(m)
+    mb = m.conjugate()
     if kind == "about-k":
         c = complex(param)
         return TetradFrame(
@@ -353,59 +354,14 @@ def null_rotate(data, param: complex, kind: str):
 
 def rotate_tetrad_field(tetrad: NullTetrad, param: complex,
                         kind: str) -> NullTetrad:
-    """Transform tetrad *fields* by a constant parameter.  The complex
-    arithmetic decomposes into real combinations of the stored legs, so
-    the result stays in the symbolic representation."""
-
-    def combine(*pairs):
-        # pairs of (coefficient, SymbolicTensor) -> new vector field
-        comp = np.empty(4, dtype=object)
-        for a in range(4):
-            s = ZERO
-            for coeff, field in pairs:
-                if coeff == 0.0:
-                    continue
-                s = add(s, mul(const(coeff), field.components[a]))
-            comp[a] = s
-        return SymbolicTensor(comp, ("u",))
-
-    k, l, mre, mim = tetrad.k, tetrad.l, tetrad.m_re, tetrad.m_im
-    if kind == "about-k":
-        c = complex(param)
-        cr, ci = c.real, c.imag
-        # m' = m + ck ; l' = l + 2 Re(c̄ m) + |c|² k
-        return NullTetrad(
-            k=combine((1.0, k)),
-            l=combine((1.0, l), (2 * cr, mre), (2 * ci, mim),
-                      (abs(c) ** 2, k)),
-            m_re=combine((1.0, mre), (cr, k)),
-            m_im=combine((1.0, mim), (ci, k)))
-    if kind == "about-l":
-        b = complex(param)
-        br, bi = b.real, b.imag
-        return NullTetrad(
-            k=combine((1.0, k), (2 * br, mre), (2 * bi, mim),
-                      (abs(b) ** 2, l)),
-            l=combine((1.0, l)),
-            m_re=combine((1.0, mre), (br, l)),
-            m_im=combine((1.0, mim), (bi, l)))
-    if kind == "boost-spin":
-        lam = complex(param)
-        if lam == 0:
-            raise ValueError("boost-spin parameter must be nonzero")
-        a = abs(lam)
-        ph = lam / a
-        cr, ci = ph.real, ph.imag
-        # m' = e^{iθ} m: real part cr·m_re − ci·m_im, imag cr·m_im + ci·m_re
-        return NullTetrad(
-            k=combine((a, k)),
-            l=combine((1.0 / a, l)),
-            m_re=combine((cr, mre), (-ci, mim)),
-            m_im=combine((ci, mre), (cr, mim)))
-    if kind == "reverse":
-        return NullTetrad(k=l, l=k, m_re=mre,
-                          m_im=combine((-1.0, mim)))
-    raise ValueError(f"unknown rotation kind {kind!r}")
+    """Transform tetrad *fields* by a constant parameter: the legs of the
+    result are ``LinearField`` combinations of the declared legs, given
+    by ``null_rotate_frame`` itself, so no expression is built."""
+    leg = LinearField.of
+    legs = TetradFrame(leg(tetrad.k), leg(tetrad.l),
+                       leg(tetrad.m_re) + 1j * leg(tetrad.m_im), ())
+    out = null_rotate_frame(legs, param, kind)
+    return NullTetrad(out.k.real, out.l.real, out.m.real, out.m.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +511,7 @@ def adapt_weyl(psi, tol: float = RESIDUAL_TOL):
     degenerate pair also align l (zeroing Ψ3, Ψ4).
 
     Returns (psi_adapted, transforms) where transforms is the list of
-    (kind, param) pairs applied, suitable for rotate_tetrad_field.
+    (kind, param) pairs applied, for null_rotate_frame and rotate_tetrad_field.
     """
     psi = np.asarray(psi, dtype=complex)
     transforms: list = []
@@ -607,21 +563,11 @@ class AdaptedTetrad:
     """A tetrad re-aligned so the repeated principal null direction sits
     on the k leg (constant-parameter rotations computed at one point)."""
 
-    given: NullTetrad       # the tetrad fields before rotation
+    tetrad: NullTetrad      # the rotated fields (the given ones if none)
     transforms: list        # (kind, param) pairs from adapt_weyl
     frame: TetradFrame      # the adapted legs at the point
     data: NPData            # curvature scalars in the adapted frame
     declared: NPData        # curvature scalars in the given frame
-
-    @cached_property
-    def tetrad(self) -> NullTetrad:
-        """The rotated tetrad fields, built only when a caller needs
-        their derivatives (new expression nodes live as long as the
-        process)."""
-        tetrad = self.given
-        for kind, param in self.transforms:
-            tetrad = rotate_tetrad_field(tetrad, param, kind)
-        return tetrad
 
 
 def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
@@ -642,6 +588,7 @@ def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
         _, transforms = adapt_weyl(declared.psi, tol)
         for kind, param in transforms:
             frame = null_rotate(frame, param, kind)
+            tetrad = rotate_tetrad_field(tetrad, param, kind)
         data = np_scalars(curv, frame, tol) if transforms else declared
         ctx.tetrad_data[key] = AdaptedTetrad(tetrad, transforms, frame,
                                              data, declared)

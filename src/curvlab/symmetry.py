@@ -24,8 +24,8 @@ import numpy as np
 
 from .conventions import RESIDUAL_DEAD_BAND, RESIDUAL_TOL, SCALE_FLOOR
 from .geometry import (
+    Field,
     MetricField,
-    SymbolicTensor,
     commutator_action,
     curvature,
 )
@@ -145,15 +145,15 @@ def locally_symmetric_residual(m: MetricField, point,
 # null-field probes
 # ---------------------------------------------------------------------------
 
-def _require_field(field, name: str) -> SymbolicTensor:
+def _require_field(field, name: str) -> Field:
     if field is None:
         raise TetradMissingError(f"metric declares no tetrad field '{name}'")
-    if not isinstance(field, SymbolicTensor) or field.variance != ("u",):
+    if not isinstance(field, Field) or field.variance != ("u",):
         raise TypeError(f"'{name}' must be a contravariant vector field")
     return field
 
 
-def _gradient_scale(m: MetricField, point, v_dn: SymbolicTensor) -> float:
+def _gradient_scale(m: MetricField, point, v_dn: Field) -> float:
     """Magnitude scale for ∇v residuals: the larger of the partial
     derivatives of the components and of |Γ|·|v| (so that points where
     both happen to be small do not inflate verdicts)."""
@@ -163,8 +163,7 @@ def _gradient_scale(m: MetricField, point, v_dn: SymbolicTensor) -> float:
     return max(dmax, gmax * vval.max_abs(), SCALE_FLOOR)
 
 
-def recurrence_check(m: MetricField, k: SymbolicTensor,
-                     partner: SymbolicTensor, point,
+def recurrence_check(m: MetricField, k: Field, partner: Field, point,
                      tol: float = RESIDUAL_TOL) -> RecurrenceResult:
     """Test whether ∇_a k_b = v_a k_b, with v_a := ℓ^b ∇_a k_b extracted
     through the partner field ℓ normalised so k·ℓ = 1."""
@@ -181,8 +180,7 @@ def recurrence_check(m: MetricField, k: SymbolicTensor,
                             verdict_for(resid, scale, tol), tuple(point))
 
 
-def decomposability_check(m: MetricField, k: SymbolicTensor,
-                          partner: SymbolicTensor, point,
+def decomposability_check(m: MetricField, k: Field, partner: Field, point,
                           tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Residual of ∇_c (k_a ℓ_b) = 0: the product of the two null
     covectors is covariantly constant exactly on 2x2 product geometries."""
@@ -202,7 +200,7 @@ def decomposability_check(m: MetricField, k: SymbolicTensor,
     return _report("decomposable", np.max(np.abs(grad)), scale, point, tol)
 
 
-def constant_null_vector_check(m: MetricField, k: SymbolicTensor, point,
+def constant_null_vector_check(m: MetricField, k: Field, point,
                                tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Residual of ∇_a k_b = 0 for a null field k (nullity is asserted)."""
     k = _require_field(k, "k")

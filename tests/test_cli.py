@@ -34,13 +34,13 @@ ANALYZE_JSON_SHA256 = {
     "minkowski":
         "f2eeb0ce7c2d94c28e750c354c9fc5ee67ad429cac9abc6350cf21eea27444fa",
     "nariai":
-        "6c43e57418a94b1b94ec49dd148e4133b2d191aad52eb26714b4827bcdf33d6a",
+        "d9d247746279473cb437f143cb89ce96c7960b4da2847cf228e7ccc1566cb966",
     "ppwave_linear":
         "7a71d97afabb8e5e6b01a0038b7edc3cc8f15d34e8736ea63a111ecbbcd36ff5",
     "ppwave_quadratic_u":
         "41d62e2a2a335c4dbd028add9cd8c3a7fa55112ca70a2c23aafd2ff1cc15711f",
     "product2x2":
-        "4000892a52fa65daf3850990b54afeb2343a608ae5cb7963a5fa514301c925cb",
+        "1984043fd5932fe4ca2e18cab2230ba5f42ec870e1c8bf7a442e06e374ca4f56",
     "schwarzschild":
         "7923328436b52472276664c1eff8b041f1309cc6a8114fb58b5495a1f04fbebe",
 }
@@ -318,6 +318,39 @@ class TestExitCodes:
         path = self.write(tmp_path, "[chart]\ncoords = t, x, y\n")
         code, _, err = run_cli(capsys, "analyze", path)
         assert code == 1 and "[chart]" in err
+
+    def schwarzschild_with(self, tmp_path, old, new):
+        with open(SCHWARZSCHILD, encoding="utf-8") as fh:
+            text = fh.read()
+        assert old in text
+        return self.write(tmp_path, text.replace(old, new))
+
+    def test_param_naming_a_coordinate_is_one(self, capsys, tmp_path):
+        path = self.schwarzschild_with(tmp_path, "M = 1.0\n",
+                                       "M = 1.0\nr = 7.0\n")
+        code, out, err = run_cli(capsys, "analyze", path)
+        assert code == 1 and out == ""
+        assert err == ("error: [params] entry 'r' is also a [chart] "
+                       "coordinate\n")
+
+    @pytest.mark.parametrize("command", ("analyze", "classify"))
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("section", ("params", "points"))
+    def test_non_finite_number_is_one(self, capsys, tmp_path, command,
+                                      value, section):
+        if section == "params":
+            path = self.schwarzschild_with(tmp_path, "M = 1.0",
+                                           f"M = {value}")
+            message = "error: [params] entry 'M' must be a finite number"
+        else:
+            path = self.schwarzschild_with(
+                tmp_path, "p1 = 0.0, 3.0, 1.0, 2.0",
+                f"p1 = 0.0, {value}, 1.0, 2.0")
+            message = "error: [points] entry 'p1' must hold finite numbers"
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 1 and out == ""
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_unknown_point_is_one(self, capsys):
         code, _, err = run_cli(capsys, "analyze", NARIAI, "--point", "nope")

@@ -1,8 +1,9 @@
 """The per-point evaluation context: each point's curvature, fields,
 tetrad data and commutator residuals are evaluated once, a field's tape
 is built only once the field is reused, revisited fields are never
-interpreted, the one-slot cache never serves another point, and tetrad
-checks still run on every call."""
+interpreted, nothing symbolic is built after a metric's first point, the
+one-slot cache never serves another point, and tetrad checks still run
+on every call."""
 
 import importlib.util
 import os
@@ -18,6 +19,7 @@ from curvlab import (
     analysis,
     classify,
     corpus,
+    expressions,
     geometry,
     metricfile,
     newman_penrose,
@@ -57,6 +59,21 @@ def evaluated(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts evaluations of each field object: calls that find no value
+    in the point context."""
+    counts = Counter()
+    original = MetricField.evaluate_field
+
+    def counting(self, t, point):
+        counts[id(t)] += t not in self.at(point).fields
+        return original(self, t, point)
+
+    monkeypatch.setattr(MetricField, "evaluate_field", counting)
+    return counts
+
+
 def report_json(m, pname):
     return reports_to_json([analyze_point(m, pname)], RESIDUAL_TOL,
                            DEFAULT_SEED)
@@ -79,20 +96,21 @@ class TestEvaluatedOnce:
             assert evaluated[id(m.riemann_field())] == 1, pname
             assert evaluated[id(m.weyl_field())] == 1, pname
 
-    def test_tetrad_frame_once_per_point_and_tetrad(self, evaluated):
-        # only tetrad_frame reads the m legs (the null probes evaluate k
-        # and l themselves), so their counts are the frame evaluations
+    def test_tetrad_frame_once_per_point_and_tetrad(self, evaluations):
+        # only tetrad_frame reads the m legs as such (the null probes
+        # evaluate k and l themselves); the rotated legs also read the
+        # declared legs' values, so evaluations are counted, not calls
         m = load_corpus_metric("nariai")
         t = m.tetrad
         rotated_points = 0
         for pname in sorted(m.points):
-            evaluated.clear()
+            evaluations.clear()
             analyze_point(m, pname)
             rotated = adapt_tetrad(m, t, m.points[pname]).tetrad
             rotated_points += rotated is not t
             for tetrad in (t, rotated):
-                assert evaluated[id(tetrad.m_re)] == 1, pname
-                assert evaluated[id(tetrad.m_im)] == 1, pname
+                assert evaluations[id(tetrad.m_re)] == 1, pname
+                assert evaluations[id(tetrad.m_im)] == 1, pname
         assert rotated_points > 0
 
     def test_repeated_calls_share_results(self):
@@ -265,6 +283,30 @@ class TestOneEvaluator:
             interpreted.clear()
             analyze_point(m, pname, cross_validate=cross)
             assert interpreted["evaluate"] == 0, pname
+
+
+class TestNoSymbolicGrowth:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_node_or_field_after_the_first_point(self, monkeypatch,
+                                                     seed):
+        # grid-scan points of product2x2: most need their tetrad adapted,
+        # and the adapted legs are combinations of the declared legs'
+        # fields, which the first point has built
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        text = workloads.with_points(
+            workloads.corpus_text(ROOT / "src", "product2x2"),
+            workloads.grid_points(seed, 25))
+        m = metricfile.parse_metric_text(text, "product2x2")
+        sizes, rotated = [], 0
+        for pname in sorted(m.points):
+            analyze_point(m, pname)
+            sizes.append((len(expressions._INTERN), len(m._cache)))
+            rotated += bool(adapt_tetrad(m, m.tetrad,
+                                         m.points[pname]).transforms)
+        assert len(sizes) == 25 and rotated >= 10
+        assert set(sizes[1:]) == {sizes[0]}
 
 
 class TestTetradKeys:

@@ -295,7 +295,7 @@ class TestStructure:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         interned, memo = map(int, done.stdout.split())
-        assert (interned, memo) == (20_634, 15_718)
+        assert (interned, memo) == (20_118, 15_060)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,22 @@ class TestValidationErrors:
         assert "[params]" in self.error_for(
             CURVED.replace("M = 1.0", "M = one"))
 
+    def test_param_may_not_name_a_coordinate(self):
+        # it would replace that coordinate's value at every point
+        msg = self.error_for(CURVED.replace("M = 1.0", "M = 1.0\nr = 7.0"))
+        assert "[params]" in msg and "'r'" in msg and "[chart]" in msg
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_param_values_must_be_finite(self, value):
+        msg = self.error_for(CURVED.replace("M = 1.0", f"M = {value}"))
+        assert "[params]" in msg and "'M'" in msg
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_point_values_must_be_finite(self, value):
+        msg = self.error_for(CURVED.replace("p1 = 1.0, 6.0, 2.0, 3.0",
+                                            f"p1 = 1.0, {value}, 2.0, 3.0"))
+        assert "[points]" in msg and "'p1'" in msg
+
     def test_unknown_flag_rejected(self):
         assert "[flags]" in self.error_for(FLAT + "\n[flags]\nspinning = 1\n")
 

@@ -11,10 +11,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curvlab.geometry import curvature
+from curvlab import expressions
+from curvlab.corpus import load_corpus_metric
+from curvlab.expressions import ZERO, add, const, mul
+from curvlab.geometry import LinearField, SymbolicTensor, curvature
 from curvlab.newman_penrose import (
     InvalidTetradError,
+    NullTetrad,
     TetradFrame,
+    adapt_tetrad,
     adapt_weyl,
     cluster_roots,
     null_rotate,
@@ -353,6 +358,113 @@ class TestNullRotations:
                              minkowski.points["origin"])
         out = null_rotate(frame, 0.5, "about-l")
         assert isinstance(out, TetradFrame)
+
+
+def combine(*pairs) -> SymbolicTensor:
+    """A vector field Σ c·f as new expressions: each component is
+    Σ mul(const(c), f_a) over the (coefficient, field) pairs."""
+    comp = np.empty(4, dtype=object)
+    for a in range(4):
+        s = ZERO
+        for coeff, field in pairs:
+            if coeff != 0.0:
+                s = add(s, mul(const(coeff), field.components[a]))
+        comp[a] = s
+    return SymbolicTensor(comp, ("u",))
+
+
+def symbolic_rotation(tetrad: NullTetrad, param, kind: str) -> NullTetrad:
+    """The reference: each constant rotation written out as real
+    combinations of the legs, built as new symbolic fields."""
+    k, l, mre, mim = tetrad.k, tetrad.l, tetrad.m_re, tetrad.m_im
+    if kind == "about-k":
+        c = complex(param)
+        # m' = m + c k ; l' = l + 2 Re(c̄ m) + |c|² k
+        return NullTetrad(
+            k=combine((1.0, k)),
+            l=combine((1.0, l), (2 * c.real, mre), (2 * c.imag, mim),
+                      (abs(c) ** 2, k)),
+            m_re=combine((1.0, mre), (c.real, k)),
+            m_im=combine((1.0, mim), (c.imag, k)))
+    if kind == "about-l":
+        b = complex(param)
+        return NullTetrad(
+            k=combine((1.0, k), (2 * b.real, mre), (2 * b.imag, mim),
+                      (abs(b) ** 2, l)),
+            l=combine((1.0, l)),
+            m_re=combine((1.0, mre), (b.real, l)),
+            m_im=combine((1.0, mim), (b.imag, l)))
+    if kind == "boost-spin":
+        a = abs(param)
+        ph = complex(param) / a
+        # m' = e^{iθ} m: real part cr·m_re − ci·m_im, imag cr·m_im + ci·m_re
+        return NullTetrad(
+            k=combine((a, k)),
+            l=combine((1.0 / a, l)),
+            m_re=combine((ph.real, mre), (-ph.imag, mim)),
+            m_im=combine((ph.imag, mre), (ph.real, mim)))
+    assert kind == "reverse"
+    return NullTetrad(k=l, l=k, m_re=mre, m_im=combine((-1.0, mim)))
+
+
+def leg_values(m, leg, point):
+    """The value, lowered value, ∇ and ∂ of a vector leg at ``point``."""
+    dn = m.lowered_vector_field(leg)
+    fields = (leg, dn, m.covector_gradient_field(dn),
+              m.partial_gradient_field(dn))
+    return [m.evaluate_field(f, point).array for f in fields]
+
+
+class TestLinearFieldRotation:
+    """Rotated legs are constant combinations of at most the four
+    declared legs, and every number read from them equals the symbolic
+    reference rotation's within a few ulp of its scale."""
+
+    ULPS = 8
+
+    def assert_matches(self, m, rotated, reference, point):
+        eps = np.finfo(float).eps
+        for name in ("k", "l", "m_re", "m_im"):
+            leg = getattr(rotated, name)
+            assert isinstance(leg, LinearField) and len(leg.terms) <= 4
+            for got, want in zip(
+                    leg_values(m, leg, point),
+                    leg_values(m, getattr(reference, name), point)):
+                scale = max(float(np.max(np.abs(want))), 1e-300)
+                assert np.max(np.abs(got - want)) <= \
+                    self.ULPS * eps * scale, (name, point)
+
+    @pytest.mark.parametrize("name", ["nariai", "product2x2"])
+    @pytest.mark.parametrize("kind,param", ROTATION_CASES)
+    def test_each_rotation_matches_the_symbolic_route(self, name, kind,
+                                                      param):
+        m = load_corpus_metric(name)
+        self.assert_matches(m, rotate_tetrad_field(m.tetrad, param, kind),
+                            symbolic_rotation(m.tetrad, param, kind),
+                            m.points["p3"])
+
+    @pytest.mark.parametrize("name", ["nariai", "product2x2"])
+    def test_adapted_sequences_match_the_symbolic_route(self, name):
+        m = load_corpus_metric(name)
+        composed = 0
+        for point in m.points.values():
+            ad = adapt_tetrad(m, m.tetrad, point)
+            reference = m.tetrad
+            for kind, param in ad.transforms:
+                reference = symbolic_rotation(reference, param, kind)
+            if ad.transforms:
+                composed += len(ad.transforms) > 1
+                self.assert_matches(m, ad.tetrad, reference, point)
+        assert composed > 0
+
+    def test_rotation_builds_no_expression(self, tetrads):
+        before = len(expressions._INTERN)
+        tetrad = tetrads["nariai"]
+        for kind, param in ROTATION_CASES:
+            tetrad = rotate_tetrad_field(tetrad, param, kind)
+        assert len(expressions._INTERN) == before
+        assert all(len(getattr(tetrad, name).terms) <= 4
+                   for name in ("k", "l", "m_re", "m_im"))
 
 
 def test_canonical_type_ii_invariants():
