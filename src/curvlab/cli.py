@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 parse/validation failure (including a metric
 file that is missing or cannot be read, a ``--tol`` that is not a
 positive finite number, golden mismatches, expression errors such as
 ``abs`` under a derivative or a division by zero, and expressions nested
-too deeply for the recursive evaluator), 2 degenerate metric at a point,
+too deeply for the recursive-descent parser), 2 degenerate metric at a point,
 3 invalid or missing tetrad, 4 classification hit a point whose Petrov
 type contradicts the admissibility theorem.
 """
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:
-        print("error: expression nested too deeply to evaluate",
+        print("error: expression nested too deeply to parse",
               file=sys.stderr)
         return EXIT_INPUT
     except KeyError as exc:

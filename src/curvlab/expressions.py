@@ -18,22 +18,23 @@ Unary minus binds tighter than '*', and '^' binds tighter still, so
 ``-x^2*y`` parses as ``(-(x^2))*y``.
 
 Nodes are hash-consed: structurally identical subtrees are the same
-object, which makes identity-keyed memoisation of differentiation and
-evaluation effective across large tensor component arrays.  The intern
-table and the derivative memo are plain module-level dicts, filled
-without a lock: the package is single-threaded, and a caller that
-builds expressions from several threads must serialise the calls.
+object, which makes identity-keyed memoisation of differentiation, and
+one tape slot per distinct node, effective across large tensor
+component arrays.  The intern table and the derivative memo are plain
+module-level dicts, filled without a lock: the package is
+single-threaded, and a caller that builds expressions from several
+threads must serialise the calls.
 
-Two evaluators give the same doubles.  ``evaluate`` is the interpreter:
-it walks the DAG with a memo keyed by node id and raises ``DomainError``
-naming the first sub-expression that is out of domain or overflows.
-``Tape`` is a field's DAG flattened once into straight-line
-instructions; running it costs one call per node and no memo.  The only
-caller of both in the package, ``MetricField.evaluate_field``, interprets
-a field at its first point and runs its tape from the second on.  A tape
-run that raises or computes any non-finite or complex value returns
-``None``, and the caller interprets the field instead, so errors always
-come from the interpreter.
+Evaluation runs straight-line code.  A ``Tape`` holds a growing DAG,
+one instruction per node, and one list of values in slot order serves
+every root on it at one set of bindings: a metric's fields share one
+tape, and each point one value list (``MetricField.evaluate_field``).
+``Tape.run`` extends the list without checks; where that may have met a
+value out of domain, ``Tape.checked`` recomputes what the roots asked
+for read, one checked step at a time, and raises ``DomainError`` naming
+the first sub-expression that is out of domain or overflows.
+``evaluate`` does the same for one expression.  Only the parser
+recurses over the depth of an expression.
 """
 
 from __future__ import annotations
@@ -145,64 +146,60 @@ def param(name: str) -> Expr:
     return _node("param", name, ())
 
 
-def _is_const(e: Expr, v: float | None = None) -> bool:
-    if e.kind != "const":
-        return False
-    return True if v is None else e.payload == v
-
-
 def neg(e: Expr) -> Expr:
-    if _is_const(e):
+    if e.kind == "const":
         return const(-e.payload)
     if e.kind == "neg":
         return e.args[0]
     return _node("neg", None, (e,))
 
 
+# Equal constants are one node, so a constant 0 or 1 is ZERO or ONE.
+
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    if a.kind == b.kind == "const":
         return const(a.payload + b.payload)
-    if _is_const(a, 0.0):
+    if a is ZERO:
         return b
-    if _is_const(b, 0.0):
+    if b is ZERO:
         return a
     return _node("+", None, (a, b))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    if a.kind == b.kind == "const":
         return const(a.payload - b.payload)
-    if _is_const(b, 0.0):
+    if b is ZERO:
         return a
-    if _is_const(a, 0.0):
+    if a is ZERO:
         return neg(b)
     return _node("-", None, (a, b))
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    if a.kind == b.kind == "const":
         return const(a.payload * b.payload)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if a is ZERO or b is ZERO:
         return ZERO
-    if _is_const(a, 1.0):
+    if a is ONE:
         return b
-    if _is_const(b, 1.0):
+    if b is ONE:
         return a
     return _node("*", None, (a, b))
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b) and b.payload != 0.0:
+    if a.kind == b.kind == "const" and b is not ZERO:
         return const(a.payload / b.payload)
-    if _is_const(b, 1.0):
+    if b is ONE:
         return a
     return _node("/", None, (a, b))
 
 
 def pow_(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1.0):
+    if b is ONE:
         return a
-    if _is_const(a) and _is_const(b):
+    if a.kind == b.kind == "const":
         try:
             return const(a.payload ** b.payload)
         except (ValueError, OverflowError, ZeroDivisionError):
@@ -213,7 +210,7 @@ def pow_(a: Expr, b: Expr) -> Expr:
 def call(fname: str, arg: Expr) -> Expr:
     if fname not in FUNCTIONS:
         raise ExprError(f"unknown function '{fname}'")
-    if _is_const(arg):
+    if arg.kind == "const":
         try:
             return const(FUNCTIONS[fname](arg.payload))
         except (ValueError, OverflowError):
@@ -363,216 +360,213 @@ _DIFF_MEMO: dict[tuple[int, str], Expr] = {}
 
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to coordinate ``var``."""
-    key = (id(e), var)
-    cached = _DIFF_MEMO.get(key)
-    if cached is not None:
-        return cached
+    memo = _DIFF_MEMO
+    d = memo.get((id(e), var))
+    if d is not None:
+        return d
+    # iterative post-order walk: a node is differentiated once the
+    # derivatives it reads are in the memo, however deep the expression
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        da = db = None
+        if node.args:
+            a, b = node.args[0], node.args[-1]
+            if node.kind == "^" and b.kind == "const":
+                b = a       # a constant exponent's derivative is not read
+            da = memo.get((id(a), var))
+            if da is None:
+                stack.append(a)
+                continue
+            db = memo.get((id(b), var))
+            if db is None:
+                stack.append(b)
+                continue
+        stack.pop()
+        if (id(node), var) not in memo:
+            memo[id(node), var] = _derivative(node, var, da, db)
+    return memo[id(e), var]
+
+
+def _derivative(e: Expr, var: str, da: Expr, db: Expr) -> Expr:
+    """The derivative of ``e``, given ``da`` and ``db``, those of its first
+    and last arguments."""
     kind = e.kind
-    if kind in ("const", "param"):
-        d = ZERO
-    elif kind == "coord":
-        d = ONE if e.payload == var else ZERO
-    elif kind == "neg":
-        d = neg(differentiate(e.args[0], var))
-    elif kind == "+":
-        d = add(differentiate(e.args[0], var), differentiate(e.args[1], var))
-    elif kind == "-":
-        d = sub(differentiate(e.args[0], var), differentiate(e.args[1], var))
-    elif kind == "*":
-        a, b = e.args
-        d = add(mul(differentiate(a, var), b), mul(a, differentiate(b, var)))
-    elif kind == "/":
-        a, b = e.args
-        num = sub(mul(differentiate(a, var), b), mul(a, differentiate(b, var)))
+    if not e.args:
+        return ONE if kind == "coord" and e.payload == var else ZERO
+    a, b = e.args[0], e.args[-1]        # b is a for a unary node
+    if kind == "neg":
+        return neg(da)
+    if kind == "+":
+        return add(da, db)
+    if kind == "-":
+        return sub(da, db)
+    if kind == "*":
+        return add(mul(da, b), mul(a, db))
+    if kind == "/":
+        num = sub(mul(da, b), mul(a, db))
         # a zero numerator must not leave a 0/b^2 node behind: it is dead
         # weight in every higher derivative and raises where b vanishes
-        d = ZERO if num is ZERO else div(num, pow_(b, const(2.0)))
-    elif kind == "^":
-        a, b = e.args
-        da = differentiate(a, var)
-        if _is_const(b):
-            d = mul(mul(b, pow_(a, const(b.payload - 1.0))), da)
-        else:
-            db = differentiate(b, var)
-            # u^w * (w' log u + w u'/u)
-            d = mul(e, add(mul(db, call("log", a)), mul(b, div(da, a))))
-    elif kind == "call":
-        fname = e.payload
-        u = e.args[0]
-        du = differentiate(u, var)
-        if fname == "abs":
-            raise DerivativeError("abs has no derivative in this language")
-        if du is ZERO:
-            d = ZERO
-        elif fname == "sin":
-            d = mul(call("cos", u), du)
-        elif fname == "cos":
-            d = neg(mul(call("sin", u), du))
-        elif fname == "tan":
-            d = div(du, pow_(call("cos", u), const(2.0)))
-        elif fname == "sinh":
-            d = mul(call("cosh", u), du)
-        elif fname == "cosh":
-            d = mul(call("sinh", u), du)
-        elif fname == "tanh":
-            d = div(du, pow_(call("cosh", u), const(2.0)))
-        elif fname == "exp":
-            d = mul(e, du)
-        elif fname == "log":
-            d = div(du, u)
-        else:  # sqrt
-            d = div(du, mul(const(2.0), e))
-    else:  # pragma: no cover
-        raise ExprError(f"unknown node kind {kind!r}")
-    _DIFF_MEMO[key] = d
-    return d
+        return ZERO if num is ZERO else div(num, pow_(b, const(2.0)))
+    if kind == "^":
+        if b.kind == "const":
+            return mul(mul(b, pow_(a, const(b.payload - 1.0))), da)
+        # u^w * (w' log u + w u'/u)
+        return mul(e, add(mul(db, call("log", a)), mul(b, div(da, a))))
+    if e.payload == "abs":
+        raise DerivativeError("abs has no derivative in this language")
+    return ZERO if da is ZERO else _CHAIN[e.payload](a, e, da)
+
+
+# f(u)' = f'(u) u', from u, f(u) and u'
+_CHAIN = {
+    "sin": lambda u, f, du: mul(call("cos", u), du),
+    "cos": lambda u, f, du: neg(mul(call("sin", u), du)),
+    "tan": lambda u, f, du: div(du, pow_(call("cos", u), const(2.0))),
+    "sinh": lambda u, f, du: mul(call("cosh", u), du),
+    "cosh": lambda u, f, du: mul(call("sinh", u), du),
+    "tanh": lambda u, f, du: div(du, pow_(call("cosh", u), const(2.0))),
+    "exp": lambda u, f, du: mul(f, du),
+    "log": lambda u, f, du: div(du, u),
+    "sqrt": lambda u, f, du: div(du, mul(const(2.0), f)),
+}
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(e: Expr, bindings: Mapping[str, float],
-             memo: dict[int, float] | None = None) -> float:
-    """Evaluate to a double.  ``memo`` (keyed by node id) may be shared
-    across calls with the same bindings to exploit subtree sharing."""
-    if memo is None:
-        memo = {}
-    return _eval(e, bindings, memo)
+_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+        "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
-def _eval(e: Expr, bindings: Mapping[str, float], memo: dict[int, float]) -> float:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    kind = e.kind
-    if kind == "const":
-        v = e.payload
-    elif kind in ("coord", "param"):
-        try:
-            v = float(bindings[e.payload])
-        except KeyError:
-            raise ExprError(f"missing binding for '{e.payload}'") from None
-    elif kind == "neg":
-        v = -_eval(e.args[0], bindings, memo)
-    elif kind == "+":
-        v = _eval(e.args[0], bindings, memo) + _eval(e.args[1], bindings, memo)
-    elif kind == "-":
-        v = _eval(e.args[0], bindings, memo) - _eval(e.args[1], bindings, memo)
-    elif kind == "*":
-        v = _eval(e.args[0], bindings, memo) * _eval(e.args[1], bindings, memo)
-    elif kind == "/":
-        denom = _eval(e.args[1], bindings, memo)
-        if denom == 0.0:
-            raise DomainError("division by zero", e)
-        v = _eval(e.args[0], bindings, memo) / denom
-    elif kind == "^":
-        base = _eval(e.args[0], bindings, memo)
-        exponent = _eval(e.args[1], bindings, memo)
-        try:
-            v = base ** exponent
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"invalid power: {exc}", e) from None
-        if isinstance(v, complex):
-            raise DomainError("power produced a complex value", e)
-    elif kind == "call":
-        u = _eval(e.args[0], bindings, memo)
-        fname = e.payload
-        if fname == "log" and u <= 0.0:
-            raise DomainError("log of a non-positive value", e)
-        if fname == "sqrt" and u < 0.0:
-            raise DomainError("sqrt of a negative value", e)
-        try:
-            v = FUNCTIONS[fname](u)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(str(exc), e) from None
-    else:  # pragma: no cover
-        raise ExprError(f"unknown node kind {kind!r}")
-    if isinstance(v, float) and math.isinf(v):
-        raise DomainError("overflow", e)
-    memo[key] = v
-    return v
-
-
-# ``_eval``'s operations as callables, so that a tape computes the same
-# doubles
-_TAPE_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
-             "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+def _leaf(e: Expr) -> Callable:
+    """A leaf's instruction: a constant's value, or a name's binding."""
+    v = e.payload
+    return (lambda b: v) if e.kind == "const" else (lambda b: float(b[v]))
 
 
 class Tape:
-    """The DAG below ``roots`` as straight-line code.
+    """A growing expression DAG as straight-line code, one slot per node.
 
-    Values live in one list: first the leaves (a constant's value, or the
-    name of a coordinate or parameter to read from the bindings), then
-    one value per inner node in topological order.  Inner node ``i``
-    applies ``fns[i]`` to the values at ``a[i]`` and, for a binary node,
-    ``b[i]`` (``-1`` marks a unary one).  ``outputs`` indexes the roots'
-    values.
-    """
+    ``add`` appends the nodes below its roots not on the tape yet, in
+    topological order, so a node shared by roots added together or apart
+    has one slot.  Slot ``i`` applies ``fns[i]`` to the values at slots
+    ``a[i]`` and ``b[i]``, at ``a[i]`` alone (``b[i] == -1``), or to the
+    bindings (a leaf, ``a[i] == -1``)."""
 
-    __slots__ = ("leaves", "fns", "a", "b", "outputs")
+    __slots__ = ("nodes", "slot", "fns", "a", "b")
 
-    def __init__(self, roots: Sequence[Expr]):
-        # the slot of every node emitted so far: ~j for the j-th leaf and
-        # i for the i-th inner node, until the leaves move in front below
-        slot: dict[int, int] = {}
-        leaves: list = []
-        fns: list = []
-        a: list[int] = []
-        b: list[int | None] = []
-        # iterative post-order walk: a node is emitted once all of its
-        # arguments have been, however deep the expression
+    def __init__(self):
+        self.nodes: list[Expr] = []     # keeps the ids keying ``slot`` alive
+        self.slot: dict[int, int] = {}
+        self.fns: list[Callable] = []
+        self.a = array("i")
+        self.b = array("i")
+
+    def add(self, roots: Sequence[Expr]) -> array:
+        """The roots' slots, after appending the nodes not on the tape."""
+        slot, nodes = self.slot, self.nodes
+        # iterative post-order walk: a node is appended once all of its
+        # arguments are on the tape, however deep the expression
         stack = list(reversed(roots))
         while stack:
             node = stack[-1]
             args = node.args
-            for x in args:
-                if id(x) not in slot:
-                    stack.append(x)
-                    break
-            else:
-                stack.pop()
-                if id(node) in slot:
+            x = y = -1
+            if args:
+                x = slot.get(id(args[0]))
+                if x is None:
+                    stack.append(args[0])
                     continue
-                if not args:
-                    slot[id(node)] = ~len(leaves)
-                    leaves.append(node.payload)
+                y = slot.get(id(args[-1]))
+                if y is None:
+                    stack.append(args[-1])
                     continue
-                slot[id(node)] = len(fns)
-                fns.append(FUNCTIONS[node.payload] if node.kind == "call"
-                           else _TAPE_OPS[node.kind])
-                a.append(slot[id(args[0])])
-                b.append(slot[id(args[1])] if len(args) == 2 else None)
-        n = len(leaves)
-        self.leaves = leaves
-        self.fns = fns
-        self.a = array("i", [~i if i < 0 else i + n for i in a])
-        self.b = array("i", [-1 if i is None else ~i if i < 0 else i + n
-                             for i in b])
-        self.outputs = array("i", [~i if i < 0 else i + n
-                                   for i in (slot[id(r)] for r in roots)])
+            stack.pop()
+            if id(node) in slot:
+                continue
+            slot[id(node)] = len(nodes)
+            nodes.append(node)
+            self.fns.append(_leaf(node) if not args else FUNCTIONS[node.payload]
+                            if node.kind == "call" else _OPS[node.kind])
+            self.a.append(x)
+            self.b.append(y if len(args) == 2 else -1)
+        return array("i", [slot[id(r)] for r in roots])
 
-    def run(self, bindings: Mapping[str, float]) -> list[float] | None:
-        """The roots' values, or ``None`` when any step raises or any
-        value is non-finite or complex: the interpreter then decides
-        (it raises where it should, or returns finite values where only
-        an intermediate sum overflowed here)."""
+    def run(self, values: list, bindings: Mapping[str, float],
+            roots: Sequence[int], end: int) -> list:
+        """The values at the slots ``roots``, all below ``end``, after an
+        unchecked run of the slots from ``len(values)`` up to ``end``.  If
+        that may have met a value out of domain, the roots are recomputed
+        checked and the run is dropped: ``values`` stays all in domain."""
+        start = len(values)
+        append = values.append
         try:
-            vals = [float(bindings[x]) if type(x) is str else x
-                    for x in self.leaves]
-            append = vals.append
-            for fn, x, y in zip(self.fns, self.a, self.b):
-                append(fn(vals[x]) if y < 0 else fn(vals[x], vals[y]))
+            for fn, x, y in zip(self.fns[start:end], self.a[start:end],
+                                self.b[start:end]):
+                append(fn(values[x], values[y]) if y >= 0
+                       else fn(values[x]) if x >= 0 else fn(bindings))
         except (ArithmeticError, ValueError, TypeError, KeyError):
-            return None
-        # one sum sees every value: an inf, a nan or a complex anywhere
-        # leaves a non-finite or complex total
-        total = sum(vals)
-        if type(total) is not float or not math.isfinite(total):
-            return None
-        return [vals[i] for i in self.outputs]
+            values.extend([math.nan] * (end - len(values)))
+        else:
+            # one sum sees every new value: an inf, a nan or a complex
+            # anywhere leaves a non-finite or complex total
+            total = sum(values[start:end], 0.0)
+            if type(total) is float and math.isfinite(total):
+                return [values[r] for r in roots]
+        try:
+            return self.checked(values, start, bindings, roots)
+        finally:
+            del values[start:]
+
+    def checked(self, values: list, clean: int,
+                bindings: Mapping[str, float], roots: Sequence[int]) -> list:
+        """The values at the slots ``roots``, recomputed in ``values`` in
+        slot order from those below ``clean``, one checked step at a time;
+        raises at the first node out of domain that the roots read."""
+        a, b = self.a, self.b
+        cone, stack = set(), [r for r in roots if r >= clean]
+        while stack:
+            s = stack.pop()
+            if s not in cone:
+                cone.add(s)
+                stack += (t for t in (a[s], b[s]) if t >= clean)
+        for s in sorted(cone):
+            args = [values[t] for t in (a[s], b[s]) if t >= 0]
+            values[s] = _step(self.nodes[s], self.fns[s], args, bindings)
+        return [values[r] for r in roots]
+
+
+def _step(e: Expr, fn: Callable, args: list,
+          bindings: Mapping[str, float]) -> float:
+    """``fn``'s value for node ``e``, or the error putting it out of domain."""
+    kind, name = e.kind, e.payload
+    if kind == "/" and args[1] == 0.0:
+        raise DomainError("division by zero", e)
+    if kind == "call" and name == "log" and args[0] <= 0.0:
+        raise DomainError("log of a non-positive value", e)
+    if kind == "call" and name == "sqrt" and args[0] < 0.0:
+        raise DomainError("sqrt of a negative value", e)
+    try:
+        v = fn(*args) if args else fn(bindings)
+    except KeyError:
+        raise ExprError(f"missing binding for '{name}'") from None
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        message = f"invalid power: {exc}" if kind == "^" else str(exc)
+        raise DomainError(message, e) from None
+    if isinstance(v, complex):
+        raise DomainError("power produced a complex value", e)
+    if isinstance(v, float) and math.isinf(v):
+        raise DomainError("overflow", e)
+    return v
+
+
+def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
+    """Evaluate to a double, on a tape of its own; raises ``DomainError``
+    naming the first sub-expression out of domain."""
+    tape = Tape()
+    return tape.run([], bindings, tape.add([e]), len(tape.nodes))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -582,37 +576,41 @@ class Tape:
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 0, 1, 2, 3, 4
 
 
-def _print(e: Expr, context: int) -> str:
-    kind = e.kind
+def _pieces(e: Expr, context: int) -> list:
+    """``e`` printed in a context of precedence ``context``: strings, and
+    (argument, context) pairs to print in their places."""
+    kind, args = e.kind, e.args
     if kind == "const":
-        v = e.payload
-        s = repr(v)
-        if v < 0:
-            return s if context <= _PREC_UNARY else f"({s})"
-        return s
-    if kind in ("coord", "param"):
-        return e.payload
-    if kind == "call":
-        return f"{e.payload}({_print(e.args[0], _PREC_ADD)})"
-    if kind == "neg":
-        s = "-" + _print(e.args[0], _PREC_UNARY + 1)
-        return s if context <= _PREC_UNARY else f"({s})"
-    if kind in ("+", "-"):
-        s = f"{_print(e.args[0], _PREC_ADD)} {kind} {_print(e.args[1], _PREC_ADD + 1)}"
-        return s if context <= _PREC_ADD else f"({s})"
-    if kind in ("*", "/"):
-        s = f"{_print(e.args[0], _PREC_MUL)}{kind}{_print(e.args[1], _PREC_MUL + 1)}"
-        return s if context <= _PREC_MUL else f"({s})"
-    if kind == "^":
-        s = f"{_print(e.args[0], _PREC_ATOM)}^{_print(e.args[1], _PREC_UNARY)}"
-        return s if context <= _PREC_POW else f"({s})"
-    raise ExprError(f"unknown node kind {kind!r}")  # pragma: no cover
+        parts = [repr(e.payload)]
+        prec = _PREC_UNARY if e.payload < 0 else _PREC_ATOM
+    elif kind in ("coord", "param"):
+        parts, prec = [e.payload], _PREC_ATOM
+    elif kind == "call":
+        parts, prec = [f"{e.payload}(", (args[0], _PREC_ADD), ")"], _PREC_ATOM
+    elif kind == "neg":
+        parts, prec = ["-", (args[0], _PREC_UNARY + 1)], _PREC_UNARY
+    elif kind == "^":
+        parts = [(args[0], _PREC_ATOM), "^", (args[1], _PREC_UNARY)]
+        prec = _PREC_POW
+    else:
+        prec = _PREC_ADD if kind in "+-" else _PREC_MUL
+        text = f" {kind} " if prec == _PREC_ADD else kind
+        parts = [(args[0], prec), text, (args[1], prec + 1)]
+    return parts if context <= prec else ["(", *parts, ")"]
 
 
 def to_string(e: Expr) -> str:
     """Render with minimal parentheses; ``parse_expr(to_string(e), ...)``
     evaluates equal to ``e``."""
-    return _print(e, _PREC_ADD)
+    out: list[str] = []
+    stack: list = [(e, _PREC_ADD)]     # what is left to print, last first
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_pieces(*item)))
+    return "".join(out)
 
 
 def free_names(e: Expr) -> set[str]:

@@ -29,7 +29,6 @@ from .expressions import (
     const,
     differentiate,
     div,
-    evaluate,
     mul,
     neg,
     sub,
@@ -51,15 +50,14 @@ class RankOverflowError(Exception):
 class SymbolicTensor:
     """Tensor field: object array of Expr plus a variance per slot.
 
-    ``MetricField.evaluate_field`` interprets the field at its first
-    point and keeps a ``Tape`` of it from the second on, so the
-    components must not be replaced once the field has been evaluated.
+    ``slots``: once ``MetricField.evaluate_field`` places the components
+    on its metric's ``Tape``, that tape, their slots and one past the
+    last, so the components must not be replaced after that.
     """
 
     components: np.ndarray
     variance: tuple
-    evaluated: bool = field(default=False, init=False, repr=False)
-    tape: Tape | None = field(default=None, init=False, repr=False)
+    slots: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.components.shape != (DIM,) * len(self.variance):
@@ -70,11 +68,12 @@ class SymbolicTensor:
         return len(self.variance)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class LinearField:
     """A constant combination Σ cᵢ fᵢ of fields, held as (cᵢ, fᵢ) terms.
     A tetrad rotated by constant parameters has such legs; ``MetricField``
-    maps their lowering, ∇ and ∂ over the terms, so they build nothing."""
+    maps their lowering, ∇ and ∂ over the terms, so they build nothing.
+    Equal terms make equal fields, so a point sums each combination once."""
 
     terms: tuple
     variance: tuple
@@ -84,7 +83,8 @@ class LinearField:
         merged: dict = {}
         for c, f in self.terms:
             merged[f] = merged[f] + c if f in merged else c
-        self.terms = tuple((c, f) for f, c in merged.items() if c != 0)
+        object.__setattr__(self, "terms", tuple(
+            (c, f) for f, c in merged.items() if c != 0))
 
     @classmethod
     def of(cls, f) -> LinearField:
@@ -192,6 +192,7 @@ class MetricField:
         self.tetrad = tetrad
         self.static = bool(static)
         self._cache: dict = {}
+        self.tape = Tape()
         self._context: PointContext | None = None
         for pname, coords in self.points.items():
             self._validate_signature(pname, coords)
@@ -244,10 +245,10 @@ class MetricField:
                 f"signature (+,-,-,-): eigenvalues {eigenvalues}")
 
     def evaluate_field(self, t: Field, point) -> TensorValue:
-        """``t`` at ``point``, evaluated once per point context: by the
-        interpreter at the field's first point, by its tape after that
-        (the interpreter again wherever the tape declines).  A
-        ``LinearField`` is Σ cᵢ·value(fᵢ) over its terms' values."""
+        """``t`` at ``point``, evaluated once per point context.  A
+        ``SymbolicTensor`` runs its slots on the metric's tape with the
+        context's value list (``Tape.run``); a ``LinearField`` is
+        Σ cᵢ·value(fᵢ) over its terms' values."""
         ctx = self.at(point)
         value = ctx.fields.get(t)
         if value is None and isinstance(t, LinearField):
@@ -256,22 +257,18 @@ class MetricField:
             value = ctx.fields[t] = TensorValue(
                 sum(parts[1:], parts[0]), t.variance, ctx.point)
         if value is None:
-            comps = t.components.ravel()
-            values = None
-            if t.evaluated:
-                if t.tape is None:
-                    t.tape = Tape(comps)
-                values = t.tape.run(ctx.bindings)
-            t.evaluated = True
-            if values is None:
-                values = [evaluate(e, ctx.bindings, ctx.memo) for e in comps]
-            arr = np.array(values, dtype=complex).reshape(t.components.shape)
+            tape = self.tape
+            if t.slots is None or t.slots[0] is not tape:
+                slots = tape.add(t.components.ravel())
+                t.slots = (tape, slots, max(slots) + 1)
+            comps = tape.run(ctx.values, ctx.bindings, *t.slots[1:])
+            arr = np.array(comps, dtype=complex).reshape(t.components.shape)
             value = ctx.fields[t] = TensorValue(arr, t.variance, ctx.point)
         return value
 
     # -- symbolic pipeline --------------------------------------------------
-    # each builder caches one SymbolicTensor: a field's tape and its entry
-    # in the point cache belong to that object
+    # each builder caches one SymbolicTensor: a field's slots and its
+    # entry in the point cache belong to that object
 
     def inverse_symbolic(self) -> SymbolicTensor:
         """g^{ab}."""
@@ -564,17 +561,17 @@ class PointContext:
     """What has been evaluated at one point of one metric.
 
     ``fields`` holds the value of every field evaluated at the point,
-    keyed by the ``SymbolicTensor`` object, so a field is evaluated at
-    most once per point however many probes read it.  ``memo`` (keyed by
-    node id: nodes are interned) serves only the interpreter, at a field's
-    first point or where its tape declines.  ``tetrad_data`` holds results
-    derived from a tetrad, keyed by the ``NullTetrad`` object itself, and
-    ``residuals`` the commutator reports by (condition, method, tol).
-    Live keys keep their ids from being recycled (see
-    ``MetricField._field_key``).  ``source`` and ``params`` let
-    ``MetricField.at`` serve a repeated tuple without rebuilding ``key``.
-    Cached results are handed out without a copy; callers must not modify
-    them.
+    keyed by the ``SymbolicTensor`` object (a ``LinearField`` by its
+    terms), so a field is evaluated at most once per point however many
+    probes read it.  ``values`` holds the metric's tape slots' values,
+    in order and all in domain, as far as the fields read so far reach.
+    ``tetrad_data`` holds results derived from a tetrad, keyed by the
+    ``NullTetrad`` object itself, and ``residuals`` the commutator
+    reports by (condition, method, tol).  Live keys keep their ids from
+    being recycled (see ``MetricField._field_key``).  ``source`` and
+    ``params`` let ``MetricField.at`` serve a repeated tuple without
+    rebuilding ``key``.  Cached results are handed out without a copy;
+    callers must not modify them.
     """
 
     point: tuple
@@ -582,7 +579,7 @@ class PointContext:
     key: tuple
     source: tuple | None = None
     params: tuple = ()
-    memo: dict = field(default_factory=dict)
+    values: list = field(default_factory=list)
     curvature: Curvature | None = None
     fields: dict = field(default_factory=dict)
     tetrad_data: dict = field(default_factory=dict)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.expressions import ZERO, parse_expr
+from curvlab.expressions import FUNCTIONS, ZERO, DomainError, ExprError, parse_expr
 from curvlab.geometry import MetricField, SymbolicTensor, TensorValue
 from curvlab.newman_penrose import NullTetrad
 from curvlab.spinors import GeneralSpinor
@@ -21,6 +21,71 @@ PI = math.pi
 # ---------------------------------------------------------------------------
 # numeric helpers the analysis itself does not need
 # ---------------------------------------------------------------------------
+
+def reference_evaluate(e, bindings, memo=None):
+    """An independent reference for the tape: the recursive interpreter
+    the package used to evaluate with.  It walks the DAG depth first,
+    arguments left to right but a quotient's denominator first, keeps
+    each node's value in ``memo`` (keyed by node id: nodes are interned),
+    and raises ``DomainError`` at the first node out of domain.  It
+    recurses once per level of nesting."""
+    if memo is None:
+        memo = {}
+    key = id(e)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    kind = e.kind
+    if kind == "const":
+        v = e.payload
+    elif kind in ("coord", "param"):
+        try:
+            v = float(bindings[e.payload])
+        except KeyError:
+            raise ExprError(f"missing binding for '{e.payload}'") from None
+    elif kind == "neg":
+        v = -reference_evaluate(e.args[0], bindings, memo)
+    elif kind == "+":
+        v = (reference_evaluate(e.args[0], bindings, memo)
+             + reference_evaluate(e.args[1], bindings, memo))
+    elif kind == "-":
+        v = (reference_evaluate(e.args[0], bindings, memo)
+             - reference_evaluate(e.args[1], bindings, memo))
+    elif kind == "*":
+        v = (reference_evaluate(e.args[0], bindings, memo)
+             * reference_evaluate(e.args[1], bindings, memo))
+    elif kind == "/":
+        denom = reference_evaluate(e.args[1], bindings, memo)
+        if denom == 0.0:
+            raise DomainError("division by zero", e)
+        v = reference_evaluate(e.args[0], bindings, memo) / denom
+    elif kind == "^":
+        base = reference_evaluate(e.args[0], bindings, memo)
+        exponent = reference_evaluate(e.args[1], bindings, memo)
+        try:
+            v = base ** exponent
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"invalid power: {exc}", e) from None
+        if isinstance(v, complex):
+            raise DomainError("power produced a complex value", e)
+    elif kind == "call":
+        u = reference_evaluate(e.args[0], bindings, memo)
+        fname = e.payload
+        if fname == "log" and u <= 0.0:
+            raise DomainError("log of a non-positive value", e)
+        if fname == "sqrt" and u < 0.0:
+            raise DomainError("sqrt of a negative value", e)
+        try:
+            v = FUNCTIONS[fname](u)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(str(exc), e) from None
+    else:
+        raise ExprError(f"unknown node kind {kind!r}")
+    if isinstance(v, float) and math.isinf(v):
+        raise DomainError("overflow", e)
+    memo[key] = v
+    return v
+
 
 def christoffel(m, point):
     """Connection coefficients Γ^a_{bc} at ``point`` (variance u,d,d)."""

@@ -421,14 +421,26 @@ class TestExitCodes:
                        "'1.0/(2.0*sqrt(x))'\n")
 
     def test_deep_nesting_is_one(self, capsys, tmp_path):
-        # 3000 chained terms exceed the recursive evaluator's depth while
-        # the signature is checked at load time
-        terms = " + ".join(["0.0001*x"] * 3000)
-        path = self.minkowski_with_g11(tmp_path, f"-1 - ({terms})")
+        # 600 nested parentheses exceed the recursive-descent parser's
+        # depth while the metric file loads
+        path = self.minkowski_with_g11(tmp_path, "-" + "(" * 600 + "1"
+                                       + ")" * 600)
         for command in ("analyze", "classify"):
             code, out, err = run_cli(capsys, command, path)
             assert code == 1 and out == ""
-            assert err == "error: expression nested too deeply to evaluate\n"
+            assert err == "error: expression nested too deeply to parse\n"
+
+    def test_deep_sum_gets_a_report(self, capsys, tmp_path):
+        # 3000 chained terms: parsed by loops, then differentiated,
+        # placed on the tape and evaluated without recursion
+        terms = " + ".join(["0.0001*x"] * 3000)
+        path = self.minkowski_with_g11(tmp_path, f"-1 - ({terms})")
+        code, out, err = run_cli(capsys, "analyze", path)
+        assert code == 0 and err == ""
+        assert out.count("classification: O\n") == 1
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 0 and err == ""
+        assert out.count(" origin: O (petrov O, semi-symmetry holds,") == 1
 
     def test_theorem_violation_is_four(self, capsys, monkeypatch):
         def explode(*args, **kwargs):

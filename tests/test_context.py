@@ -1,7 +1,8 @@
 """The per-point evaluation context: each point's curvature, fields,
-tetrad data and commutator residuals are evaluated once, a field's tape
-is built only once the field is reused, revisited fields are never
-interpreted, nothing symbolic is built after a metric's first point, the
+tetrad data and commutator residuals are evaluated once, a metric's
+fields share one tape that holds each node once and no field builds a
+tape of its own, the checked steps run only where a value is out of
+domain, nothing symbolic is built after a metric's first point, the
 one-slot cache never serves another point, and tetrad checks still run
 on every call."""
 
@@ -30,7 +31,7 @@ from curvlab.classify import classify_point
 from curvlab.conventions import RESIDUAL_TOL
 from curvlab.corpus import load_corpus_metric
 from curvlab.expressions import Tape, const, mul, parse_expr
-from curvlab.geometry import MetricField, SymbolicTensor, curvature
+from curvlab.geometry import LinearField, MetricField, SymbolicTensor, curvature
 from curvlab.newman_penrose import (
     InvalidTetradError,
     NullTetrad,
@@ -178,18 +179,45 @@ class TestEvaluatedOnce:
 
 @pytest.fixture
 def tapes_built(monkeypatch):
-    """The roots of every tape built, as lists of components."""
+    """Every tape built."""
     built = []
 
     class CountingTape(Tape):
         __slots__ = ()
 
-        def __init__(self, roots):
-            built.append(list(roots))
-            super().__init__(roots)
+        def __init__(self):
+            built.append(self)
+            super().__init__()
 
     monkeypatch.setattr(geometry, "Tape", CountingTape)
     return built
+
+
+@pytest.fixture
+def checked_runs(monkeypatch):
+    """Counts runs of the checked steps, which replace the unchecked
+    tape run only where a value is out of domain."""
+    calls = Counter()
+    original = Tape.checked
+
+    def counting(self, *args):
+        calls["checked"] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(Tape, "checked", counting)
+    return calls
+
+
+def reachable(fields):
+    """The distinct expression nodes below the fields' components."""
+    seen = {}
+    stack = [e for t in fields for e in t.components.ravel()]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack.extend(e.args)
+    return seen
 
 
 class TestTapes:
@@ -199,28 +227,32 @@ class TestTapes:
         return SymbolicTensor(comp, ("u",))
 
     def test_field_at_one_point_builds_no_tape(self, tapes_built):
+        # the field joins its metric's tape
         m = load_corpus_metric("minkowski")
         f = self.field(m, ["t*x", "y", "z + 1", "x^2"])
         p = m.points["origin"]
         first = m.evaluate_field(f, p)
         assert m.evaluate_field(f, list(p)) is first
-        assert f.tape is None
-        assert list(f.components) not in tapes_built
+        assert tapes_built == [m.tape]
+        assert f.slots[0] is m.tape
 
     def test_field_at_three_points_builds_one_tape(self, tapes_built):
         m = load_corpus_metric("minkowski")
         f = self.field(m, ["t*x", "y", "z + 1", "x^2"])
-        values = []
+        values, sizes = [], []
         for x in (1.0, 2.0, 3.0):
             p = (0.5, x, -1.0, 2.0)
             values.append(m.evaluate_field(f, p).array)
             m.evaluate_field(f, p)
-        assert tapes_built.count(list(f.components)) == 1
+            sizes.append(len(m.tape.nodes))
+        assert tapes_built == [m.tape]
+        assert sizes == [sizes[0]] * 3
         assert np.array_equal(values[2], [1.5, -1.0, 3.0, 9.0])
 
     def test_nabla2_riemann_once_per_point_cross_validated(self, monkeypatch):
-        # second_order and the direct semi route both read ∇∇R; the
-        # interpreter runs at the first point, the tape at the rest
+        # second_order and the direct semi route both read ∇∇R, which
+        # is evaluated once per point, from its first point on by the
+        # tape, whose every slot runs at most once per point
         m = load_corpus_metric("schwarzschild")
         target = m.nabla_field("riemann", 2)
         served = []
@@ -232,38 +264,23 @@ class TestTapes:
                 served.append(value)
             return value
 
-        runs = Counter()
+        ran = []
         run = Tape.run
 
-        def counting_run(self, bindings):
-            runs[id(self)] += 1
-            return run(self, bindings)
+        def counting_run(self, values, bindings, roots, end):
+            ran.append(max(end - len(values), 0))
+            return run(self, values, bindings, roots, end)
 
         monkeypatch.setattr(MetricField, "evaluate_field", recording)
         monkeypatch.setattr(Tape, "run", counting_run)
-        for i, pname in enumerate(sorted(m.points)):
+        for pname in sorted(m.points):
             served.clear()
-            before = runs[id(target.tape)] if target.tape else 0
+            ran.clear()
             analyze_point(m, pname, cross_validate=True)
             assert len(served) == 2 and served[0] is served[1], pname
-            assert (target.tape is None) == (i == 0), pname
-            if i:
-                assert runs[id(target.tape)] - before == 1, pname
-
-
-@pytest.fixture
-def interpreted(monkeypatch):
-    """Counts calls of the expression interpreter, which only
-    MetricField.evaluate_field makes."""
-    calls = Counter()
-    original = geometry.evaluate
-
-    def counting(e, bindings, memo=None):
-        calls["evaluate"] += 1
-        return original(e, bindings, memo)
-
-    monkeypatch.setattr(geometry, "evaluate", counting)
-    return calls
+            values = m.at(m.points[pname]).values
+            assert target.slots[2] <= len(values) <= len(m.tape.nodes), pname
+            assert sum(ran) == len(values), pname
 
 
 class TestOneEvaluator:
@@ -272,17 +289,71 @@ class TestOneEvaluator:
         ("schwarzschild", False),
         ("schwarzschild", True),
     ])
-    def test_fields_seen_before_are_not_interpreted(self, interpreted,
+    def test_fields_seen_before_are_not_interpreted(self, checked_runs,
                                                     name, cross):
-        # these points read only fields the first point evaluated (no
-        # rotated tetrad), so tapes serve every number
+        # every value in domain: the unchecked tape run serves every
+        # number, at the first point as well, and only the first point
+        # adds to the tape
         m = load_corpus_metric(name)
         analyze_point(m, "p0", cross_validate=cross)
-        assert interpreted["evaluate"] > 0
+        size = len(m.tape.nodes)
+        assert size > 0 and checked_runs["checked"] == 0
         for pname in ("p1", "p2", "p3", "p4"):
-            interpreted.clear()
             analyze_point(m, pname, cross_validate=cross)
-            assert interpreted["evaluate"] == 0, pname
+            assert checked_runs["checked"] == 0, pname
+            assert len(m.tape.nodes) == size, pname
+
+
+class TestOneTape:
+    def test_each_reachable_node_has_one_slot(self, monkeypatch):
+        # Schwarzschild with cross-validation evaluates the most fields
+        m = load_corpus_metric("schwarzschild")
+        fields = {}
+        original = MetricField.evaluate_field
+
+        def recording(self, t, point):
+            if isinstance(t, SymbolicTensor):
+                fields[id(t)] = t
+            return original(self, t, point)
+
+        monkeypatch.setattr(MetricField, "evaluate_field", recording)
+        for pname in sorted(m.points):
+            analyze_point(m, pname, cross_validate=True)
+        nodes = reachable(fields.values())
+        assert len(m.tape.nodes) == len(nodes)
+        assert {id(e) for e in m.tape.nodes} == set(nodes)
+        assert all(t.slots[0] is m.tape for t in fields.values())
+        # each field's own DAG, summed: what one tape per field held
+        per_field = sum(len(reachable([t])) for t in fields.values())
+        assert per_field > len(nodes)
+
+    def test_equal_combinations_are_summed_once_per_point(self, monkeypatch):
+        # the null probes rebuild the lowered legs and their gradients
+        # of a rotated tetrad on every call; equal combinations share
+        # one value
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        text = workloads.with_points(
+            workloads.corpus_text(ROOT / "src", "product2x2"),
+            workloads.grid_points(1, 8))
+        m = metricfile.parse_metric_text(text, "product2x2")
+        sums = Counter()
+        original = MetricField.evaluate_field
+
+        def counting(self, t, point):
+            if isinstance(t, LinearField) and t not in self.at(point).fields:
+                sums[t.terms, t.variance] += 1
+            return original(self, t, point)
+
+        monkeypatch.setattr(MetricField, "evaluate_field", counting)
+        rotated = [p for p in sorted(m.points)
+                   if adapt_tetrad(m, m.tetrad, m.points[p]).transforms]
+        assert rotated
+        for pname in rotated[:2]:
+            sums.clear()
+            analyze_point(m, pname)
+            assert len(sums) > 8 and set(sums.values()) == {1}, pname
 
 
 class TestNoSymbolicGrowth:
@@ -302,7 +373,8 @@ class TestNoSymbolicGrowth:
         sizes, rotated = [], 0
         for pname in sorted(m.points):
             analyze_point(m, pname)
-            sizes.append((len(expressions._INTERN), len(m._cache)))
+            sizes.append((len(expressions._INTERN), len(m._cache),
+                          len(m.tape.nodes)))
             rotated += bool(adapt_tetrad(m, m.tetrad,
                                          m.points[pname]).transforms)
         assert len(sizes) == 25 and rotated >= 10

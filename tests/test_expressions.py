@@ -18,6 +18,7 @@ from curvlab.expressions import (
     ParseError,
     Tape,
     UndeclaredNameError,
+    _DIFF_MEMO,
     differentiate,
     evaluate,
     free_names,
@@ -26,6 +27,8 @@ from curvlab.expressions import (
     to_string,
 )
 from curvlab.geometry import SymbolicTensor
+
+from conftest import metric_from_strings, reference_evaluate
 
 CHART = ("t", "r", "theta", "phi")
 PARAMS = ("M", "a")
@@ -116,6 +119,14 @@ class TestDerivatives:
         e = parse_expr("abs(r)", CHART, PARAMS)
         with pytest.raises(DerivativeError):
             differentiate(e, var)
+
+    def test_constant_exponent_is_not_differentiated(self):
+        # the memo holds the (node, variable) pairs whose derivatives a
+        # derivative reads: a constant exponent's is never read
+        e = parse_expr("r^3.0625", CHART, PARAMS)
+        differentiate(e, "r")
+        assert (id(e.args[0]), "r") in _DIFF_MEMO
+        assert (id(e.args[1]), "r") not in _DIFF_MEMO
 
     def test_zero_quotient_numerator_folds(self):
         e = parse_expr("1/r", CHART, PARAMS)
@@ -229,13 +240,20 @@ class TestEvaluation:
         e2 = parse_expr("exp(log(r))", CHART)
         npt.assert_allclose(evaluate(e2, {"r": 5.5}), 5.5, rtol=1e-15)
 
-    def test_shared_memo_consistent(self):
+    def test_roots_sharing_nodes_read_one_value_list(self):
+        # sin(r) and its products are shared: one slot each, and both
+        # roots read the one value list
         e = parse_expr("sin(r)*cos(r) + sin(r)^2", CHART)
+        f = parse_expr("sin(r)^2", CHART)
         bindings = {"r": 0.8}
-        memo = {}
-        v1 = evaluate(e, bindings, memo)
-        v2 = evaluate(e, bindings, memo)
-        assert v1 == v2
+        tape = Tape()
+        roots = tape.add([e, f])
+        values = []
+        v1, v2 = tape.run(values, bindings, roots, len(tape.nodes))
+        assert len(values) == len(tape.nodes)
+        assert [values[s] for s in roots] == [v1, v2]
+        assert v1 == evaluate(e, bindings) == reference_evaluate(e, bindings)
+        assert v2 == evaluate(f, bindings)
         npt.assert_allclose(
             v1, math.sin(0.8) * math.cos(0.8) + math.sin(0.8) ** 2, rtol=1e-15)
 
@@ -299,7 +317,7 @@ class TestStructure:
 
 
 # ---------------------------------------------------------------------------
-# the tape: same doubles as the interpreter, the interpreter's errors
+# the tape: the reference interpreter's doubles and errors
 # ---------------------------------------------------------------------------
 
 def signed(values):
@@ -330,22 +348,25 @@ def cached_fields(m):
 class TestTapeMatchesInterpreter:
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_bit_identical_on_the_corpus(self, name):
+        # the metric's one tape, from its first point on, against the
+        # reference interpreter with one memo per point
         m = load_corpus_metric(name)
-        tapes = {key: (Tape(t.components.ravel()), t.components.ravel())
-                 for key, t in cached_fields(m).items()}
+        fields = cached_fields(m)
         for pname, point in sorted(m.points.items()):
             b = m.bindings(point)
             memo = {}
-            for key, (tape, comps) in tapes.items():
-                want = [evaluate(e, b, memo) for e in comps]
-                got = tape.run(b)
-                assert got is not None, (pname, key)
-                assert signed(got) == signed(want), (pname, key)
+            for key, t in fields.items():
+                comps = t.components.ravel()
+                want = [reference_evaluate(e, b, memo) for e in comps]
+                got = m.evaluate_field(t, point).array.ravel()
+                assert not got.imag.any(), (pname, key)
+                assert signed(got.real) == signed(want), (pname, key)
 
     def test_signed_zero_survives(self):
         e = parse_expr("-(t*0.5)", CHART)
-        got = Tape([e]).run({"t": 0.0})
-        assert signed(got) == signed([evaluate(e, {"t": 0.0})]) == [(0.0, -1.0)]
+        got = evaluate(e, {"t": 0.0})
+        want = reference_evaluate(e, {"t": 0.0})
+        assert signed([got]) == signed([want]) == [(0.0, -1.0)]
 
 
 # (component, first point's t, second point's t): fine at the first
@@ -359,64 +380,141 @@ DOMAIN_CASES = {
 }
 
 
+def fresh_minkowski():
+    """A Minkowski metric of its own, so that its tape holds only g."""
+    return metric_from_strings("minkowski", ("t", "x", "y", "z"),
+                               ["1", "-1", "-1", "-1"])
+
+
+def vector(m, texts):
+    comps = [parse_expr(text, m.chart) for text in texts]
+    return SymbolicTensor(np.array(comps, dtype=object), ("u",))
+
+
+def reference_error(e, bindings):
+    with pytest.raises(ExprError) as raised:
+        reference_evaluate(e, bindings)
+    return raised.value
+
+
 class TestTapeFallback:
     def field(self, text, m):
-        comps = [parse_expr(text, m.chart), parse_expr("t + 1", m.chart)]
-        return SymbolicTensor(np.array(comps + [ZERO, ZERO], dtype=object),
-                              ("u",))
+        return vector(m, [text, "t + 1", "0", "0"])
+
+    def assert_raises_like_the_reference(self, m, field, point):
+        want = reference_error(field.components[0], m.bindings(point))
+        with pytest.raises(DomainError) as taped:
+            m.evaluate_field(field, point)
+        assert type(taped.value) is type(want)
+        assert str(taped.value) == str(want)
+        assert taped.value.expression is want.expression
 
     @pytest.mark.parametrize("case", sorted(DOMAIN_CASES))
-    def test_second_point_raises_the_interpreters_error(self, minkowski,
-                                                        case):
+    def test_first_point_raises_the_interpreters_error(self, case):
         text, t_ok, t_bad = DOMAIN_CASES[case]
-        m = minkowski
+        m = fresh_minkowski()
+        field = self.field(text, m)
+        bad = (t_bad, 0.0, 0.0, 0.0)
+        self.assert_raises_like_the_reference(m, field, bad)
+        assert field.slots[0] is m.tape
+        # the same point again, then a good one
+        self.assert_raises_like_the_reference(m, field, bad)
+        got = m.evaluate_field(field, (t_ok, 0.0, 0.0, 0.0)).array
+        assert got[1] == t_ok + 1
+        with pytest.raises(DomainError):
+            evaluate(field.components[0], m.bindings(bad))
+
+    @pytest.mark.parametrize("case", sorted(DOMAIN_CASES))
+    def test_second_point_raises_the_interpreters_error(self, case):
+        text, t_ok, t_bad = DOMAIN_CASES[case]
+        m = fresh_minkowski()
         field = self.field(text, m)
         m.evaluate_field(field, (t_ok, 0.0, 0.0, 0.0))
-        bad = (t_bad, 0.0, 0.0, 0.0)
-        with pytest.raises(DomainError) as interpreted:
-            evaluate(field.components[0], m.bindings(bad))
-        with pytest.raises(DomainError) as taped:
-            m.evaluate_field(field, bad)
-        assert field.tape is not None
-        assert field.tape.run(m.bindings(bad)) is None
-        assert str(taped.value) == str(interpreted.value)
-        assert taped.value.expression is interpreted.value.expression
+        size = len(m.tape.nodes)
+        self.assert_raises_like_the_reference(m, field, (t_bad, 0.0, 0.0, 0.0))
+        assert len(m.tape.nodes) == size
 
-    def test_overflowing_sum_falls_back_to_finite_values(self, minkowski):
-        # each value is finite, their sum is not: the tape declines and
-        # the interpreter returns the values
-        m = minkowski
+    def test_bad_node_of_an_earlier_field_spares_a_later_one(self):
+        # the later field's block runs over the earlier field's slots;
+        # it reads none of them, so it is served, and the bad field
+        # still raises the reference's error
+        m = fresh_minkowski()
+        early = self.field("1/(t - 1)", m)
+        late = vector(m, ["t*x + 2", "sqrt(x)", "0", "1"])
+        for t in (early, late):
+            m.evaluate_field(t, (2.0, 4.0, 0.0, 0.0))
+        assert max(early.slots[1]) < min(late.slots[1][:2])
+        bad = (1.0, 4.0, 0.0, 0.0)
+        got = m.evaluate_field(late, bad).array
+        assert list(got) == [6.0, 2.0, 0.0, 1.0]
+        assert m.at(bad).values == []
+        self.assert_raises_like_the_reference(m, early, bad)
+        assert m.evaluate_field(late, bad).array is got
+
+    def test_overflowing_sum_falls_back_to_finite_values(self, monkeypatch):
+        # each value is finite, their sum is not: the checked steps
+        # return the values
+        m = fresh_minkowski()
         field = self.field("t*1.7e308", m)
         m.evaluate_field(field, (0.5, 0.0, 0.0, 0.0))
+        checked = []
+        original = Tape.checked
+
+        def counting(self, *args):
+            checked.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Tape, "checked", counting)
         got = m.evaluate_field(field, (1.0, 0.0, 0.0, 0.0)).array
-        assert field.tape.run(m.bindings((1.0, 0.0, 0.0, 0.0))) is None
         assert got[0] == 1.7e308 and got[1] == 2.0
+        assert len(checked) == 1
+        assert evaluate(field.components[0], {"t": 1.0}) == 1.7e308
 
     def test_missing_binding_is_the_interpreters_error(self):
         e = parse_expr("t*r", CHART)
-        assert Tape([e]).run({"t": 1.0}) is None
-        with pytest.raises(ExprError, match="missing binding for 'r'"):
+        want = reference_error(e, {"t": 1.0})
+        with pytest.raises(ExprError, match="missing binding for 'r'") as got:
             evaluate(e, {"t": 1.0})
+        assert str(got.value) == str(want)
 
 
 class TestTapeBuild:
     def test_deep_expression_builds_without_recursion(self):
-        # 3000 chained terms exceed the interpreter's recursion depth; the
-        # tape is built and run by loops
+        # 3000 chained terms exceed the recursion depth of the reference
+        # interpreter; the tape is built and run by loops
         assert sys.getrecursionlimit() < 3000
         coeffs = [1e-4 * (i + 1) for i in range(3000)]
         e = parse_expr(" + ".join(f"{c!r}*t" for c in coeffs), CHART)
         with pytest.raises(RecursionError):
-            evaluate(e, {"t": 0.3})
-        tape = Tape([e])
+            reference_evaluate(e, {"t": 0.3})
         want = coeffs[0] * 0.3
         for c in coeffs[1:]:
             want = want + c * 0.3
-        assert tape.run({"t": 0.3}) == [want]
+        assert evaluate(e, {"t": 0.3}) == want
+        tape = Tape()
+        assert list(tape.add([e])) == [len(tape.nodes) - 1]
+
+    def test_deep_expression_differentiates_and_prints_without_recursion(self):
+        coeffs = [1e-4 * (i + 1) for i in range(3000)]
+        e = parse_expr(" + ".join(f"{c!r}*t^2" for c in coeffs), CHART)
+        d = differentiate(e, "t")
+        want = 2 * coeffs[0] * 0.3
+        for c in coeffs[1:]:
+            want = want + 2.0 * c * 0.3
+        assert evaluate(d, {"t": 0.3}) == want
+        text = to_string(e)
+        assert text.startswith("0.0001*t^2.0 + 0.0002*t^2.0 + ")
+        assert text.count("+") == 2999 and "(" not in text
 
     def test_shared_nodes_appear_once(self):
         e = parse_expr("sin(t)*sin(t) + sin(t)", CHART)
-        tape = Tape([e, e])
+        tape = Tape()
+        slots = tape.add([e, e])
         # t, then sin(t), the product and the sum; no constants
-        assert tape.leaves == ["t"] and len(tape.fns) == 3
-        assert tape.run({"t": 0.7}) == [evaluate(e, {"t": 0.7})] * 2
+        assert tape.nodes[0] is parse_expr("t", CHART) and len(tape.nodes) == 4
+        assert list(slots) == [3, 3]
+        assert list(tape.add([parse_expr("sin(t)", CHART), e])) == [1, 3]
+        assert len(tape.nodes) == 4
+        values = []
+        assert tape.run(values, {"t": 0.7}, [3], 4) == [evaluate(e, {"t": 0.7})]
+        assert len(values) == 4
