@@ -20,10 +20,13 @@ Unary minus binds tighter than '*', and '^' binds tighter still, so
 Nodes are hash-consed: structurally identical subtrees are the same
 object, which makes identity-keyed memoisation of differentiation, and
 one tape slot per distinct node, effective across large tensor
-component arrays.  The intern table and the derivative memo are plain
-module-level dicts, filled without a lock: the package is
-single-threaded, and a caller that builds expressions from several
-threads must serialise the calls.
+component arrays.  A constructor finds a node with one probe of the
+intern table: a constant is keyed by its value, a name by (kind, name),
+any other node by one int of its arguments' ids and an op code, not a
+tuple; a new node is written through its slot setters, not __init__.
+The intern table and the derivative memo are plain module-level dicts,
+filled without a lock: the package is single-threaded, and a caller
+that builds expressions from several threads must serialise the calls.
 
 Evaluation runs straight-line code.  A ``Tape`` holds a growing DAG,
 one instruction per node, and one list of values in slot order serves
@@ -96,14 +99,9 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 
 class Expr:
     """Immutable expression node.  Instances are interned, so equality is
-    object identity."""
+    object identity; only the constructors below make them."""
 
     __slots__ = ("kind", "payload", "args")
-
-    def __init__(self, kind: str, payload, args: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "args", args)
 
     def __setattr__(self, *a):  # pragma: no cover - defensive
         raise AttributeError("Expr is immutable")
@@ -115,14 +113,40 @@ class Expr:
         return to_string(self)
 
 
-_INTERN: dict[tuple, Expr] = {}
+# the slot setters write past ``Expr.__setattr__``, without an __init__ call
+_set_kind, _set_payload, _set_args = (
+    Expr.kind.__set__, Expr.payload.__set__, Expr.args.__set__)
 
 
-def _node(kind: str, payload, args: tuple) -> Expr:
-    key = (kind, payload, *map(id, args))
+def _new(kind: str, payload, args: tuple) -> Expr:
+    node = object.__new__(Expr)
+    _set_kind(node, kind)
+    _set_payload(node, payload)
+    _set_args(node, args)
+    return node
+
+
+# An op node's key, with b = None for a unary one: interned nodes live as
+# long as the process, so ids are never reused; and with the code in the
+# low bits and an id above bit 64, the int has more significant bits than
+# a float holds, so no constant's key (its value) equals it.
+_INTERN: dict = {}
+_CODE = {op: code for code, op in enumerate(
+    ("+", "-", "*", "/", "^", "neg", *FUNCTIONS), 1)}
+
+
+def _node(kind: str, payload, a: Expr, b: Expr | None = None) -> Expr:
+    key = (id(a) << 64 | id(b)) << 5 | _CODE[payload or kind]
     node = _INTERN.get(key)
     if node is None:
-        node = _INTERN[key] = Expr(kind, payload, args)
+        node = _INTERN[key] = _new(kind, payload, (a,) if b is None else (a, b))
+    return node
+
+
+def _atom(kind: str, payload, key) -> Expr:
+    node = _INTERN.get(key)
+    if node is None:
+        node = _INTERN[key] = _new(kind, payload, ())
     return node
 
 
@@ -131,7 +155,8 @@ def _node(kind: str, payload, args: tuple) -> Expr:
 # ---------------------------------------------------------------------------
 
 def const(value: float) -> Expr:
-    return _node("const", float(value), ())
+    value = float(value)
+    return _atom("const", value, value)
 
 
 ZERO = const(0.0)
@@ -139,11 +164,11 @@ ONE = const(1.0)
 
 
 def coord(name: str) -> Expr:
-    return _node("coord", name, ())
+    return _atom("coord", name, ("coord", name))
 
 
 def param(name: str) -> Expr:
-    return _node("param", name, ())
+    return _atom("param", name, ("param", name))
 
 
 def neg(e: Expr) -> Expr:
@@ -151,7 +176,7 @@ def neg(e: Expr) -> Expr:
         return const(-e.payload)
     if e.kind == "neg":
         return e.args[0]
-    return _node("neg", None, (e,))
+    return _node("neg", None, e)
 
 
 # Equal constants are one node, so a constant 0 or 1 is ZERO or ONE.
@@ -163,7 +188,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if b is ZERO:
         return a
-    return _node("+", None, (a, b))
+    return _node("+", None, a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -173,7 +198,7 @@ def sub(a: Expr, b: Expr) -> Expr:
         return a
     if a is ZERO:
         return neg(b)
-    return _node("-", None, (a, b))
+    return _node("-", None, a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
@@ -185,7 +210,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         return b
     if b is ONE:
         return a
-    return _node("*", None, (a, b))
+    return _node("*", None, a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -193,7 +218,7 @@ def div(a: Expr, b: Expr) -> Expr:
         return const(a.payload / b.payload)
     if b is ONE:
         return a
-    return _node("/", None, (a, b))
+    return _node("/", None, a, b)
 
 
 def pow_(a: Expr, b: Expr) -> Expr:
@@ -204,7 +229,7 @@ def pow_(a: Expr, b: Expr) -> Expr:
             return const(a.payload ** b.payload)
         except (ValueError, OverflowError, ZeroDivisionError):
             pass
-    return _node("^", None, (a, b))
+    return _node("^", None, a, b)
 
 
 def call(fname: str, arg: Expr) -> Expr:
@@ -215,7 +240,7 @@ def call(fname: str, arg: Expr) -> Expr:
             return const(FUNCTIONS[fname](arg.payload))
         except (ValueError, OverflowError):
             pass
-    return _node("call", fname, (arg,))
+    return _node("call", fname, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -361,31 +386,34 @@ _DIFF_MEMO: dict[tuple[int, str], Expr] = {}
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to coordinate ``var``."""
     memo = _DIFF_MEMO
-    d = memo.get((id(e), var))
+    get = memo.get
+    d = get((id(e), var))
     if d is not None:
         return d
     # iterative post-order walk: a node is differentiated once the
-    # derivatives it reads are in the memo, however deep the expression
+    # derivatives it reads are in the memo, however deep the expression;
+    # only missing ones are pushed, so no node is on the stack twice
     stack = [e]
     while stack:
         node = stack[-1]
+        args = node.args
         da = db = None
-        if node.args:
-            a, b = node.args[0], node.args[-1]
-            if node.kind == "^" and b.kind == "const":
-                b = a       # a constant exponent's derivative is not read
-            da = memo.get((id(a), var))
+        if args:
+            a, b = args[0], args[-1]
+            da = get((id(a), var))
             if da is None:
                 stack.append(a)
                 continue
-            db = memo.get((id(b), var))
-            if db is None:
-                stack.append(b)
-                continue
+            if b is a or node.kind == "^" and b.kind == "const":
+                db = da     # a constant exponent's derivative is not read
+            else:
+                db = get((id(b), var))
+                if db is None:
+                    stack.append(b)
+                    continue
         stack.pop()
-        if (id(node), var) not in memo:
-            memo[id(node), var] = _derivative(node, var, da, db)
-    return memo[id(e), var]
+        d = memo[id(node), var] = _derivative(node, var, da, db)
+    return d
 
 
 def _derivative(e: Expr, var: str, da: Expr, db: Expr) -> Expr:
@@ -466,32 +494,36 @@ class Tape:
 
     def add(self, roots: Sequence[Expr]) -> array:
         """The roots' slots, after appending the nodes not on the tape."""
-        slot, nodes = self.slot, self.nodes
-        # iterative post-order walk: a node is appended once all of its
-        # arguments are on the tape, however deep the expression
-        stack = list(reversed(roots))
-        while stack:
-            node = stack[-1]
-            args = node.args
-            x = y = -1
-            if args:
-                x = slot.get(id(args[0]))
-                if x is None:
-                    stack.append(args[0])
-                    continue
-                y = slot.get(id(args[-1]))
-                if y is None:
-                    stack.append(args[-1])
-                    continue
-            stack.pop()
-            if id(node) in slot:
+        slot, nodes, fns, xs, ys = self.slot, self.nodes, self.fns, self.a, self.b
+        get = slot.get
+        for root in roots:
+            if id(root) in slot:
                 continue
-            slot[id(node)] = len(nodes)
-            nodes.append(node)
-            self.fns.append(_leaf(node) if not args else FUNCTIONS[node.payload]
-                            if node.kind == "call" else _OPS[node.kind])
-            self.a.append(x)
-            self.b.append(y if len(args) == 2 else -1)
+            # iterative post-order walk: a node is appended once all of
+            # its arguments are on the tape, however deep the expression;
+            # only nodes off it are pushed, so none is on the stack twice
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                args = node.args
+                x = y = -1
+                if args:
+                    x = get(id(args[0]))
+                    if x is None:
+                        stack.append(args[0])
+                        continue
+                    if len(args) == 2:
+                        y = get(id(args[1]))
+                        if y is None:
+                            stack.append(args[1])
+                            continue
+                stack.pop()
+                slot[id(node)] = len(nodes)
+                nodes.append(node)
+                fns.append(_leaf(node) if not args else FUNCTIONS[node.payload]
+                           if node.kind == "call" else _OPS[node.kind])
+                xs.append(x)
+                ys.append(y)
         return array("i", [slot[id(r)] for r in roots])
 
     def run(self, values: list, bindings: Mapping[str, float],
@@ -614,11 +646,15 @@ def to_string(e: Expr) -> str:
 
 
 def free_names(e: Expr) -> set[str]:
+    """The coordinate and parameter names ``e`` reads, each node once."""
     out: set[str] = set()
+    seen: set[int] = set()
     stack = [e]
     while stack:
         node = stack.pop()
-        if node.kind in ("coord", "param"):
-            out.add(node.payload)
-        stack.extend(node.args)
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.kind in ("coord", "param"):
+                out.add(node.payload)
+            stack.extend(node.args)
     return out

@@ -443,8 +443,12 @@ class MetricField:
         feeds = {v: [[[i for i in range(DIM) if e in dict(rows[i])]
                       for e in range(DIM)] for rows in conn[v]]
                  for v in conn}
-        r = t.rank
-        comp = t.components
+        # components by flat row-major index f: the digit of slot s is
+        # f // stride % DIM, and the output (a, idx) is a * n + f, so
+        # sorting the flat outputs sorts them as index tuples
+        comp = t.components.ravel().tolist()
+        n = len(comp)
+        slots = [(DIM ** (t.rank - 1 - s), v) for s, v in enumerate(t.variance)]
         # An output (a, idx') is live when comp[idx'] is nonzero (its own
         # derivative), or when a nonzero comp[idx] differs from idx' in
         # one slot and conn[v][a][idx'[slot]] holds idx[slot].  A dead
@@ -452,32 +456,32 @@ class MetricField:
         # is differentiate(ZERO) = ZERO, and each of its corrections reads
         # only ZERO components, which are skipped.
         live = set()
-        for idx in np.ndindex(*(DIM,) * r):
-            if comp[idx] is ZERO:
+        for f, c in enumerate(comp):
+            if c is ZERO:
                 continue
             for a in range(DIM):
-                live.add((a,) + idx)
-                for slot, v in enumerate(t.variance):
-                    for i in feeds[v][a][idx[slot]]:
-                        live.add((a,) + idx[:slot] + (i,) + idx[slot + 1:])
-        out = np.full((DIM,) * (r + 1), ZERO, dtype=object)
+                live.add(a * n + f)
+                for stride, v in slots:
+                    digit = f // stride % DIM
+                    for i in feeds[v][a][digit]:
+                        live.add(a * n + f + (i - digit) * stride)
+        out = np.full(DIM * n, ZERO, dtype=object)
         for key in sorted(live):
-            a, idx = key[0], key[1:]
-            term = differentiate(comp[idx], self.chart[a])
-            for slot, v in enumerate(t.variance):
+            a, f = divmod(key, n)
+            term = differentiate(comp[f], self.chart[a])
+            for stride, v in slots:
+                digit = f // stride % DIM
+                fold = add if v == "d" else sub
                 corr = ZERO
-                for e, gam in conn[v][a][idx[slot]]:
-                    c = comp[idx[:slot] + (e,) + idx[slot + 1:]]
-                    if c is ZERO:
-                        continue
-                    if v == "d":
-                        corr = add(corr, mul(gam, c))
-                    else:
-                        corr = sub(corr, mul(gam, c))
+                for e, gam in conn[v][a][digit]:
+                    c = comp[f + (e - digit) * stride]
+                    if c is not ZERO:
+                        corr = fold(corr, mul(gam, c))
                 if corr is not ZERO:
                     term = sub(term, corr)
             out[key] = term
-        return SymbolicTensor(out, ("d",) + t.variance)
+        return SymbolicTensor(out.reshape((DIM,) * (t.rank + 1)),
+                              ("d",) + t.variance)
 
     def nabla_field(self, which: str, order: int = 1) -> SymbolicTensor:
         """Cached ∇ or ∇∇ of 'riemann', 'weyl', or 'ricci' (all-down)."""

@@ -1,0 +1,82 @@
+"""The summary and pairing logic of tools/bench_pairs.py, without running
+the benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("11-13,20") == [11, 12, 13, 20]
+    assert bench_pairs.parse_seeds("5") == [5]
+
+
+def test_quartiles_inclusive():
+    assert bench_pairs.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert bench_pairs.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_a_clear_lower_is_better_gain_counts():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change = [p - 0.2 for p in parent]
+    change[3] = parent[3] + 0.01          # one loss
+    s = bench_pairs.summarize(list(zip(parent, change)), "lower")
+    assert (s["change_wins"], s["parent_wins"], s["pairs"]) == (9, 1, 10)
+    assert s["gain_counts"]
+    assert s["change_over_parent"] == pytest.approx(0.8, abs=0.01)
+
+
+def test_ties_count_for_neither_side():
+    pairs = [(1.0, 0.5)] * 8 + [(1.0, 1.0)] * 2
+    s = bench_pairs.summarize(pairs, "lower")
+    assert (s["change_wins"], s["parent_wins"]) == (8, 0)
+    assert not s["gain_counts"]             # 8 of 10 is under nine tenths
+
+
+def test_fewer_than_ten_pairs_support_no_gain():
+    nine = bench_pairs.summarize([(1.0, 0.5)] * 9, "lower")
+    ten = bench_pairs.summarize([(1.0, 0.5)] * 10, "lower")
+    assert (nine["change_wins"], ten["change_wins"]) == (9, 10)
+    assert not nine["gain_counts"]
+    assert ten["gain_counts"]
+
+
+def test_higher_is_better_flips_the_direction():
+    pairs = [(10.0 + k, 20.0 + k) for k in range(10)]
+    up = bench_pairs.summarize(pairs, "higher")
+    down = bench_pairs.summarize(pairs, "lower")
+    assert (up["change_wins"], up["gain_counts"]) == (10, True)
+    assert (down["change_wins"], down["parent_wins"]) == (0, 10)
+    assert not down["gain_counts"]
+
+
+def test_a_win_inside_the_parent_spread_does_not_count():
+    # every pair won, but by less than the parent's interquartile range
+    parent = [1.0, 1.4, 0.8, 1.2, 0.9, 1.3, 1.1, 1.0, 1.2, 0.9]
+    s = bench_pairs.summarize([(p, p - 0.05) for p in parent], "lower")
+    assert s["change_wins"] == 10
+    assert s["parent"]["q3"] - s["parent"]["q1"] > 0.05
+    assert not s["gain_counts"]
+
+
+def test_pairs_alternate_which_side_runs_first(monkeypatch):
+    calls = []
+
+    def fake_bench(root, workload, seed, seconds, trace):
+        calls.append((root, seed, trace))
+        return {"metrics": {"wall_s": 2.0 if root == "P" else 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    rec = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "corpus",
+                                [7, 8, 9], 40.0, {"wall_s": "lower"})
+    assert [p["first"] for p in rec["pairs"]] == ["parent", "change", "parent"]
+    assert calls == [("P", 7, 0), ("C", 7, 0), ("C", 8, 0), ("P", 8, 0),
+                     ("P", 9, 0), ("C", 9, 0), ("P", 7, 1), ("C", 7, 1)]
+    assert rec["summary"]["wall_s"]["change_wins"] == 3

@@ -12,6 +12,15 @@ from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
 from curvlab.expressions import (
     FUNCTIONS,
     ZERO,
+    add,
+    call,
+    const,
+    coord,
+    div,
+    mul,
+    neg,
+    param,
+    pow_,
     DerivativeError,
     DomainError,
     ExprError,
@@ -288,6 +297,49 @@ class TestStructure:
     def test_free_names(self):
         e = parse_expr("sin(theta)*M + r", CHART, PARAMS)
         assert free_names(e) == {"theta", "M", "r"}
+
+    def test_free_names_visits_a_shared_node_once(self):
+        # 60 squarings make a DAG of 61 nodes and 2^60 root-to-leaf
+        # paths; the child process turns a walk over paths into a timeout
+        # rather than a hung suite
+        script = (
+            "from curvlab.expressions import coord, free_names, mul\n"
+            "e = coord('t')\n"
+            "for _ in range(60):\n"
+            "    e = mul(e, e)\n"
+            "print(sorted(free_names(e)))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "['t']"
+
+    def test_interning_tells_apart_ops_order_and_kinds(self):
+        a, b = coord("r"), param("M")
+        binaries = [f(a, b) for f in (add, sub, mul, div, pow_)]
+        assert len({id(e) for e in binaries}) == 5
+        assert [e.kind for e in binaries] == ["+", "-", "*", "/", "^"]
+        assert add(a, b) is not add(b, a)
+        assert coord("M") is not param("M")
+        x = coord("t")
+        unary = [neg(x)] + [call(f, x) for f in FUNCTIONS]
+        assert len({id(e) for e in unary}) == 1 + len(FUNCTIONS)
+        assert call("sin", x) is not call("cos", x)
+        # the same operands and op give the same node, whatever builds it
+        assert add(a, b) is parse_expr("r + M", CHART, PARAMS)
+        assert call("sin", x) is parse_expr("sin(t)", CHART)
+
+    def test_negative_zero_is_zero(self):
+        assert const(-0.0) is const(0.0) is ZERO
+        assert const(2) is const(2.0)
+
+    def test_nodes_are_immutable(self):
+        e = parse_expr("r + t", CHART)
+        with pytest.raises(AttributeError):
+            e.kind = "-"
+        assert e.kind == "+"
 
     def test_subtracting_zero_is_identity(self):
         # what lets the covariant derivative skip a ZERO correction

@@ -1,0 +1,167 @@
+"""Alternating parent/change benchmark pairs, written as a BENCH_<n>.json record.
+
+Usage, from the root of a checkout::
+
+    python3 tools/bench_pairs.py --parent REV --workload cross_validate \\
+        --seeds 11-20 --seconds 40 --out BENCH_9.json
+
+The parent revision is exported with ``git archive`` into a temporary
+directory; the change is this checkout's working tree.  Per workload and
+seed, one pair of ``perfbench/run.py --trace 0`` runs is made with that
+seed and the same ``--seconds`` on both sides, the parent first in odd
+pairs and the change first in even ones.  One ``--trace 1`` run per side, at the first seed,
+gives the per-layer times and the DAG counts, which do not depend on the
+machine.
+
+The record holds every run's gated metrics (those ``BENCHMARK.json``
+lists), its report digest, host-loop time and failed operations; and per
+metric each side's median and quartiles, the pairs each side won (ties
+count for neither), and whether a gain would count: at least ten pairs,
+the change wins at least nine tenths of them, and the medians differ,
+in the better direction, by more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RUN_TIMEOUT_S = 3600
+MIN_PAIRS = 10              # fewer pairs support no claim of a gain
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"11-20"`` or ``"1,4,9"`` (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method) of one side's runs."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
+    """One metric over (parent, change) pairs; ``better`` is ``"lower"``
+    or ``"higher"``."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent = quartiles([p for p, _ in pairs])
+    change = quartiles([c for _, c in pairs])
+    change_wins = sum(sign * (p - c) > 0 for p, c in pairs)
+    parent_wins = sum(sign * (c - p) > 0 for p, c in pairs)
+    gain = sign * (parent["median"] - change["median"])
+    return {"better": better, "parent": parent, "change": change,
+            "pairs": len(pairs), "change_wins": change_wins,
+            "parent_wins": parent_wins,
+            "change_over_parent": change["median"] / parent["median"],
+            "gain_counts": (len(pairs) >= MIN_PAIRS
+                            and change_wins >= 0.9 * len(pairs)
+                            and gain > parent["q3"] - parent["q1"])}
+
+
+def export(rev: str, dest: Path) -> Path:
+    """The files of ``rev``, extracted into ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def bench(root: Path, workload: str, seed: int, seconds: float,
+          trace: int) -> dict:
+    """One ``perfbench/run.py`` run in ``root``: its metrics (the last
+    JSON line), report digest, host-loop time and failed operations."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"perfbench printed nothing in {root}: {done.stderr}")
+    result = json.loads(lines[-1])
+    head = re.search(r"host loop ([\d.]+) s .*report digest (\w+)", lines[0])
+    return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
+            "digest": head and head.group(2),
+            "host_loop_s": head and float(head.group(1)),
+            "attempted": result["attempted"], "failed": result["failed"]}
+
+
+def run_pairs(sides: dict, workload: str, seeds: list[int], seconds: float,
+              gated: dict) -> dict:
+    """Alternating pairs on one workload, one traced run per side, and the
+    per-metric summary."""
+    pairs = []
+    for k, seed in enumerate(seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = bench(sides[side], workload, seed, seconds, 0)
+            print(f"{workload} pair {k + 1} seed {seed} {side}: "
+                  + " ".join(f"{n}={v:.4g}" for n, v in
+                             pair[side]["metrics"].items()), flush=True)
+        pairs.append(pair)
+    traced = {side: bench(sides[side], workload, seeds[0], seconds, 1)
+              for side in ("parent", "change")}
+    summary = {name: summarize([(p["parent"]["metrics"][name],
+                                 p["change"]["metrics"][name]) for p in pairs],
+                               better)
+               for name, better in gated.items()}
+    return {"seconds": seconds, "seeds": seeds, "pairs": pairs,
+            "summary": summary, "traced": traced}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="parent revision")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True,
+                        help="one seed per pair, e.g. 11-20")
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    gated = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        sides = {"parent": export(args.parent, Path(tmp) / "parent"),
+                 "change": ROOT}
+        record = {
+            "parent": subprocess.run(
+                ["git", "rev-parse", args.parent], cwd=ROOT, check=True,
+                capture_output=True, text=True).stdout.strip(),
+            "change": "working tree",
+            "host": {"python": platform.python_version(),
+                     "machine": platform.machine(),
+                     "cpus": os.cpu_count(),
+                     "system": platform.system()},
+            "workloads": {w: run_pairs(sides, w, args.seeds, args.seconds,
+                                       gated) for w in args.workload}}
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for w, rec in record["workloads"].items():
+        for name, s in rec["summary"].items():
+            print(f"{w:<15} {name:<14} parent {s['parent']['median']:.5g} "
+                  f"change {s['change']['median']:.5g} "
+                  f"({s['change_over_parent']:.3f}x) wins "
+                  f"{s['change_wins']}/{s['pairs']}"
+                  + ("  gain counts" if s["gain_counts"] else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
