@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import ClassificationReport, classify_point
-from .conventions import RESIDUAL_DEAD_BAND, RESIDUAL_TOL, SCALE_FLOOR
+from .conventions import FAMILIES, RESIDUAL_DEAD_BAND, RESIDUAL_TOL, SCALE_FLOOR
 from .corpus import CORPUS_NAMES, GOLDEN, load_corpus_metric
 # perfbench/tracing.py wraps this module's `curvature`, so the name stays
 from .geometry import MetricField, curvature  # noqa: F401
@@ -70,19 +70,16 @@ class PointReport:
 
 def spinor_family_check(data: NPData, tol: float = RESIDUAL_TOL) -> dict | None:
     """Run the component-level condition checks when adapted NP data
-    matches one of the two admissible families (radiation: psi4/phi22
-    with R = 0; Coulomb: psi2/phi11 with R = -12 psi2).
+    matches one of the two admissible families of
+    ``conventions.FAMILIES`` (radiation 'N', Coulomb 'D').
 
     Returns None when neither pattern fits; otherwise a dict of the four
     residuals relative to the squared data scale (the checks are
     quadratic in the curvature).
     """
     scale = max(data.scale(), SCALE_FLOOR)
-    misfit = {"N": max(data.off_pattern(4, (2, 2)), abs(data.scalar)),
-              "D": max(data.off_pattern(2, (1, 1)),
-                       abs(data.scalar + 12.0 * data.psi[2]))}
-    family = next((name for name, worst in misfit.items()
-                   if worst <= tol * scale), None)
+    family = next((name for name in FAMILIES
+                   if max(data.misfit(name)) <= tol * scale), None)
     if family is None:
         return None
     psi_s = SymSpinor.from_weyl(data.psi)
@@ -294,7 +291,7 @@ def lemma_suite() -> tuple:
     """Standalone verification of the two pointwise condition lemmas on
     component data.  Returns (ok, list of report lines)."""
     checks = []
-    for family in ("N", "D"):
+    for family in FAMILIES:
         psi, phi, scalar = make_condition_data(family, 1.0)
         checks.extend([
             (f"{family}: weyl condition 1",

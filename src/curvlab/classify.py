@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conventions import RESIDUAL_TOL, SCALE_FLOOR
+from .conventions import FAMILIES, RESIDUAL_TOL, SCALE_FLOOR
 from .geometry import MetricField, TensorValue, curvature
 from .newman_penrose import (
     NullTetrad,
@@ -117,7 +117,7 @@ def extract_AB(ricci: TensorValue, frame: TetradFrame,
 
 def dec_check(einstein: TensorValue, frame: TetradFrame, g: np.ndarray,
               tol: float = RESIDUAL_TOL, seed: int = DEC_SEED,
-              samples: int = DEC_SAMPLES, scale: float | None = None) -> str:
+              scale: float | None = None) -> str:
     """Dominant-energy probe: for seeded future timelike unit vectors u,
     the flux -G^a_b u^b must be causal and future-pointing.
 
@@ -137,7 +137,7 @@ def dec_check(einstein: TensorValue, frame: TetradFrame, g: np.ndarray,
     metmax = float(np.max(np.abs(g)))
     e0max = float(np.max(np.abs(e0)))
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
+    for _ in range(DEC_SAMPLES):
         chi = rng.uniform(0.0, 2.0)
         n = rng.normal(size=3)
         n = n / np.linalg.norm(n)
@@ -259,7 +259,7 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
 
 def _classify_n(m, p, report, tet_ad, adapted, coeff, sc_scale, np_scale,
                 tol):
-    pattern = max(adapted.off_pattern(4, (2, 2)), abs(adapted.scalar))
+    pattern = max(adapted.misfit("N"))
     if verdict_for(pattern, np_scale, tol) != "holds":
         report.warnings.append(
             "radiation pattern violated: curvature scalars outside "
@@ -279,10 +279,10 @@ def _classify_n(m, p, report, tet_ad, adapted, coeff, sc_scale, np_scale,
 
 def _classify_d(m, p, report, tet_ad, frame_ad, curv, adapted, coeff,
                 np_scale, tol):
-    psi2 = adapted.psi[2]
-    pattern = adapted.off_pattern(2, (1, 1))
-    lock = abs(adapted.scalar + 12.0 * psi2)
-    lock_scale = max(abs(adapted.scalar), 12.0 * abs(psi2), SCALE_FLOOR)
+    slot, _, factor = FAMILIES["D"]
+    psi2 = adapted.psi[slot]
+    pattern, lock = adapted.misfit("D")
+    lock_scale = max(abs(adapted.scalar), abs(factor) * abs(psi2), SCALE_FLOOR)
     if verdict_for(pattern, np_scale, tol) != "holds" or \
             verdict_for(lock, lock_scale, tol) != "holds":
         report.warnings.append(

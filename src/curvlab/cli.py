@@ -7,9 +7,10 @@ standalone component-data verification of the two condition lemmas).
 
 Exit codes: 0 success, 1 parse/validation failure (including a metric
 file that is missing or cannot be read, a ``--tol`` that is not a
-positive finite number, golden mismatches, expression errors such as
-``abs`` under a derivative or a division by zero, and expressions nested
-too deeply for the recursive-descent parser), 2 degenerate metric at a point,
+positive finite number, a negative ``--seed``, golden mismatches,
+expression errors such as ``abs`` under a derivative or a division by
+zero, and expressions nested too deeply for the recursive-descent
+parser), 2 degenerate metric at a point,
 3 invalid or missing tetrad, 4 classification hit a point whose Petrov
 type contradicts the admissibility theorem.
 """
@@ -160,6 +161,10 @@ def main(argv=None) -> int:
         # indeterminate; zero or a negative tol rejects every tetrad
         print("error: --tol must be a positive finite number",
               file=sys.stderr)
+        return EXIT_INPUT
+    if getattr(args, "seed", 0) < 0:
+        # numpy's generator takes no negative seed
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
         return EXIT_INPUT
     try:
         if args.command == "analyze":

@@ -82,6 +82,14 @@ AB_FIT_CONSTANT = 2.0
 # competing factor 1/12 leaves a finite residual there; see tests).
 CURVATURE_SPINOR_R_FACTOR = 1.0 / 24.0
 
+# The two curvature families of a semi-symmetric point of type N or D,
+# in its adapted tetrad: the one Psi slot and the one Phi slot that may
+# be nonzero, and the lock that fixes R = lock * Psi at that slot.
+FAMILIES = {
+    "N": (4, (2, 2), 0.0),      # radiation: Psi_4, Phi_22, R = 0
+    "D": (2, (1, 1), -12.0),    # Coulomb: Psi_2, Phi_11, R = -12 Psi_2
+}
+
 # Residual verdicts: "holds" below TOL * scale, "fails" above
 # 10 * TOL * scale, "indeterminate" between.
 RESIDUAL_TOL = 1.0e-9

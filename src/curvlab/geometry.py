@@ -15,6 +15,7 @@ covector reads ``(∇_a ∇_b - ∇_b ∇_a) w_c = + R^e_{cab} w_e``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -162,12 +163,58 @@ def _det_expr(g: np.ndarray, rows: tuple, cols: tuple) -> Expr:
     return total
 
 
+def _fold(terms, start: Expr = ZERO) -> Expr:
+    """start + t0 + t1 + ..., added left to right: the order of the
+    ``add`` calls fixes the interned DAG."""
+    return functools.reduce(add, terms, start)
+
+
+def _antisymmetric(component) -> np.ndarray:
+    """The rank-4 array T_abcd = -T_abdc whose entries with c < d are
+    ``component(a, b, c, d)``, built in index order."""
+    out = np.full((DIM,) * 4, ZERO, dtype=object)
+    for a, b, c in itertools.product(range(DIM), repeat=3):
+        for d in range(c + 1, DIM):
+            val = out[a, b, c, d] = component(a, b, c, d)
+            out[a, b, d, c] = neg(val)
+    return out
+
+
+def _cached(build):
+    """A no-argument builder whose result the metric makes once."""
+    name = build.__name__
+    @functools.wraps(build)
+    def cached(self):
+        if name not in self._cache:
+            self._cache[name] = build(self)
+        return self._cache[name]
+    return cached
+
+
+def _per_field(build):
+    """A builder of one field from another, made once per metric and
+    field contents; a ``LinearField`` maps it over its terms.  Nodes are
+    interned for the life of the process, so their ids name the contents;
+    a wrapper's own id would not (wrappers die and ids get recycled)."""
+    name = build.__name__
+    @functools.wraps(build)
+    def per_field(self, t: Field) -> Field:
+        if isinstance(t, LinearField):
+            return t.map(getattr(self, name))
+        key = (name, t.variance, tuple(map(id, t.components.ravel())))
+        if key not in self._cache:
+            self._cache[key] = build(self, t)
+        return self._cache[key]
+    return per_field
+
+
 class MetricField:
     """A 4d Lorentzian metric given by symbolic components.
 
     Only the upper triangle of ``g`` is read; the stored matrix shares
     one Expr object per symmetric pair.  All curvature quantities are
-    computed lazily and cached on the instance.
+    built when first asked for and kept on the instance: by ``_cached``
+    and ``_per_field`` builders, and by ``nabla_field``.
     """
 
     def __init__(self, name, chart, g, params=None, points=None,
@@ -250,11 +297,11 @@ class MetricField:
         context's value list (``Tape.run``); a ``LinearField`` is
         Σ cᵢ·value(fᵢ) over its terms' values."""
         ctx = self.at(point)
-        value = ctx.fields.get(t)
+        value = ctx.memo.get(t)
         if value is None and isinstance(t, LinearField):
             parts = [c * self.evaluate_field(f, point).array
                      for c, f in t.terms]
-            value = ctx.fields[t] = TensorValue(
+            value = ctx.memo[t] = TensorValue(
                 sum(parts[1:], parts[0]), t.variance, ctx.point)
         if value is None:
             tape = self.tape
@@ -263,155 +310,111 @@ class MetricField:
                 t.slots = (tape, slots, max(slots) + 1)
             comps = tape.run(ctx.values, ctx.bindings, *t.slots[1:])
             arr = np.array(comps, dtype=complex).reshape(t.components.shape)
-            value = ctx.fields[t] = TensorValue(arr, t.variance, ctx.point)
+            value = ctx.memo[t] = TensorValue(arr, t.variance, ctx.point)
         return value
 
     # -- symbolic pipeline --------------------------------------------------
     # each builder caches one SymbolicTensor: a field's slots and its
-    # entry in the point cache belong to that object
+    # entry in the point memo belong to that object
 
+    @_cached
     def inverse_symbolic(self) -> SymbolicTensor:
         """g^{ab}."""
-        if "ginv" not in self._cache:
-            g = self.g
-            all_idx = tuple(range(DIM))
-            det = _det_expr(g, all_idx, all_idx)
-            ginv = np.empty((DIM, DIM), dtype=object)
-            for i in range(DIM):
-                rows = tuple(r for r in all_idx if r != i)
-                for j in range(i, DIM):
-                    cols = tuple(c for c in all_idx if c != j)
-                    minor = _det_expr(g, rows, cols)
-                    cof = minor if (i + j) % 2 == 0 else neg(minor)
-                    ginv[i, j] = ginv[j, i] = (
-                        ZERO if cof is ZERO else div(cof, det))
-            self._cache["ginv"] = SymbolicTensor(ginv, ("u", "u"))
-        return self._cache["ginv"]
+        g = self.g
+        all_idx = tuple(range(DIM))
+        det = _det_expr(g, all_idx, all_idx)
+        ginv = np.empty((DIM, DIM), dtype=object)
+        for i in range(DIM):
+            rows = tuple(r for r in all_idx if r != i)
+            for j in range(i, DIM):
+                cols = tuple(c for c in all_idx if c != j)
+                minor = _det_expr(g, rows, cols)
+                cof = minor if (i + j) % 2 == 0 else neg(minor)
+                ginv[i, j] = ginv[j, i] = (
+                    ZERO if cof is ZERO else div(cof, det))
+        return SymbolicTensor(ginv, ("u", "u"))
 
+    @_cached
     def christoffel_symbolic(self) -> SymbolicTensor:
         """Γ^a_{bc}."""
-        if "gamma" not in self._cache:
-            g = self.g
-            ginv = self.inverse_symbolic().components
-            dg = np.empty((DIM, DIM, DIM), dtype=object)  # dg[a,b,c] = d_a g_bc
-            for a in range(DIM):
-                va = self.chart[a]
-                for b in range(DIM):
-                    for c in range(b, DIM):
-                        e = differentiate(g[b, c], va)
-                        dg[a, b, c] = dg[a, c, b] = e
-            gamma = np.empty((DIM, DIM, DIM), dtype=object)
-            half = const(0.5)
-            for a in range(DIM):
-                for b in range(DIM):
-                    for c in range(b, DIM):
-                        s = ZERO
-                        for d in range(DIM):
-                            inner = sub(add(dg[b, d, c], dg[c, d, b]), dg[d, b, c])
-                            s = add(s, mul(ginv[a, d], inner))
-                        gamma[a, b, c] = gamma[a, c, b] = mul(half, s)
-            self._cache["gamma"] = SymbolicTensor(gamma, ("u", "d", "d"))
-        return self._cache["gamma"]
+        g = self.g
+        ginv = self.inverse_symbolic().components
+        dg = np.empty((DIM, DIM, DIM), dtype=object)  # dg[a,b,c] = d_a g_bc
+        for a, b in itertools.product(range(DIM), repeat=2):
+            for c in range(b, DIM):
+                dg[a, b, c] = dg[a, c, b] = differentiate(
+                    g[b, c], self.chart[a])
+        gamma = np.empty((DIM, DIM, DIM), dtype=object)
+        half = const(0.5)
+        for a, b in itertools.product(range(DIM), repeat=2):
+            for c in range(b, DIM):
+                s = _fold(mul(ginv[a, d], sub(add(dg[b, d, c], dg[c, d, b]),
+                                              dg[d, b, c])) for d in range(DIM))
+                gamma[a, b, c] = gamma[a, c, b] = mul(half, s)
+        return SymbolicTensor(gamma, ("u", "d", "d"))
 
+    @_cached
     def riemann_up_symbolic(self) -> SymbolicTensor:
         """R^a_{bcd}."""
-        if "riemann_up" not in self._cache:
-            gamma = self.christoffel_symbolic().components
-            dgamma = np.empty((DIM, DIM, DIM, DIM), dtype=object)
-            for c in range(DIM):
-                vc = self.chart[c]
-                for a in range(DIM):
-                    for b in range(DIM):
-                        for d in range(b, DIM):
-                            e = differentiate(gamma[a, b, d], vc)
-                            dgamma[c, a, b, d] = dgamma[c, a, d, b] = e
-            rup = np.empty((DIM, DIM, DIM, DIM), dtype=object)
-            for a in range(DIM):
-                for b in range(DIM):
-                    for c in range(DIM):
-                        rup[a, b, c, c] = ZERO
-                    for c in range(DIM):
-                        for d in range(c + 1, DIM):
-                            s = sub(dgamma[c, a, d, b], dgamma[d, a, c, b])
-                            for e in range(DIM):
-                                s = add(s, sub(mul(gamma[a, c, e], gamma[e, d, b]),
-                                               mul(gamma[a, d, e], gamma[e, c, b])))
-                            val = neg(s) if RIEMANN_SIGN < 0 else s
-                            rup[a, b, c, d] = val
-                            rup[a, b, d, c] = neg(val)
-            self._cache["riemann_up"] = SymbolicTensor(rup, ("u", "d", "d", "d"))
-        return self._cache["riemann_up"]
+        gamma = self.christoffel_symbolic().components
+        dgamma = np.empty((DIM, DIM, DIM, DIM), dtype=object)
+        for c, a, b in itertools.product(range(DIM), repeat=3):
+            for d in range(b, DIM):
+                dgamma[c, a, b, d] = dgamma[c, a, d, b] = differentiate(
+                    gamma[a, b, d], self.chart[c])
 
+        def component(a, b, c, d):
+            s = _fold((sub(mul(gamma[a, c, e], gamma[e, d, b]),
+                           mul(gamma[a, d, e], gamma[e, c, b]))
+                       for e in range(DIM)),
+                      sub(dgamma[c, a, d, b], dgamma[d, a, c, b]))
+            return neg(s) if RIEMANN_SIGN < 0 else s
+
+        return SymbolicTensor(_antisymmetric(component), ("u", "d", "d", "d"))
+
+    @_cached
     def riemann_field(self) -> SymbolicTensor:
-        if "riemann" not in self._cache:
-            g = self.g
-            rup = self.riemann_up_symbolic().components
-            rdown = np.empty((DIM, DIM, DIM, DIM), dtype=object)
-            for a in range(DIM):
-                for b in range(DIM):
-                    for c in range(DIM):
-                        rdown[a, b, c, c] = ZERO
-                    for c in range(DIM):
-                        for d in range(c + 1, DIM):
-                            s = ZERO
-                            for e in range(DIM):
-                                s = add(s, mul(g[a, e], rup[e, b, c, d]))
-                            rdown[a, b, c, d] = s
-                            rdown[a, b, d, c] = neg(s)
-            self._cache["riemann"] = SymbolicTensor(rdown, ("d",) * 4)
-        return self._cache["riemann"]
+        g = self.g
+        rup = self.riemann_up_symbolic().components
+        return SymbolicTensor(_antisymmetric(lambda a, b, c, d: _fold(
+            mul(g[a, e], rup[e, b, c, d]) for e in range(DIM))), ("d",) * 4)
 
+    @_cached
     def ricci_field(self) -> SymbolicTensor:
-        if "ricci" not in self._cache:
-            rup = self.riemann_up_symbolic().components
-            ric = np.empty((DIM, DIM), dtype=object)
-            for a in range(DIM):
-                for b in range(a, DIM):
-                    s = ZERO
-                    for c in range(DIM):
-                        s = add(s, rup[c, a, c, b])
-                    ric[a, b] = ric[b, a] = s
-            self._cache["ricci"] = SymbolicTensor(ric, ("d", "d"))
-        return self._cache["ricci"]
+        rup = self.riemann_up_symbolic().components
+        ric = np.empty((DIM, DIM), dtype=object)
+        for a in range(DIM):
+            for b in range(a, DIM):
+                ric[a, b] = ric[b, a] = _fold(rup[c, a, c, b] for c in range(DIM))
+        return SymbolicTensor(ric, ("d", "d"))
 
+    @_cached
     def scalar_field(self) -> SymbolicTensor:
         """R, as a rank-0 field."""
-        if "scalar" not in self._cache:
-            ginv = self.inverse_symbolic().components
-            ric = self.ricci_field().components
-            s = ZERO
-            for a in range(DIM):
-                for b in range(DIM):
-                    s = add(s, mul(ginv[a, b], ric[a, b]))
-            self._cache["scalar"] = SymbolicTensor(np.array(s, dtype=object), ())
-        return self._cache["scalar"]
+        ginv = self.inverse_symbolic().components
+        ric = self.ricci_field().components
+        s = _fold(mul(ginv[a, b], ric[a, b])
+                  for a in range(DIM) for b in range(DIM))
+        return SymbolicTensor(np.array(s, dtype=object), ())
 
+    @_cached
     def weyl_field(self) -> SymbolicTensor:
-        if "weyl" not in self._cache:
-            g = self.g
-            rdown = self.riemann_field().components
-            ric = self.ricci_field().components
-            rs = self.scalar_field().components[()]
-            half = const(0.5)
-            sixth = div(rs, const(6.0))
-            weyl = np.empty((DIM, DIM, DIM, DIM), dtype=object)
-            for a in range(DIM):
-                for b in range(DIM):
-                    for c in range(DIM):
-                        weyl[a, b, c, c] = ZERO
-                    for c in range(DIM):
-                        for d in range(c + 1, DIM):
-                            ricci_part = sub(
-                                sub(mul(g[a, c], ric[d, b]), mul(g[a, d], ric[c, b])),
-                                sub(mul(g[b, c], ric[d, a]), mul(g[b, d], ric[c, a])))
-                            scal_part = sub(mul(g[a, c], g[d, b]),
-                                            mul(g[a, d], g[c, b]))
-                            val = add(sub(rdown[a, b, c, d], mul(half, ricci_part)),
-                                      mul(sixth, scal_part))
-                            weyl[a, b, c, d] = val
-                            weyl[a, b, d, c] = neg(val)
-            self._cache["weyl"] = SymbolicTensor(weyl, ("d",) * 4)
-        return self._cache["weyl"]
+        g = self.g
+        rdown = self.riemann_field().components
+        ric = self.ricci_field().components
+        rs = self.scalar_field().components[()]
+        half = const(0.5)
+        sixth = div(rs, const(6.0))
+
+        def component(a, b, c, d):
+            ricci_part = sub(
+                sub(mul(g[a, c], ric[d, b]), mul(g[a, d], ric[c, b])),
+                sub(mul(g[b, c], ric[d, a]), mul(g[b, d], ric[c, a])))
+            scal_part = sub(mul(g[a, c], g[d, b]), mul(g[a, d], g[c, b]))
+            return add(sub(rdown[a, b, c, d], mul(half, ricci_part)),
+                       mul(sixth, scal_part))
+
+        return SymbolicTensor(_antisymmetric(component), ("d",) * 4)
 
     def covariant_derivative_field(self, t: SymbolicTensor,
                                    order: int = 1) -> SymbolicTensor:
@@ -487,60 +490,33 @@ class MetricField:
         """Cached ∇ or ∇∇ of 'riemann', 'weyl', or 'ricci' (all-down)."""
         key = ("nabla", which, order)
         if key not in self._cache:
-            base = {"riemann": self.riemann_field,
-                    "weyl": self.weyl_field,
+            base = {"riemann": self.riemann_field, "weyl": self.weyl_field,
                     "ricci": self.ricci_field}[which]()
-            if order == 2:
-                first = self.nabla_field(which, 1)
-                self._cache[key] = self._cov1(first)
-            else:
-                self._cache[key] = self._cov1(base)
+            self._cache[key] = self._cov1(
+                self.nabla_field(which, 1) if order == 2 else base)
         return self._cache[key]
 
-    @staticmethod
-    def _field_key(tag: str, t: SymbolicTensor) -> tuple:
-        # expression nodes are interned for the life of the process, so
-        # their ids identify the field contents; the wrapper object's own
-        # id must not be used (wrappers are mortal and ids get recycled)
-        return (tag, t.variance, tuple(id(c) for c in t.components.ravel()))
-
+    @_per_field
     def lowered_vector_field(self, v_up: Field) -> Field:
-        """v_b = g_be v^e, cached per field contents."""
-        if isinstance(v_up, LinearField):
-            return v_up.map(self.lowered_vector_field)
-        key = self._field_key("lowered", v_up)
-        if key not in self._cache:
-            comp = np.empty(DIM, dtype=object)
-            for b in range(DIM):
-                s = ZERO
-                for e in range(DIM):
-                    s = add(s, mul(self.g[b, e], v_up.components[e]))
-                comp[b] = s
-            self._cache[key] = SymbolicTensor(comp, ("d",))
-        return self._cache[key]
+        """v_b = g_be v^e."""
+        comp = [_fold(mul(self.g[b, e], v_up.components[e]) for e in range(DIM))
+                for b in range(DIM)]
+        return SymbolicTensor(np.array(comp, dtype=object), ("d",))
 
+    @_per_field
     def covector_gradient_field(self, v_dn: Field) -> Field:
-        """∇_a v_b for a covector field, cached per field contents, and ∂_a
-        v_b with it (∇'s own derivatives), ready for any rotated leg."""
-        if isinstance(v_dn, LinearField):
-            return v_dn.map(self.covector_gradient_field)
-        key = self._field_key("nabla_vec", v_dn)
-        if key not in self._cache:
-            self._cache[key] = self._cov1(v_dn)
-            self.partial_gradient_field(v_dn)
-        return self._cache[key]
+        """∇_a v_b for a covector field, and ∂_a v_b with it (∇'s own
+        derivatives), ready for any rotated leg."""
+        out = self._cov1(v_dn)
+        self.partial_gradient_field(v_dn)
+        return out
 
+    @_per_field
     def partial_gradient_field(self, v_dn: Field) -> Field:
-        """∂_a v_b for a covector field (not a tensor), cached per field
-        contents."""
-        if isinstance(v_dn, LinearField):
-            return v_dn.map(self.partial_gradient_field)
-        key = self._field_key("partial_vec", v_dn)
-        if key not in self._cache:
-            comp = np.array([[differentiate(e, va) for e in v_dn.components]
-                             for va in self.chart], dtype=object)
-            self._cache[key] = SymbolicTensor(comp, ("d", "d"))
-        return self._cache[key]
+        """∂_a v_b for a covector field (not a tensor)."""
+        comp = np.array([[differentiate(e, va) for e in v_dn.components]
+                         for va in self.chart], dtype=object)
+        return SymbolicTensor(comp, ("d", "d"))
 
 
 # ---------------------------------------------------------------------------
@@ -557,25 +533,21 @@ class Curvature:
     scalar: float               # R
     weyl: TensorValue           # C_abcd
     metric: np.ndarray          # g_ab numeric
-    inverse: np.ndarray         # g^ab numeric
 
 
 @dataclass(eq=False)
 class PointContext:
     """What has been evaluated at one point of one metric.
 
-    ``fields`` holds the value of every field evaluated at the point,
-    keyed by the ``SymbolicTensor`` object (a ``LinearField`` by its
-    terms), so a field is evaluated at most once per point however many
-    probes read it.  ``values`` holds the metric's tape slots' values,
-    in order and all in domain, as far as the fields read so far reach.
-    ``tetrad_data`` holds results derived from a tetrad, keyed by the
-    ``NullTetrad`` object itself, and ``residuals`` the commutator
-    reports by (condition, method, tol).  Live keys keep their ids from
-    being recycled (see ``MetricField._field_key``).  ``source`` and
-    ``params`` let ``MetricField.at`` serve a repeated tuple without
-    rebuilding ``key``.  Cached results are handed out without a copy;
-    callers must not modify them.
+    ``memo`` holds every result made at the point, each made once however
+    many callers ask for it: a field's value under the ``SymbolicTensor``
+    object (a ``LinearField`` under its terms), and any other result,
+    read through ``once``, under a tuple of its name and inputs (a tetrad
+    as the ``NullTetrad`` object itself).  ``values`` holds the metric's
+    tape slots' values, in order and all in domain, as far as the fields
+    read so far reach.  ``source`` and ``params`` let ``MetricField.at``
+    serve a repeated tuple without rebuilding ``key``.  Results are
+    handed out without a copy; callers must not modify them.
     """
 
     point: tuple
@@ -584,25 +556,28 @@ class PointContext:
     source: tuple | None = None
     params: tuple = ()
     values: list = field(default_factory=list)
-    curvature: Curvature | None = None
-    fields: dict = field(default_factory=dict)
-    tetrad_data: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)
+
+    def once(self, key, make):
+        """The result under ``key``, made by ``make()`` the first time it
+        is asked for; a ``make`` that raises leaves nothing behind."""
+        if key not in self.memo:
+            self.memo[key] = make()
+        return self.memo[key]
 
 
 def curvature(m: MetricField, point) -> Curvature:
     """The curvature at ``point``, evaluated once per point context."""
-    ctx = m.at(point)
-    if ctx.curvature is None:
+    def make():
         gv = m.metric_value(point)
         m._check_det(gv, point)
-        ctx.curvature = Curvature(
+        return Curvature(
             m.evaluate_field(m.riemann_field(), point),
             m.evaluate_field(m.riemann_up_symbolic(), point),
             m.evaluate_field(m.ricci_field(), point),
             float(m.evaluate_field(m.scalar_field(), point).array.real),
-            m.evaluate_field(m.weyl_field(), point), gv, np.linalg.inv(gv))
-    return ctx.curvature
+            m.evaluate_field(m.weyl_field(), point), gv)
+    return m.at(point).once(("curvature",), make)
 
 
 def commutator_action(riemann_up: TensorValue, t: TensorValue) -> TensorValue:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conventions import PHI_SIGN, RESIDUAL_TOL, SCALE_FLOOR
+from .conventions import FAMILIES, PHI_SIGN, RESIDUAL_TOL, SCALE_FLOOR
 from .geometry import Curvature, Field, LinearField, MetricField, curvature
 
 
@@ -70,14 +70,12 @@ class TetradFrame:
 def tetrad_frame(metric: MetricField, tetrad: NullTetrad, point) -> TetradFrame:
     """The legs at ``point``, evaluated once per point context."""
     ctx = metric.at(point)
-    key = ("frame", tetrad)
-    if key not in ctx.tetrad_data:
-        k = metric.evaluate_field(tetrad.k, point).array
-        l = metric.evaluate_field(tetrad.l, point).array
-        mre = metric.evaluate_field(tetrad.m_re, point).array
-        mim = metric.evaluate_field(tetrad.m_im, point).array
-        ctx.tetrad_data[key] = TetradFrame(k, l, mre + 1j * mim, ctx.point)
-    return ctx.tetrad_data[key]
+
+    def make():
+        k, l, mre, mim = (metric.evaluate_field(leg, point).array for leg in
+                          (tetrad.k, tetrad.l, tetrad.m_re, tetrad.m_im))
+        return TetradFrame(k, l, mre + 1j * mim, ctx.point)
+    return ctx.once(("frame", tetrad), make)
 
 
 @dataclass(eq=False)
@@ -126,12 +124,13 @@ class NPData:
         return max(self.weyl_scale(), float(np.max(np.abs(self.phi))),
                    abs(self.scalar))
 
-    def off_pattern(self, keep_psi: int, keep_phi: tuple) -> float:
-        """Largest curvature scalar outside the admissible slots Ψ_keep_psi
-        and Φ_keep_phi."""
+    def misfit(self, family: str) -> tuple:
+        """How far the data sit from ``conventions.FAMILIES[family]``: the
+        largest scalar outside its Ψ and Φ slots, and |R - lock·Ψ|."""
+        keep_psi, keep_phi, lock = FAMILIES[family]
         psi = [abs(z) for i, z in enumerate(self.psi) if i != keep_psi]
         phi = [abs(self.phi[ij]) for ij in np.ndindex(3, 3) if ij != keep_phi]
-        return max(psi + phi)
+        return max(psi + phi), abs(self.scalar - lock * self.psi[keep_psi])
 
 
 def np_scalars(curv: Curvature, frame: TetradFrame,
@@ -241,11 +240,9 @@ def spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
     (point, tetrad, tol), and a failed check caches nothing.
     """
     frame = require_valid_tetrad(metric, tetrad, point, tol)
-    ctx = metric.at(point)
-    key = ("spin", tetrad, tol)
-    if key not in ctx.tetrad_data:
-        ctx.tetrad_data[key] = _spin_coefficients(metric, tetrad, point, frame)
-    return ctx.tetrad_data[key]
+    return metric.at(point).once(
+        ("spin", tetrad, tol),
+        lambda: _spin_coefficients(metric, tetrad, point, frame))
 
 
 def _spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
@@ -448,6 +445,9 @@ def pnd_roots(psi) -> tuple[list, int]:
     return list(finite), lead
 
 
+CLUSTER_TOL = 1e-3          # chordal distance within which roots coincide
+
+
 def _chordal(z, w) -> float:
     # distance on the root sphere; None encodes the point at infinity
     if z is None and w is None:
@@ -459,39 +459,42 @@ def _chordal(z, w) -> float:
     return abs(z - w) / np.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
 
 
-def cluster_roots(roots: list, inf_mult: int,
-                  cluster_tol: float = 1e-3) -> list[int]:
-    """Single-linkage clustering in the chordal metric; returns the
-    multiplicity pattern sorted descending."""
+def _clusters(roots: list, inf_mult: int) -> list[list]:
+    """Single-linkage clusters of the roots and ``inf_mult`` points at
+    infinity (None) in the chordal metric: two clusters merge when any
+    two of their points lie within CLUSTER_TOL.  Each cluster keeps root
+    order, and the clusters come in the order of their first root."""
     pts = list(roots) + [None] * inf_mult
-    n = len(pts)
-    parent = list(range(n))
+    parent = list(range(len(pts)))
 
     def find(i):
         while parent[i] != i:
-            parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _chordal(pts[i], pts[j]) <= cluster_tol:
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if _chordal(pts[i], pts[j]) <= CLUSTER_TOL:
                 parent[find(i)] = find(j)
-    counts: dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        counts[r] = counts.get(r, 0) + 1
-    return sorted(counts.values(), reverse=True)
+    groups: dict[int, list] = {}
+    for i, p in enumerate(pts):
+        groups.setdefault(find(i), []).append(p)
+    return list(groups.values())
 
 
-def petrov_from_roots(psi, cluster_tol: float = 1e-3) -> str:
+def cluster_roots(roots: list, inf_mult: int) -> list[int]:
+    """The multiplicity pattern of the root clusters, sorted descending."""
+    return sorted(map(len, _clusters(roots, inf_mult)), reverse=True)
+
+
+def petrov_from_roots(psi) -> str:
     """Independent classification by root multiplicities of the
     direction quartic (the oracle for the invariant chain)."""
     psi = np.asarray(psi, dtype=complex)
     if float(np.max(np.abs(psi))) < SCALE_FLOOR:
         return "O"
     roots, inf_mult = pnd_roots(psi)
-    pattern = tuple(cluster_roots(roots, inf_mult, cluster_tol))
+    pattern = tuple(cluster_roots(roots, inf_mult))
     return {
         (4,): "N",
         (3, 1): "III",
@@ -518,44 +521,27 @@ def adapt_weyl(psi, tol: float = RESIDUAL_TOL):
     scale = float(np.max(np.abs(psi)))
     if scale < SCALE_FLOOR:
         return psi, transforms
-    best_center, best_count = _dominant_cluster(*pnd_roots(psi))
-
-    if best_center is None:
+    # the dominant direction: the first largest cluster of roots
+    best = max(_clusters(*pnd_roots(psi)), key=len)
+    if None in best:
         # dominant direction at infinity: swap k and l to bring it to 0
         psi = null_rotate_weyl(psi, 0.0, "reverse")
         transforms.append(("reverse", 0.0))
-        best_center, best_count = _dominant_cluster(*pnd_roots(psi))
+        best = max(_clusters(*pnd_roots(psi)), key=len)
 
-    if best_center is not None and abs(best_center) > 0:
-        psi = null_rotate_weyl(psi, best_center, "about-l")
-        transforms.append(("about-l", best_center))
+    center = None if None in best else complex(np.mean(best))
+    if center is not None and abs(center) > 0:
+        psi = null_rotate_weyl(psi, center, "about-l")
+        transforms.append(("about-l", center))
 
     # degenerate pair: also zero Ψ3 (and, for exact data, Ψ4) with a
     # rotation about the now-aligned k
-    if best_count == 2 and abs(psi[2]) > tol * np.max(np.abs(psi)):
+    if len(best) == 2 and abs(psi[2]) > tol * np.max(np.abs(psi)):
         c = np.conj(-psi[3] / (3.0 * psi[2]))
         if abs(c) > 0:
             psi = null_rotate_weyl(psi, c, "about-k")
             transforms.append(("about-k", c))
     return psi, transforms
-
-
-def _dominant_cluster(roots: list, inf_mult: int):
-    pts = list(roots) + [None] * inf_mult
-    best_center, best_count = None, 0
-    taken = [False] * len(pts)
-    for i, p in enumerate(pts):
-        if taken[i]:
-            continue
-        idx = [j for j, q in enumerate(pts) if _chordal(p, q) <= 1e-3]
-        for j in idx:
-            taken[j] = True
-        if len(idx) > best_count:
-            best_count = len(idx)
-            finite = [pts[j] for j in idx if pts[j] is not None]
-            best_center = complex(np.mean(finite)) if len(finite) == len(idx) \
-                else None
-    return best_center, best_count
 
 
 @dataclass(eq=False)
@@ -579,17 +565,15 @@ def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
     both the tetrad check and the degenerate-pair rotation.  A failed
     tetrad check raises and caches nothing.
     """
-    ctx = metric.at(point)
-    key = ("adapted", tetrad, tol)
-    if key not in ctx.tetrad_data:
+    def make():
         curv = curvature(metric, point)
         frame = tetrad_frame(metric, tetrad, point)
         declared = np_scalars(curv, frame, tol)
         _, transforms = adapt_weyl(declared.psi, tol)
+        rotated = tetrad
         for kind, param in transforms:
             frame = null_rotate(frame, param, kind)
-            tetrad = rotate_tetrad_field(tetrad, param, kind)
+            rotated = rotate_tetrad_field(rotated, param, kind)
         data = np_scalars(curv, frame, tol) if transforms else declared
-        ctx.tetrad_data[key] = AdaptedTetrad(tetrad, transforms, frame,
-                                             data, declared)
-    return ctx.tetrad_data[key]
+        return AdaptedTetrad(rotated, transforms, frame, data, declared)
+    return metric.at(point).once(("adapted", tetrad, tol), make)

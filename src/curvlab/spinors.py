@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conventions import CURVATURE_SPINOR_R_FACTOR
+from .conventions import CURVATURE_SPINOR_R_FACTOR, FAMILIES
 
 EPS_DN = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 EPS_UP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -196,21 +196,16 @@ class SymSpinor:
 
 
 def make_condition_data(branch: str, amplitude: float):
-    """Canonical (Ψ, Φ, R) data for the two admissible families:
-    'N' → radiation component only, zero scalar curvature;
-    'D' → Coulomb component only, R locked to -12 Ψ2."""
+    """Canonical (Ψ, Φ, R) data of one admissible family of
+    ``conventions.FAMILIES`` ('N' radiation, 'D' Coulomb): ``amplitude``
+    in its Ψ and Φ slots, and R at its lock."""
+    if branch not in FAMILIES:
+        raise ValueError(f"unknown condition family {branch!r}")
+    psi_slot, phi_slot, lock = FAMILIES[branch]
     psi = np.zeros(5, dtype=complex)
     phi = np.zeros((3, 3), dtype=complex)
-    if branch == "N":
-        psi[4] = amplitude
-        phi[2, 2] = amplitude
-        scalar = 0.0
-    elif branch == "D":
-        psi[2] = amplitude
-        phi[1, 1] = amplitude
-        scalar = -12.0 * float(amplitude)
-    else:
-        raise ValueError(f"unknown condition family {branch!r}")
+    psi[psi_slot] = phi[phi_slot] = amplitude
+    scalar = lock * float(amplitude)
     return SymSpinor.from_weyl(psi), SymSpinor.from_phi(phi), scalar
 
 

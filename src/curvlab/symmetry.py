@@ -85,22 +85,20 @@ def _report(condition: str, residual: float, scale: float, point,
 def _commutator_residual(m: MetricField, point, condition: str, which: str,
                          tol: float, method: str) -> ResidualReport:
     """The report, computed once per point context and key."""
-    reports = m.at(point).residuals
-    key = (condition, method, tol)
-    if key in reports:
-        return reports[key]
-    c = curvature(m, point)
-    target = {"riemann": c.riemann, "weyl": c.weyl, "ricci": c.ricci}[which]
-    scale = max(c.riemann_up.max_abs(), c.riemann.max_abs(), target.max_abs())
-    if method == "commutator":
-        out = commutator_action(c.riemann_up, target).array
-    elif method == "direct":
-        d2 = m.evaluate_field(m.nabla_field(which, order=2), point).array
-        out = d2 - np.swapaxes(d2, 0, 1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    reports[key] = _report(condition, np.max(np.abs(out)), scale, point, tol)
-    return reports[key]
+    def make():
+        c = curvature(m, point)
+        target = {"riemann": c.riemann, "weyl": c.weyl, "ricci": c.ricci}[which]
+        scale = max(c.riemann_up.max_abs(), c.riemann.max_abs(),
+                    target.max_abs())
+        if method == "commutator":
+            out = commutator_action(c.riemann_up, target).array
+        elif method == "direct":
+            d2 = m.evaluate_field(m.nabla_field(which, order=2), point).array
+            out = d2 - np.swapaxes(d2, 0, 1)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        return _report(condition, np.max(np.abs(out)), scale, point, tol)
+    return m.at(point).once(("residual", condition, method, tol), make)
 
 
 def semi_symmetry_residual(m: MetricField, point, tol: float = RESIDUAL_TOL,

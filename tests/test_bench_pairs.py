@@ -71,12 +71,45 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch):
 
     def fake_bench(root, workload, seed, seconds, trace):
         calls.append((root, seed, trace))
-        return {"metrics": {"wall_s": 2.0 if root == "P" else 1.0}}
+        return {"metrics": {"wall_s": 2.0 if root == "P" else 1.0},
+                "digest": "d"}
 
     monkeypatch.setattr(bench_pairs, "bench", fake_bench)
     rec = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "corpus",
-                                [7, 8, 9], 40.0, {"wall_s": "lower"})
+                                [7, 8, 9], 40.0, {"wall_s": ("lower", 0.25)})
     assert [p["first"] for p in rec["pairs"]] == ["parent", "change", "parent"]
     assert calls == [("P", 7, 0), ("C", 7, 0), ("C", 8, 0), ("P", 8, 0),
                      ("P", 9, 0), ("C", 9, 0), ("P", 7, 1), ("C", 7, 1)]
     assert rec["summary"]["wall_s"]["change_wins"] == 3
+
+
+STEADY = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+WIDE = [1.0, 1.6, 0.6, 1.3, 0.8, 1.5, 0.7, 1.0, 1.4, 0.9]
+
+
+@pytest.mark.parametrize("parent, change, better, verdict", [
+    (STEADY, STEADY, "lower", "ok"),
+    (STEADY, [p * 1.2 for p in STEADY], "lower", "ok"),      # inside 25 %
+    (STEADY, [p * 1.3 for p in STEADY], "lower", "worse"),
+    (STEADY, [p * 1.3 for p in STEADY], "higher", "ok"),
+    (STEADY, [p * 0.7 for p in STEADY], "higher", "worse"),
+    (WIDE, WIDE, "lower", "unresolved"),     # the parent spread hides 25 %
+    (WIDE, [0.5 * min(WIDE)] * 10, "lower", "ok"),  # every change run wins
+    (WIDE, [1.3 * max(WIDE)] * 10, "lower", "worse"),
+])
+def test_regression_verdict_against_the_bound(parent, change, better,
+                                              verdict):
+    pairs = list(zip(parent, change))
+    assert bench_pairs.regression(pairs, better, 0.25) == verdict
+
+
+def test_pairs_record_whether_the_digests_match(monkeypatch):
+    def fake_bench(root, workload, seed, seconds, trace):
+        moved = root == "C" and seed == 8
+        return {"metrics": {"wall_s": 1.0}, "digest": "e" if moved else "d"}
+
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    rec = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "corpus",
+                                [7, 8, 9], 40.0, {"wall_s": ("lower", 0.25)})
+    assert [p["digests_match"] for p in rec["pairs"]] == [True, False, True]
+    assert rec["summary"]["wall_s"]["regression"] == "ok"

@@ -391,6 +391,16 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: --tol must be a positive finite number\n"
 
+    @pytest.mark.parametrize("command", ("analyze", "classify"))
+    @pytest.mark.parametrize("name", ("minkowski", "product2x2", "nariai"))
+    def test_negative_seed_is_one(self, capsys, command, name):
+        # the seed reaches numpy only where a point has matter to sample,
+        # so a vacuum metric must be rejected up front as well
+        code, out, err = run_cli(capsys, command, CORPUS_FILE.format(name),
+                                 "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: --seed must be a non-negative integer\n"
+
     @pytest.mark.parametrize("command, marker", (("analyze", "petrov: D"),
                                                  ("classify", "(petrov D,")))
     def test_positive_tol_is_accepted(self, capsys, command, marker):

@@ -68,7 +68,7 @@ def evaluations(monkeypatch):
     original = MetricField.evaluate_field
 
     def counting(self, t, point):
-        counts[id(t)] += t not in self.at(point).fields
+        counts[id(t)] += t not in self.at(point).memo
         return original(self, t, point)
 
     monkeypatch.setattr(MetricField, "evaluate_field", counting)
@@ -342,7 +342,7 @@ class TestOneTape:
         original = MetricField.evaluate_field
 
         def counting(self, t, point):
-            if isinstance(t, LinearField) and t not in self.at(point).fields:
+            if isinstance(t, LinearField) and t not in self.at(point).memo:
                 sums[t.terms, t.variance] += 1
             return original(self, t, point)
 
@@ -480,8 +480,8 @@ class TestChecksStillRun:
             spin_coefficients(m, bad, p)
         with pytest.raises(InvalidTetradError):
             classify_point(m, p, tetrad=bad)
-        assert not any(key[1] is bad for key in m.at(p).tetrad_data
-                       if key[0] == "spin")
+        assert not any(key[1] is bad for key in m.at(p).memo
+                       if type(key) is tuple and key[0] == "spin")
 
     def test_stricter_tol_raises_where_the_default_passed(self):
         # k·l = 1 + 1e-11: inside the default tolerance, outside 1e-14

@@ -17,6 +17,7 @@ from curvlab.expressions import ZERO, add, const, mul
 from curvlab.geometry import LinearField, SymbolicTensor, curvature
 from curvlab.newman_penrose import (
     InvalidTetradError,
+    NPData,
     NullTetrad,
     TetradFrame,
     adapt_tetrad,
@@ -492,6 +493,23 @@ def test_cluster_roots_patterns():
     assert cluster_roots([1.0, 1.0, 1.0 + 1e-10], 1) == [3, 1]
 
 
+def family_data(psi_slot, phi_slot, scalar, amplitude=0.5):
+    psi = np.zeros(5, dtype=complex)
+    phi = np.zeros((3, 3), dtype=complex)
+    psi[psi_slot] = phi[phi_slot] = amplitude
+    return NPData(psi, phi, scalar)
+
+
+@pytest.mark.parametrize("family, other, data", [
+    ("N", "D", family_data(4, (2, 2), 0.0)),           # radiation, R = 0
+    ("D", "N", family_data(2, (1, 1), -12.0 * 0.5)),   # Coulomb, R = -12 Ψ2
+])
+def test_canonical_family_data_fit_only_their_own_family(family, other,
+                                                         data):
+    assert data.misfit(family) == (0.0, 0.0)
+    assert max(data.misfit(other)) >= 0.5
+
+
 CANONICAL_CASES = [
     (np.zeros(5), "O"),
     (np.array([0, 0, 0, 0, 1.0]), "N"),
@@ -625,6 +643,19 @@ class TestWeylAdaptation:
         adapted, transforms = adapt_weyl(psi)
         npt.assert_allclose(adapted, psi)
         assert transforms == []
+
+    def test_chained_roots_make_one_cluster_for_type_and_adaptation(self):
+        # 0 and 1.8e-3 lie farther apart than the 1e-3 tolerance, but
+        # 9e-4 links them: one triple root for the Petrov type and for
+        # the adaptation alike, so k goes to it and no rotation about k
+        # follows
+        roots = [0.0, 9e-4, 1.8e-3, 5.0]
+        assert cluster_roots(roots, 0) == [3, 1]
+        psi = psi_from_roots(roots)
+        assert petrov_from_roots(psi) == "III"
+        _, transforms = adapt_weyl(psi)
+        assert [kind for kind, _ in transforms] == ["about-l"]
+        npt.assert_allclose(transforms[0][1], 9e-4, rtol=1e-3)
 
     def test_radiation_at_infinity_swapped_down(self):
         adapted, transforms = adapt_weyl(np.array([2.0, 0, 0, 0, 0]))

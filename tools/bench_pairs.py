@@ -14,11 +14,13 @@ gives the per-layer times and the DAG counts, which do not depend on the
 machine.
 
 The record holds every run's gated metrics (those ``BENCHMARK.json``
-lists), its report digest, host-loop time and failed operations; and per
-metric each side's median and quartiles, the pairs each side won (ties
-count for neither), and whether a gain would count: at least ten pairs,
-the change wins at least nine tenths of them, and the medians differ,
-in the better direction, by more than the parent's interquartile range.
+lists), its report digest, host-loop time and failed operations, and per
+pair whether the two sides' digests match; and per metric each side's
+median and quartiles, the pairs each side won (ties count for neither),
+whether a gain would count (at least ten pairs, the change wins at least
+nine tenths of them, and the medians differ, in the better direction, by
+more than the parent's interquartile range), and a regression verdict
+against the metric's ``BENCHMARK.json`` bound (see ``regression``).
 """
 
 from __future__ import annotations
@@ -74,6 +76,25 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
                             and gain > parent["q3"] - parent["q1"])}
 
 
+def regression(pairs: list[tuple[float, float]], better: str,
+               bound: float) -> str:
+    """``"worse"`` when the change's median is worse than the parent's by
+    more than ``bound`` (relative to the parent's median);
+    ``"unresolved"`` when the parent's interquartile range is wider than
+    ``bound`` of its median and not every change run beats every parent
+    run; ``"ok"`` otherwise."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent = quartiles([p for p, _ in pairs])
+    change = quartiles([c for _, c in pairs])
+    limit = bound * abs(parent["median"])
+    if sign * (change["median"] - parent["median"]) > limit:
+        return "worse"
+    separated = all(sign * (p - c) > 0 for p, _ in pairs for _, c in pairs)
+    if parent["q3"] - parent["q1"] > limit and not separated:
+        return "unresolved"
+    return "ok"
+
+
 def export(rev: str, dest: Path) -> Path:
     """The files of ``rev``, extracted into ``dest``."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
@@ -115,13 +136,17 @@ def run_pairs(sides: dict, workload: str, seeds: list[int], seconds: float,
             print(f"{workload} pair {k + 1} seed {seed} {side}: "
                   + " ".join(f"{n}={v:.4g}" for n, v in
                              pair[side]["metrics"].items()), flush=True)
+        pair["digests_match"] = \
+            pair["parent"]["digest"] == pair["change"]["digest"]
         pairs.append(pair)
     traced = {side: bench(sides[side], workload, seeds[0], seconds, 1)
               for side in ("parent", "change")}
-    summary = {name: summarize([(p["parent"]["metrics"][name],
-                                 p["change"]["metrics"][name]) for p in pairs],
-                               better)
-               for name, better in gated.items()}
+    summary = {}
+    for name, (better, bound) in gated.items():
+        runs = [(p["parent"]["metrics"][name], p["change"]["metrics"][name])
+                for p in pairs]
+        summary[name] = summarize(runs, better) | {
+            "bound": bound, "regression": regression(runs, better, bound)}
     return {"seconds": seconds, "seeds": seeds, "pairs": pairs,
             "summary": summary, "traced": traced}
 
@@ -137,7 +162,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    gated = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    gated = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {"parent": export(args.parent, Path(tmp) / "parent"),
                  "change": ROOT}
@@ -154,11 +179,13 @@ def main(argv=None) -> int:
                                        gated) for w in args.workload}}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for w, rec in record["workloads"].items():
+        matched = sum(p["digests_match"] for p in rec["pairs"])
+        print(f"{w:<15} digests match in {matched}/{len(rec['pairs'])} pairs")
         for name, s in rec["summary"].items():
             print(f"{w:<15} {name:<14} parent {s['parent']['median']:.5g} "
                   f"change {s['change']['median']:.5g} "
                   f"({s['change_over_parent']:.3f}x) wins "
-                  f"{s['change_wins']}/{s['pairs']}"
+                  f"{s['change_wins']}/{s['pairs']} {s['regression']}"
                   + ("  gain counts" if s["gain_counts"] else ""))
     return 0
 
