@@ -48,8 +48,6 @@ _RESIDUAL_FUNCS = {
     "second_order": second_order_symmetry_residual,
     "nabla_riemann": locally_symmetric_residual,
 }
-SPIN_NAMES = ("kappa", "sigma", "rho", "tau", "epsilon", "beta", "alpha",
-              "gamma", "pi", "lambda", "mu", "nu")
 
 
 @dataclass(eq=False)
@@ -122,7 +120,7 @@ def analyze_point(m: MetricField, pname: str, tol: float = RESIDUAL_TOL,
     residuals = {}
     for name in RESIDUAL_ORDER:
         residuals[name] = _RESIDUAL_FUNCS[name](m, coords, tol)
-    spin = spin_coefficients(m, m.tetrad, coords, tol).as_dict()
+    spin = spin_coefficients(m, m.tetrad, coords, tol)
     classification = classify_point(m, coords, tol=tol, dec_seed=seed)
     data = adapt_tetrad(m, m.tetrad, coords, tol).data
     checks = None
@@ -176,8 +174,7 @@ def report_json_object(rep: PointReport, tol: float, seed: int) -> dict:
             "phi": [[_pair(rep.np_data.phi[i, j]) for j in range(3)]
                     for i in range(3)],
             "R": float(rep.np_data.scalar)},
-        "spin_coefficients": {name: _pair(rep.spin[name])
-                              for name in SPIN_NAMES},
+        "spin_coefficients": {name: _pair(z) for name, z in rep.spin.items()},
         "classification": {
             "branch": c.branch,
             "A": c.A,
@@ -223,8 +220,8 @@ def render_report(rep: PointReport) -> str:
                         for j in range(3))
         lines.append(f"      {row}")
     lines.append(f"      R={rep.np_data.scalar:+.9e}")
-    spin = "  ".join(f"{name}={_fmt_complex(rep.spin[name])}"
-                     for name in SPIN_NAMES)
+    spin = "  ".join(f"{name}={_fmt_complex(z)}"
+                     for name, z in rep.spin.items())
     lines.append(f"  spin coefficients: {spin}")
     c = rep.classification
     lines.append(f"  classification: {c.branch}")

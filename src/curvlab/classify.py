@@ -11,6 +11,7 @@ consistency failure and raises instead of guessing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,6 @@ from .newman_penrose import (
     NullTetrad,
     TetradFrame,
     adapt_tetrad,
-    petrov_classify,
     spin_coefficients,
     tetrad_frame,
 )
@@ -136,21 +136,34 @@ def dec_check(einstein: TensorValue, frame: TetradFrame, g: np.ndarray,
     gmax = max(float(np.max(np.abs(gmix))), SCALE_FLOOR)
     metmax = float(np.max(np.abs(g)))
     e0max = float(np.max(np.abs(e0)))
+    ch, sh, n = _dec_samples(seed)
+    u = ch * e0 + sh * (n[:, :1] * e1 + n[:, 1:2] * e2 + n[:, 2:] * e3)
+    flux = -u @ gmix.T
+    fs = np.maximum(gmax * np.max(np.abs(u), axis=1), SCALE_FLOOR)
+    causal = np.sum((flux @ g) * flux, axis=1)
+    future = flux @ g @ e0
+    violated = (causal < -tol * metmax * fs * fs) \
+        | (future < -tol * metmax * fs * e0max)
+    return "violated" if violated.any() else "satisfied"
+
+
+@functools.lru_cache(maxsize=None)
+def _dec_samples(seed: int) -> tuple:
+    """The ``DEC_SAMPLES`` boosts of ``dec_check``, drawn once per seed:
+    per sample a rapidity χ ~ U(0, 2), then a direction n from three
+    normals, made unit.  Returned as the columns cosh χ and sinh χ and
+    the rows of n, read-only since every call shares them."""
     rng = np.random.default_rng(seed)
-    for _ in range(DEC_SAMPLES):
-        chi = rng.uniform(0.0, 2.0)
-        n = rng.normal(size=3)
-        n = n / np.linalg.norm(n)
-        u = np.cosh(chi) * e0 + np.sinh(chi) * (n[0] * e1 + n[1] * e2
-                                                + n[2] * e3)
-        flux = -gmix @ u
-        fs = max(gmax * float(np.max(np.abs(u))), SCALE_FLOOR)
-        causal = float(flux @ g @ flux)
-        future = float(flux @ g @ e0)
-        if causal < -tol * metmax * fs * fs \
-                or future < -tol * metmax * fs * e0max:
-            return "violated"
-    return "satisfied"
+    chi = np.empty((DEC_SAMPLES, 1))
+    n = np.empty((DEC_SAMPLES, 3))
+    for i in range(DEC_SAMPLES):
+        chi[i] = rng.uniform(0.0, 2.0)
+        n[i] = rng.normal(size=3)
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    samples = np.cosh(chi), np.sinh(chi), n
+    for a in samples:
+        a.flags.writeable = False
+    return samples
 
 
 def coulomb_constraints(a_val: float, b_val: float, scalar: float,
@@ -215,7 +228,7 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
     frame = tetrad_frame(m, tetrad, p)
     ad = adapt_tetrad(m, tetrad, p, tol)
     semi = semi_symmetry_residual(m, p, tol)
-    petrov = petrov_classify(ad.declared.psi, tol)
+    petrov = ad.petrov
     einstein = TensorValue(
         np.real(curv.ricci.array) - 0.5 * curv.scalar * curv.metric,
         ("d", "d"), p)
@@ -239,8 +252,7 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
         raise TheoremViolationError(p, petrov, semi.verdict)
 
     tet_ad, frame_ad, adapted = ad.tetrad, ad.frame, ad.data
-    spin = spin_coefficients(m, tet_ad, p, tol)
-    coeff = spin.as_dict()
+    coeff = spin_coefficients(m, tet_ad, p, tol)
     sc_scale = max(max(abs(v) for v in coeff.values()), SCALE_FLOOR)
     np_scale = max(adapted.scale(), SCALE_FLOOR)
 

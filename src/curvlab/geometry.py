@@ -488,6 +488,8 @@ class MetricField:
 
     def nabla_field(self, which: str, order: int = 1) -> SymbolicTensor:
         """Cached ∇ or ∇∇ of 'riemann', 'weyl', or 'ricci' (all-down)."""
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
         key = ("nabla", which, order)
         if key not in self._cache:
             base = {"riemann": self.riemann_field, "weyl": self.weyl_field,

@@ -4,9 +4,10 @@ A null tetrad (k, l, m, m̄) with k·l = 1, m·m̄ = -1 turns the Weyl tensor
 into five complex scalars Ψ0..Ψ4, the trace-free Ricci tensor into a
 Hermitian 3x3 matrix Φ_ij, and the connection into twelve complex spin
 coefficients.  On top of those this module implements the Petrov
-classification two independent ways (invariant chain and root
-clustering of the direction quartic) and the tetrad transformation
-group (null rotations about either real direction, boosts and spins),
+classification (the invariant chain I, J, K, L, N), the adaptation of a
+tetrad to the repeated principal null direction of that type (from the
+roots of the direction quartic), and the tetrad transformation group
+(null rotations about either real direction, boosts and spins),
 including transformations of tetrad *fields* by constant parameters: the
 legs adapted to a degenerate direction are constant combinations of the
 declared legs (``LinearField``), so adapting builds no expression.
@@ -14,6 +15,7 @@ declared legs (``LinearField``), so adapting builds no expression.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,34 +209,12 @@ def validate_tetrad_from_metric_value(gv: np.ndarray, frame: TetradFrame,
 # spin coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class SpinCoefficients:
-    kappa: complex
-    sigma: complex
-    rho: complex
-    tau: complex
-    epsilon: complex
-    beta: complex
-    alpha: complex
-    gamma: complex
-    pi: complex
-    lam: complex
-    mu: complex
-    nu: complex
-
-    def as_dict(self) -> dict:
-        return {
-            "kappa": self.kappa, "sigma": self.sigma, "rho": self.rho,
-            "tau": self.tau, "epsilon": self.epsilon, "beta": self.beta,
-            "alpha": self.alpha, "gamma": self.gamma, "pi": self.pi,
-            "lambda": self.lam, "mu": self.mu, "nu": self.nu,
-        }
-
-
 def spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
-                      tol: float = RESIDUAL_TOL) -> SpinCoefficients:
-    """The twelve NP connection scalars, from covariant derivatives of
-    the tetrad legs (sign table frozen in the conventions document).
+                      tol: float = RESIDUAL_TOL) -> dict:
+    """The twelve NP connection scalars by name (kappa, sigma, rho, tau,
+    epsilon, beta, alpha, gamma, pi, lambda, mu, nu, in that order), from
+    covariant derivatives of the tetrad legs (sign table frozen in the
+    conventions document).
 
     The tetrad check runs on every call; the contraction once per
     (point, tetrad, tol), and a failed check caches nothing.
@@ -246,7 +226,7 @@ def spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
 
 
 def _spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
-                       frame: TetradFrame) -> SpinCoefficients:
+                       frame: TetradFrame) -> dict:
     def grad_of(field: Field) -> np.ndarray:
         dn = metric.lowered_vector_field(field)
         return metric.evaluate_field(
@@ -261,20 +241,20 @@ def _spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
         # x^a y^b ∇_b (·)_a  with grad[b, a] = ∇_b (·)_a
         return complex(np.einsum("a,ba,b->", x, grad, y))
 
-    return SpinCoefficients(
-        kappa=d(m, nk, k),
-        sigma=d(m, nk, m),
-        rho=d(m, nk, mb),
-        tau=d(m, nk, l),
-        epsilon=0.5 * (d(l, nk, k) - d(mb, nm, k)),
-        beta=0.5 * (d(l, nk, m) - d(mb, nm, m)),
-        alpha=0.5 * (d(l, nk, mb) - d(mb, nm, mb)),
-        gamma=0.5 * (d(l, nk, l) - d(mb, nm, l)),
-        pi=-d(mb, nl, k),
-        lam=-d(mb, nl, mb),
-        mu=-d(mb, nl, m),
-        nu=-d(mb, nl, l),
-    )
+    return {
+        "kappa": d(m, nk, k),
+        "sigma": d(m, nk, m),
+        "rho": d(m, nk, mb),
+        "tau": d(m, nk, l),
+        "epsilon": 0.5 * (d(l, nk, k) - d(mb, nm, k)),
+        "beta": 0.5 * (d(l, nk, m) - d(mb, nm, m)),
+        "alpha": 0.5 * (d(l, nk, mb) - d(mb, nm, mb)),
+        "gamma": 0.5 * (d(l, nk, l) - d(mb, nm, l)),
+        "pi": -d(mb, nl, k),
+        "lambda": -d(mb, nl, mb),
+        "mu": -d(mb, nl, m),
+        "nu": -d(mb, nl, l),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -482,36 +462,25 @@ def _clusters(roots: list, inf_mult: int) -> list[list]:
     return list(groups.values())
 
 
-def cluster_roots(roots: list, inf_mult: int) -> list[int]:
-    """The multiplicity pattern of the root clusters, sorted descending."""
-    return sorted(map(len, _clusters(roots, inf_mult)), reverse=True)
-
-
-def petrov_from_roots(psi) -> str:
-    """Independent classification by root multiplicities of the
-    direction quartic (the oracle for the invariant chain)."""
-    psi = np.asarray(psi, dtype=complex)
-    if float(np.max(np.abs(psi))) < SCALE_FLOOR:
-        return "O"
-    roots, inf_mult = pnd_roots(psi)
-    pattern = tuple(cluster_roots(roots, inf_mult))
-    return {
-        (4,): "N",
-        (3, 1): "III",
-        (2, 2): "D",
-        (2, 1, 1): "II",
-        (1, 1, 1, 1): "I",
-    }[pattern]
-
-
 # ---------------------------------------------------------------------------
 # tetrad adaptation
 # ---------------------------------------------------------------------------
 
-def adapt_weyl(psi, tol: float = RESIDUAL_TOL):
-    """Null-rotate Ψ so that the highest-multiplicity principal null
-    direction is k (zeroing the low components), and for a doubly
-    degenerate pair also align l (zeroing Ψ3, Ψ4).
+# how many principal null directions coincide in the repeated one
+_MULTIPLICITY = {"N": 4, "III": 3, "D": 2, "II": 2, "I": 1}
+
+
+def adapt_weyl(psi, petrov: str, tol: float = RESIDUAL_TOL):
+    """Null-rotate Ψ so that the repeated principal null direction of
+    Petrov type ``petrov`` is k (zeroing the low components), and for a
+    doubly degenerate type also align l (zeroing Ψ3, Ψ4).
+
+    The direction is the mean of the largest cluster of roots of the
+    direction quartic.  A k-fold root spread by rounding moves by about
+    ε^(1/k) and may break its cluster; when the largest cluster is
+    smaller than the type's multiplicity k, the direction is instead
+    the root nearest that mean of the quartic's (k-1)-th derivative,
+    Σ_j C(5-k, j) Ψ_{k-1+j} z^j, of which a k-fold root is a simple root.
 
     Returns (psi_adapted, transforms) where transforms is the list of
     (kind, param) pairs applied, for null_rotate_frame and rotate_tetrad_field.
@@ -530,13 +499,20 @@ def adapt_weyl(psi, tol: float = RESIDUAL_TOL):
         best = max(_clusters(*pnd_roots(psi)), key=len)
 
     center = None if None in best else complex(np.mean(best))
+    k = _MULTIPLICITY[petrov]
+    if center is not None and len(best) < k:
+        n = 5 - k
+        roots = np.roots([math.comb(n, j) * psi[k - 1 + j]
+                          for j in range(n, -1, -1)])
+        center = complex(min(roots, key=lambda z: abs(z - center),
+                             default=center))
     if center is not None and abs(center) > 0:
         psi = null_rotate_weyl(psi, center, "about-l")
         transforms.append(("about-l", center))
 
     # degenerate pair: also zero Ψ3 (and, for exact data, Ψ4) with a
     # rotation about the now-aligned k
-    if len(best) == 2 and abs(psi[2]) > tol * np.max(np.abs(psi)):
+    if k == 2 and abs(psi[2]) > tol * np.max(np.abs(psi)):
         c = np.conj(-psi[3] / (3.0 * psi[2]))
         if abs(c) > 0:
             psi = null_rotate_weyl(psi, c, "about-k")
@@ -550,30 +526,32 @@ class AdaptedTetrad:
     on the k leg (constant-parameter rotations computed at one point)."""
 
     tetrad: NullTetrad      # the rotated fields (the given ones if none)
+    petrov: str             # the Petrov type of the point, decided once
     transforms: list        # (kind, param) pairs from adapt_weyl
     frame: TetradFrame      # the adapted legs at the point
     data: NPData            # curvature scalars in the adapted frame
-    declared: NPData        # curvature scalars in the given frame
 
 
 def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
                  tol: float = RESIDUAL_TOL) -> AdaptedTetrad:
-    """Rotate ``tetrad`` by the transformations ``adapt_weyl`` finds for
-    its Ψ at ``point`` (identity when it is already adapted).
+    """Decide the Petrov type of the Ψ of ``tetrad`` at ``point`` and
+    rotate ``tetrad`` by the transformations ``adapt_weyl`` finds for
+    that type (identity when it is already adapted).
 
     Computed once per (tetrad, tol) in the point context: ``tol`` gates
-    both the tetrad check and the degenerate-pair rotation.  A failed
-    tetrad check raises and caches nothing.
+    the tetrad check, the invariant chain and the degenerate-pair
+    rotation.  A failed tetrad check raises and caches nothing.
     """
     def make():
         curv = curvature(metric, point)
         frame = tetrad_frame(metric, tetrad, point)
         declared = np_scalars(curv, frame, tol)
-        _, transforms = adapt_weyl(declared.psi, tol)
+        petrov = petrov_classify(declared.psi, tol)
+        _, transforms = adapt_weyl(declared.psi, petrov, tol)
         rotated = tetrad
         for kind, param in transforms:
             frame = null_rotate(frame, param, kind)
             rotated = rotate_tetrad_field(rotated, param, kind)
         data = np_scalars(curv, frame, tol) if transforms else declared
-        return AdaptedTetrad(rotated, transforms, frame, data, declared)
+        return AdaptedTetrad(rotated, petrov, transforms, frame, data)
     return metric.at(point).once(("adapted", tetrad, tol), make)

@@ -28,10 +28,6 @@ O_DN = np.array([1.0, 0.0], dtype=complex)
 IOTA_DN = np.array([0.0, 1.0], dtype=complex)
 
 
-class SpinorSlotError(ValueError):
-    """Contraction or symmetrization across mismatched slot kinds."""
-
-
 @dataclass(eq=False)
 class GeneralSpinor:
     """Full component array; unprimed slots first, then primed slots."""
@@ -47,60 +43,15 @@ class GeneralSpinor:
                              f"{self.components.shape}, expected {expected}")
         self.components = np.asarray(self.components, dtype=complex)
 
-    @property
-    def valence(self) -> tuple:
-        return (self.unprimed, self.primed)
-
     def max_abs(self) -> float:
         if self.components.size == 0:
             return 0.0
         return float(np.max(np.abs(self.components)))
 
-    def is_unprimed_slot(self, slot: int) -> bool:
-        return slot < self.unprimed
-
-
-def vector_spinor(components, primed: bool = False) -> GeneralSpinor:
-    arr = np.asarray(components, dtype=complex)
-    return GeneralSpinor(arr, 0 if primed else 1, 1 if primed else 0)
-
 
 def raise_slot(arr: np.ndarray, slot: int) -> np.ndarray:
     """ξ^A = ε^{AB} ξ_B applied to one axis of a raw component array."""
     return np.moveaxis(np.tensordot(EPS_UP, arr, axes=(1, slot)), 0, slot)
-
-
-def contract(s1: GeneralSpinor, s2: GeneralSpinor, pairs) -> GeneralSpinor:
-    """s1_{...A...} s2^{...A...}: each pair (i, j) contracts lower slot i
-    of s1 against slot j of s2 raised with ε."""
-    pairs = list(pairs)
-    if len({i for i, _ in pairs}) != len(pairs) or \
-            len({j for _, j in pairs}) != len(pairs):
-        raise SpinorSlotError("a slot may appear in only one pair")
-    for i, j in pairs:
-        if not (0 <= i < s1.unprimed + s1.primed):
-            raise SpinorSlotError(f"slot {i} out of range for first factor")
-        if not (0 <= j < s2.unprimed + s2.primed):
-            raise SpinorSlotError(f"slot {j} out of range for second factor")
-        if s1.is_unprimed_slot(i) != s2.is_unprimed_slot(j):
-            raise SpinorSlotError(
-                f"cannot contract slot {i} with slot {j}: "
-                "primed/unprimed mismatch")
-    other = s2.components
-    for _, j in pairs:
-        other = raise_slot(other, j)
-    arr = np.tensordot(s1.components, other,
-                       axes=([i for i, _ in pairs], [j for _, j in pairs]))
-    # tensordot leaves [s1-remaining..., s2-remaining...]; regroup all
-    # unprimed slots in front
-    up1 = s1.unprimed - sum(1 for i, _ in pairs if s1.is_unprimed_slot(i))
-    pr1 = s1.primed - sum(1 for i, _ in pairs if not s1.is_unprimed_slot(i))
-    up2 = s2.unprimed - sum(1 for _, j in pairs if s2.is_unprimed_slot(j))
-    pr2 = s2.primed - sum(1 for _, j in pairs if not s2.is_unprimed_slot(j))
-    if pr1 and up2:
-        arr = np.moveaxis(arr, range(up1 + pr1, up1 + pr1 + up2),
-                          range(up1, up1 + up2))
-    return GeneralSpinor(arr, up1 + up2, pr1 + pr2)
 
 
 def _symmetrized(arr: np.ndarray, slots) -> np.ndarray:
@@ -114,15 +65,6 @@ def _symmetrized(arr: np.ndarray, slots) -> np.ndarray:
         total += np.transpose(arr, axes)
         count += 1
     return total / count
-
-
-def symmetrize(s: GeneralSpinor, slots) -> GeneralSpinor:
-    slots = tuple(slots)
-    kinds = {s.is_unprimed_slot(i) for i in slots}
-    if len(kinds) > 1:
-        raise SpinorSlotError("cannot symmetrize unprimed with primed slots")
-    return GeneralSpinor(_symmetrized(s.components, slots),
-                         s.unprimed, s.primed)
 
 
 @dataclass(eq=False)
@@ -159,37 +101,12 @@ class SymSpinor:
                 comps[i, j] = (-1.0) ** (i + j) * phi[2 - i, 2 - j]
         return cls(comps, 2, 2)
 
-    @classmethod
-    def from_general(cls, g: GeneralSpinor) -> "SymSpinor":
-        p, q = g.unprimed, g.primed
-        comps = np.empty((p + 1, q + 1), dtype=complex)
-        for i in range(p + 1):
-            for j in range(q + 1):
-                idx = (1,) * i + (0,) * (p - i) + (1,) * j + (0,) * (q - j)
-                comps[i, j] = g.components[idx]
-        return cls(comps, p, q)
-
     def to_general(self) -> GeneralSpinor:
         p, q = self.unprimed, self.primed
         arr = np.empty((2,) * (p + q), dtype=complex)
         for idx in itertools.product((0, 1), repeat=p + q):
             arr[idx] = self.components[sum(idx[:p]), sum(idx[p:])]
         return GeneralSpinor(arr, p, q)
-
-    def weyl_scalars(self) -> np.ndarray:
-        if (self.unprimed, self.primed) != (4, 0):
-            raise ValueError("not a valence-(4,0) spinor")
-        return np.array([(-1.0) ** k * self.components[4 - k, 0]
-                         for k in range(5)])
-
-    def phi_matrix(self) -> np.ndarray:
-        if (self.unprimed, self.primed) != (2, 2):
-            raise ValueError("not a valence-(2,2) spinor")
-        phi = np.empty((3, 3), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                phi[i, j] = (-1.0) ** (i + j) * self.components[2 - i, 2 - j]
-        return phi
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.components)))

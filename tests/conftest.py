@@ -10,10 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from curvlab.conventions import SCALE_FLOOR
 from curvlab.expressions import FUNCTIONS, ZERO, DomainError, ExprError, parse_expr
 from curvlab.geometry import MetricField, SymbolicTensor, TensorValue
-from curvlab.newman_penrose import NullTetrad
-from curvlab.spinors import GeneralSpinor
+from curvlab.newman_penrose import NullTetrad, _clusters, pnd_roots
+from curvlab.spinors import (GeneralSpinor, SymSpinor, _symmetrized,
+                             raise_slot)
 
 PI = math.pi
 
@@ -130,6 +132,116 @@ def spinor_outer(*factors):
     arr = np.transpose(arr, order) if layout else arr
     p = sum(1 for up in layout if up)
     return GeneralSpinor(arr, p, len(layout) - p)
+
+
+class SpinorSlotError(ValueError):
+    """Contraction or symmetrization across mismatched slot kinds."""
+
+
+def valence(s: GeneralSpinor) -> tuple:
+    return (s.unprimed, s.primed)
+
+
+def is_unprimed_slot(s: GeneralSpinor, slot: int) -> bool:
+    return slot < s.unprimed
+
+
+def vector_spinor(components, primed: bool = False) -> GeneralSpinor:
+    arr = np.asarray(components, dtype=complex)
+    return GeneralSpinor(arr, 0 if primed else 1, 1 if primed else 0)
+
+
+def contract(s1: GeneralSpinor, s2: GeneralSpinor, pairs) -> GeneralSpinor:
+    """s1_{...A...} s2^{...A...}: each pair (i, j) contracts lower slot i
+    of s1 against slot j of s2 raised with ε."""
+    pairs = list(pairs)
+    if len({i for i, _ in pairs}) != len(pairs) or \
+            len({j for _, j in pairs}) != len(pairs):
+        raise SpinorSlotError("a slot may appear in only one pair")
+    for i, j in pairs:
+        if not (0 <= i < s1.unprimed + s1.primed):
+            raise SpinorSlotError(f"slot {i} out of range for first factor")
+        if not (0 <= j < s2.unprimed + s2.primed):
+            raise SpinorSlotError(f"slot {j} out of range for second factor")
+        if is_unprimed_slot(s1, i) != is_unprimed_slot(s2, j):
+            raise SpinorSlotError(
+                f"cannot contract slot {i} with slot {j}: "
+                "primed/unprimed mismatch")
+    other = s2.components
+    for _, j in pairs:
+        other = raise_slot(other, j)
+    arr = np.tensordot(s1.components, other,
+                       axes=([i for i, _ in pairs], [j for _, j in pairs]))
+    # tensordot leaves [s1-remaining..., s2-remaining...]; regroup all
+    # unprimed slots in front
+    up1 = s1.unprimed - sum(1 for i, _ in pairs if is_unprimed_slot(s1, i))
+    pr1 = s1.primed - sum(1 for i, _ in pairs if not is_unprimed_slot(s1, i))
+    up2 = s2.unprimed - sum(1 for _, j in pairs if is_unprimed_slot(s2, j))
+    pr2 = s2.primed - sum(1 for _, j in pairs if not is_unprimed_slot(s2, j))
+    if pr1 and up2:
+        arr = np.moveaxis(arr, range(up1 + pr1, up1 + pr1 + up2),
+                          range(up1, up1 + up2))
+    return GeneralSpinor(arr, up1 + up2, pr1 + pr2)
+
+
+def symmetrize(s: GeneralSpinor, slots) -> GeneralSpinor:
+    slots = tuple(slots)
+    kinds = {is_unprimed_slot(s, i) for i in slots}
+    if len(kinds) > 1:
+        raise SpinorSlotError("cannot symmetrize unprimed with primed slots")
+    return GeneralSpinor(_symmetrized(s.components, slots),
+                         s.unprimed, s.primed)
+
+
+def sym_from_general(g: GeneralSpinor) -> SymSpinor:
+    """The distinct components of a totally symmetric GeneralSpinor."""
+    p, q = g.unprimed, g.primed
+    comps = np.empty((p + 1, q + 1), dtype=complex)
+    for i in range(p + 1):
+        for j in range(q + 1):
+            idx = (1,) * i + (0,) * (p - i) + (1,) * j + (0,) * (q - j)
+            comps[i, j] = g.components[idx]
+    return SymSpinor(comps, p, q)
+
+
+def weyl_scalars(s: SymSpinor) -> np.ndarray:
+    """Ψ0..Ψ4 of a valence-(4,0) spinor (inverse of SymSpinor.from_weyl)."""
+    if (s.unprimed, s.primed) != (4, 0):
+        raise ValueError("not a valence-(4,0) spinor")
+    return np.array([(-1.0) ** k * s.components[4 - k, 0] for k in range(5)])
+
+
+def phi_matrix(s: SymSpinor) -> np.ndarray:
+    """Φ_ij of a valence-(2,2) spinor (inverse of SymSpinor.from_phi)."""
+    if (s.unprimed, s.primed) != (2, 2):
+        raise ValueError("not a valence-(2,2) spinor")
+    phi = np.empty((3, 3), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            phi[i, j] = (-1.0) ** (i + j) * s.components[2 - i, 2 - j]
+    return phi
+
+
+def cluster_roots(roots: list, inf_mult: int) -> list[int]:
+    """The multiplicity pattern of the root clusters, sorted descending."""
+    return sorted(map(len, _clusters(roots, inf_mult)), reverse=True)
+
+
+def petrov_from_roots(psi) -> str:
+    """Independent classification by root multiplicities of the
+    direction quartic (the oracle for the invariant chain)."""
+    psi = np.asarray(psi, dtype=complex)
+    if float(np.max(np.abs(psi))) < SCALE_FLOOR:
+        return "O"
+    roots, inf_mult = pnd_roots(psi)
+    pattern = tuple(cluster_roots(roots, inf_mult))
+    return {
+        (4,): "N",
+        (3, 1): "III",
+        (2, 2): "D",
+        (2, 1, 1): "II",
+        (1, 1, 1, 1): "I",
+    }[pattern]
 
 
 # ---------------------------------------------------------------------------

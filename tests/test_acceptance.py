@@ -23,7 +23,6 @@ from curvlab.newman_penrose import (
     np_scalars,
     null_rotate_weyl,
     petrov_classify,
-    petrov_from_roots,
     tetrad_frame,
 )
 from curvlab.spinors import (
@@ -42,6 +41,8 @@ from curvlab.symmetry import (
     second_order_symmetry_residual,
     semi_symmetry_residual,
 )
+
+from conftest import petrov_from_roots
 
 TOL = 1e-9
 ZERO_TOL = 1e-13

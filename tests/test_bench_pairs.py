@@ -113,3 +113,32 @@ def test_pairs_record_whether_the_digests_match(monkeypatch):
                                 [7, 8, 9], 40.0, {"wall_s": ("lower", 0.25)})
     assert [p["digests_match"] for p in rec["pairs"]] == [True, False, True]
     assert rec["summary"]["wall_s"]["regression"] == "ok"
+
+
+def fake_run(failed=0, code=0):
+    return {"metrics": {"wall_s": 1.0}, "digest": "d", "attempted": 5,
+            "failed": failed, "exit": code}
+
+
+CLEAN = "0/20 operations, 0 nonzero exits"
+
+
+@pytest.mark.parametrize("bad, status, parent, change", [
+    ({}, 0, CLEAN, CLEAN),
+    ({("C", 8, 0): fake_run(failed=2, code=1)}, 1,
+     CLEAN, "2/20 operations, 1 nonzero exits"),
+    ({("P", 7, 1): fake_run(code=3)}, 1,          # the traced run counts
+     "0/20 operations, 1 nonzero exits", CLEAN),
+])
+def test_failed_runs_are_printed_and_set_the_exit_status(
+        monkeypatch, capsys, bad, status, parent, change):
+    def fake_bench(root, workload, seed, seconds, trace):
+        return bad.get((root, seed, trace), fake_run())
+
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    rec = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "corpus",
+                                [7, 8, 9], 40.0, {"wall_s": ("lower", 0.25)})
+    assert bench_pairs.report({"workloads": {"corpus": rec}}) == status
+    out = capsys.readouterr().out
+    assert f"corpus          parent failed {parent}" in out
+    assert f"corpus          change failed {change}" in out

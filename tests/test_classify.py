@@ -2,18 +2,21 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import curvlab.classify as classify_mod
+from curvlab import newman_penrose
 from curvlab.classify import (
     BRANCHES,
+    DEC_SAMPLES,
+    DEC_SEED,
     ClassificationReport,
     TheoremViolationError,
+    _dec_samples,
     classify_point,
     coulomb_constraints,
     dec_check,
     extract_AB,
     static_note,
 )
-from curvlab.conventions import AB_FIT_CONSTANT, RESIDUAL_TOL
+from curvlab.conventions import AB_FIT_CONSTANT, RESIDUAL_TOL, SCALE_FLOOR
 from curvlab.expressions import ZERO, parse_expr
 from curvlab.geometry import (
     MetricField,
@@ -191,6 +194,56 @@ class TestDecCheck:
         assert first == second == "violated"
 
 
+def looped_dec_check(einstein, frame, g, tol=RESIDUAL_TOL, seed=DEC_SEED):
+    """dec_check as one sample at a time: the seeded draws in the same
+    order, each boost tested on its own (the reference for the one array
+    expression)."""
+    gmix = np.linalg.inv(g) @ np.real(einstein.array)
+    e0 = np.real(frame.k + frame.l) / np.sqrt(2.0)
+    e1 = np.real(frame.k - frame.l) / np.sqrt(2.0)
+    e2 = np.sqrt(2.0) * np.real(frame.m)
+    e3 = np.sqrt(2.0) * np.imag(frame.m)
+    gmax = max(float(np.max(np.abs(gmix))), SCALE_FLOOR)
+    metmax = float(np.max(np.abs(g)))
+    e0max = float(np.max(np.abs(e0)))
+    rng = np.random.default_rng(seed)
+    for _ in range(DEC_SAMPLES):
+        chi = rng.uniform(0.0, 2.0)
+        n = rng.normal(size=3)
+        n = n / np.linalg.norm(n)
+        u = np.cosh(chi) * e0 + np.sinh(chi) * (n[0] * e1 + n[1] * e2
+                                                + n[2] * e3)
+        flux = -gmix @ u
+        fs = max(gmax * float(np.max(np.abs(u))), SCALE_FLOOR)
+        if float(flux @ g @ flux) < -tol * metmax * fs * fs \
+                or float(flux @ g @ e0) < -tol * metmax * fs * e0max:
+            return "violated"
+    return "satisfied"
+
+
+class TestDecSamples:
+    def test_array_probe_matches_the_sample_loop(self, metric_map, tetrads):
+        rng = np.random.default_rng(61)
+        verdicts = []
+        for name in ("minkowski", "schwarzschild", "nariai", "product2x2"):
+            m, tet = metric_map[name], tetrads[name]
+            for p in m.points.values():
+                frame = tetrad_frame(m, tet, p)
+                g = m.metric_value(p)
+                for seed in (DEC_SEED, 5):
+                    a = rng.normal(size=(4, 4))
+                    einstein = TensorValue(a + a.T, ("d", "d"), p)
+                    got = dec_check(einstein, frame, g, seed=seed)
+                    assert got == looped_dec_check(einstein, frame, g,
+                                                   seed=seed), (name, p)
+                    verdicts.append(got)
+        assert {"violated", "satisfied"} <= set(verdicts)
+
+    def test_drawn_once_per_seed(self):
+        assert _dec_samples(DEC_SEED) is _dec_samples(DEC_SEED)
+        assert _dec_samples(5)[0].shape == (DEC_SAMPLES, 1)
+
+
 class TestCorpusBranches:
     @pytest.mark.parametrize("name", CORPUS)
     def test_golden_branch_at_every_point(self, name, metric_map, tetrads):
@@ -311,8 +364,14 @@ class TestSyntheticSpecialBranches:
 
 
 class TestTheoremGuard:
+    @pytest.fixture(autouse=True)
+    def fresh_point_memo(self, minkowski, monkeypatch):
+        # adapt_tetrad keeps the Petrov type in the point memo, so the
+        # forced type must not meet one decided by an earlier test
+        monkeypatch.setattr(minkowski, "_context", None)
+
     def test_violation_raises(self, minkowski, tetrads, monkeypatch):
-        monkeypatch.setattr(classify_mod, "petrov_classify",
+        monkeypatch.setattr(newman_penrose, "petrov_classify",
                             lambda psi, tol=RESIDUAL_TOL: "II")
         with pytest.raises(TheoremViolationError) as err:
             classify_point(minkowski, minkowski.points["origin"],
@@ -321,7 +380,7 @@ class TestTheoremGuard:
         assert "type II" in str(err.value)
 
     def test_error_carries_point(self, minkowski, tetrads, monkeypatch):
-        monkeypatch.setattr(classify_mod, "petrov_classify",
+        monkeypatch.setattr(newman_penrose, "petrov_classify",
                             lambda psi, tol=RESIDUAL_TOL: "III")
         p = minkowski.points["p1"]
         with pytest.raises(TheoremViolationError) as err:

@@ -232,6 +232,13 @@ class TestCovariantDerivative:
         with pytest.raises(RankOverflowError):
             minkowski.covariant_derivative_field(r5, order=2)
 
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_nabla_field_takes_only_orders_one_and_two(self, minkowski,
+                                                       order):
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            minkowski.nabla_field("riemann", order)
+        assert ("nabla", "riemann", order) not in minkowski._cache
+
     def test_gradient_cache_shared_across_wrapper_objects(self, schwarzschild):
         m = schwarzschild
         strings = ["r", "0", "1", "sin(theta)"]

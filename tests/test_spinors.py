@@ -10,25 +10,31 @@ from curvlab.spinors import (
     GeneralSpinor,
     IOTA_DN,
     O_DN,
-    SpinorSlotError,
     SymSpinor,
     check_contracted_condition,
     check_ricci_commutator,
     check_weyl_condition_1,
     check_weyl_condition_2,
-    contract,
     curvature_spinor,
     make_condition_data,
     raise_slot,
-    symmetrize,
-    vector_spinor,
 )
 from curvlab.symmetry import (
     conformal_semi_symmetry_residual,
     ricci_semi_symmetry_residual,
 )
 
-from conftest import spinor_outer
+from conftest import (
+    SpinorSlotError,
+    contract,
+    phi_matrix,
+    spinor_outer,
+    sym_from_general,
+    symmetrize,
+    valence,
+    vector_spinor,
+    weyl_scalars,
+)
 
 O = vector_spinor(O_DN)
 IOTA = vector_spinor(IOTA_DN)
@@ -88,7 +94,7 @@ class TestDyadIdentities:
 class TestSymmetrization:
     def test_dyad_product(self):
         sym = symmetrize(spinor_outer(O, IOTA), (0, 1))
-        npt.assert_allclose(SymSpinor.from_general(sym).components.ravel(),
+        npt.assert_allclose(sym_from_general(sym).components.ravel(),
                             [0.0, 0.5, 0.0])
 
     def test_idempotent(self):
@@ -103,13 +109,13 @@ class TestSymmetrization:
         psi2 = 0.3 - 0.7j
         sym = symmetrize(spinor_outer(O, O, IOTA, IOTA), (0, 1, 2, 3))
         full = GeneralSpinor(6.0 * psi2 * sym.components, 4, 0)
-        npt.assert_allclose(SymSpinor.from_general(full).weyl_scalars(),
+        npt.assert_allclose(weyl_scalars(sym_from_general(full)),
                             [0, 0, psi2, 0, 0], atol=1e-15)
 
     def test_radiation_principal_direction(self):
         psi, _, _ = make_condition_data("N", 1.0)
         hit = contract(psi.to_general(), O, [(3, 0)])
-        assert hit.valence == (3, 0)
+        assert valence(hit) == (3, 0)
         assert hit.max_abs() == 0.0
 
 
@@ -117,17 +123,17 @@ class TestSymSpinorRepresentation:
     def test_weyl_round_trip(self):
         rng = np.random.default_rng(5)
         psi = rng.normal(size=5) + 1j * rng.normal(size=5)
-        npt.assert_allclose(weyl_spinor(psi).weyl_scalars(), psi)
+        npt.assert_allclose(weyl_scalars(weyl_spinor(psi)), psi)
 
     def test_phi_round_trip(self):
         rng = np.random.default_rng(7)
         phi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        npt.assert_allclose(SymSpinor.from_phi(phi).phi_matrix(), phi)
+        npt.assert_allclose(phi_matrix(SymSpinor.from_phi(phi)), phi)
 
     def test_general_round_trip(self):
         rng = np.random.default_rng(9)
         s = weyl_spinor(rng.normal(size=5) + 1j * rng.normal(size=5))
-        npt.assert_allclose(SymSpinor.from_general(s.to_general()).components,
+        npt.assert_allclose(sym_from_general(s.to_general()).components,
                             s.components)
 
     def test_expansion_is_symmetric(self):
@@ -153,7 +159,7 @@ class TestSymSpinorRepresentation:
         with pytest.raises(ValueError):
             SymSpinor(np.zeros((3, 1)), 4, 0)
         with pytest.raises(ValueError):
-            weyl_spinor([1, 0, 0, 0, 0]).phi_matrix()
+            phi_matrix(weyl_spinor([1, 0, 0, 0, 0]))
 
 
 ZERO_TOL = 1.0e-13
@@ -191,7 +197,7 @@ class TestConditionFamilies:
     @pytest.mark.parametrize("family", ["N", "D"])
     def test_phi_matrix_has_rank_one(self, family):
         _, phi, _ = make_condition_data(family, 1.3)
-        svals = np.linalg.svd(phi.phi_matrix(), compute_uv=False)
+        svals = np.linalg.svd(phi_matrix(phi), compute_uv=False)
         assert svals[0] > 0.0
         assert svals[1] <= 1e-13 * svals[0]
 
@@ -313,7 +319,7 @@ def test_seeded_frame_independence_of_zero_residuals():
         for _ in range(20):
             psi, phi, scalar = make_condition_data(family,
                                                    0.5 + rng.random())
-            psi5 = psi.weyl_scalars()
+            psi5 = weyl_scalars(psi)
             kind, param = random_rotation(rng)
             rotated = weyl_spinor(null_rotate_weyl(psi5, param, kind))
             assert check_weyl_condition_1(rotated, scalar) <= 1e-11

@@ -14,13 +14,16 @@ gives the per-layer times and the DAG counts, which do not depend on the
 machine.
 
 The record holds every run's gated metrics (those ``BENCHMARK.json``
-lists), its report digest, host-loop time and failed operations, and per
-pair whether the two sides' digests match; and per metric each side's
+lists), its report digest, host-loop time, operations attempted and
+failed, and exit code; per pair whether the two sides' digests match;
+and per metric each side's
 median and quartiles, the pairs each side won (ties count for neither),
 whether a gain would count (at least ten pairs, the change wins at least
 nine tenths of them, and the medians differ, in the better direction, by
 more than the parent's interquartile range), and a regression verdict
 against the metric's ``BENCHMARK.json`` bound (see ``regression``).
+The summary prints each side's failed/attempted operations per workload,
+and the tool exits 1 when any run failed an operation or exited nonzero.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ def export(rev: str, dest: Path) -> Path:
 def bench(root: Path, workload: str, seed: int, seconds: float,
           trace: int) -> dict:
     """One ``perfbench/run.py`` run in ``root``: its metrics (the last
-    JSON line), report digest, host-loop time and failed operations."""
+    JSON line), report digest, host-loop time, operations attempted and
+    failed, and exit code."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -120,7 +124,8 @@ def bench(root: Path, workload: str, seed: int, seconds: float,
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "digest": head and head.group(2),
             "host_loop_s": head and float(head.group(1)),
-            "attempted": result["attempted"], "failed": result["failed"]}
+            "attempted": result["attempted"], "failed": result["failed"],
+            "exit": done.returncode}
 
 
 def run_pairs(sides: dict, workload: str, seeds: list[int], seconds: float,
@@ -151,6 +156,41 @@ def run_pairs(sides: dict, workload: str, seeds: list[int], seconds: float,
             "summary": summary, "traced": traced}
 
 
+def failures(rec: dict) -> dict:
+    """Per side of one workload, over its pairs and its traced run: the
+    operations failed and attempted, and the runs that exited nonzero."""
+    runs = [(side, p[side]) for p in rec["pairs"]
+            for side in ("parent", "change")] + list(rec["traced"].items())
+    out = {side: {"failed": 0, "attempted": 0, "nonzero_exits": 0}
+           for side in ("parent", "change")}
+    for side, run in runs:
+        out[side]["failed"] += run["failed"]
+        out[side]["attempted"] += run["attempted"]
+        out[side]["nonzero_exits"] += run["exit"] != 0
+    return out
+
+
+def report(record: dict) -> int:
+    """Print the summary of a record; 1 when any run failed an operation
+    or exited nonzero, else 0."""
+    status = 0
+    for w, rec in record["workloads"].items():
+        for side, f in failures(rec).items():
+            print(f"{w:<15} {side:<6} failed {f['failed']}/{f['attempted']} "
+                  f"operations, {f['nonzero_exits']} nonzero exits")
+            if f["failed"] or f["nonzero_exits"]:
+                status = 1
+        matched = sum(p["digests_match"] for p in rec["pairs"])
+        print(f"{w:<15} digests match in {matched}/{len(rec['pairs'])} pairs")
+        for name, s in rec["summary"].items():
+            print(f"{w:<15} {name:<14} parent {s['parent']['median']:.5g} "
+                  f"change {s['change']['median']:.5g} "
+                  f"({s['change_over_parent']:.3f}x) wins "
+                  f"{s['change_wins']}/{s['pairs']} {s['regression']}"
+                  + ("  gain counts" if s["gain_counts"] else ""))
+    return status
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent revision")
@@ -178,16 +218,7 @@ def main(argv=None) -> int:
             "workloads": {w: run_pairs(sides, w, args.seeds, args.seconds,
                                        gated) for w in args.workload}}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    for w, rec in record["workloads"].items():
-        matched = sum(p["digests_match"] for p in rec["pairs"])
-        print(f"{w:<15} digests match in {matched}/{len(rec['pairs'])} pairs")
-        for name, s in rec["summary"].items():
-            print(f"{w:<15} {name:<14} parent {s['parent']['median']:.5g} "
-                  f"change {s['change']['median']:.5g} "
-                  f"({s['change_over_parent']:.3f}x) wins "
-                  f"{s['change_wins']}/{s['pairs']} {s['regression']}"
-                  + ("  gain counts" if s["gain_counts"] else ""))
-    return 0
+    return report(record)
 
 
 if __name__ == "__main__":
