@@ -9,8 +9,7 @@ Exit codes: 0 success, 1 parse/validation failure (including a metric
 file that is missing or cannot be read, a ``--tol`` that is not a
 positive finite number, a negative ``--seed``, golden mismatches,
 expression errors such as ``abs`` under a derivative or a division by
-zero, and expressions nested too deeply for the recursive-descent
-parser), 2 degenerate metric at a point,
+zero), 2 degenerate metric at a point,
 3 invalid or missing tetrad, 4 classification hit a point whose Petrov
 type contradicts the admissibility theorem.
 """
@@ -176,10 +175,6 @@ def main(argv=None) -> int:
         return _cmd_lemmas()
     except (MetricFileError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RecursionError:
-        print("error: expression nested too deeply to parse",
-              file=sys.stderr)
         return EXIT_INPUT
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)

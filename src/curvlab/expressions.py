@@ -1,7 +1,7 @@
 """Symbolic expression trees over chart coordinates and named parameters.
 
 This is the scalar engine underneath every metric component: a small
-immutable expression language with a recursive-descent parser, exact
+immutable expression language with an explicit-stack parser, exact
 differentiation, light simplification (constant folding and identity
 elimination only -- correctness is defined by evaluation, not by any
 canonical form), and double-precision evaluation.
@@ -17,27 +17,36 @@ Grammar (whitespace ignored between tokens)::
 Unary minus binds tighter than '*', and '^' binds tighter still, so
 ``-x^2*y`` parses as ``(-(x^2))*y``.
 
-Nodes are hash-consed: structurally identical subtrees are the same
-object, which makes identity-keyed memoisation of differentiation, and
-one tape slot per distinct node, effective across large tensor
-component arrays.  A constructor finds a node with one probe of the
-intern table: a constant is keyed by its value, a name by (kind, name),
-any other node by one int of its arguments' ids and an op code, not a
-tuple; a new node is written through its slot setters, not __init__.
-The intern table and the derivative memo are plain module-level dicts,
-filled without a lock: the package is single-threaded, and a caller
-that builds expressions from several threads must serialise the calls.
+Nodes live in arenas.  An ``Arena`` holds the nodes made while it is
+open (``with arena:``), in creation order, and a node's ``slot`` is its
+index there.  A constructor finds its node with one probe of the open
+arena's tables -- a constant keyed by its value, a name by (kind, name),
+any other node by one small int of its arguments' slots and an op code
+-- and otherwise appends a new one, written through its slot setters.
+Structurally identical subtrees of one arena are therefore the same
+object, and the arena's derivative memo is keyed by slot, one table per
+variable.  An operand from another arena raises ``ExprError``: its slot
+would name a different node.  ``ZERO`` and ``ONE`` are slots 0 and 1 of
+every arena, so ``e is ZERO`` holds in each.  A metric's arena lives as
+long as the metric (the parser and the builders write into it); nodes
+made outside every ``with`` go to the module's default arena, which
+nothing in the pipeline writes to.  Nothing is locked: the package is
+single-threaded, and a caller that builds expressions from several
+threads must serialise the calls.
 
-Evaluation runs straight-line code.  A ``Tape`` holds a growing DAG,
-one instruction per node, and one list of values in slot order serves
-every root on it at one set of bindings: a metric's fields share one
-tape, and each point one value list (``MetricField.evaluate_field``).
-``Tape.run`` extends the list without checks; where that may have met a
-value out of domain, ``Tape.checked`` recomputes what the roots asked
+Evaluation runs straight-line code.  A node is made after its
+arguments, so an arena's creation order is a topological order, and the
+arena keeps one instruction per node as it appends it: its node list is
+its tape.  One list of values in slot order serves every root of the
+arena at one set of bindings: a metric's fields share one arena, and
+each point one value list (``MetricField.evaluate_field``).
+``Arena.run`` extends the list without checks; where that may have met
+a value out of domain, ``Arena.checked`` recomputes what the roots asked
 for read, one checked step at a time, and raises ``DomainError`` naming
-the first sub-expression that is out of domain or overflows.
-``evaluate`` does the same for one expression.  Only the parser
-recurses over the depth of an expression.
+the first sub-expression that is out of domain or overflows, so a dead
+node out of domain raises nothing.  ``evaluate`` checks each step of one
+expression's own nodes, in slot order.  Nothing recurses over the depth
+of an expression.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import weakref
 from array import array
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -98,10 +108,11 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 }
 
 class Expr:
-    """Immutable expression node.  Instances are interned, so equality is
-    object identity; only the constructors below make them."""
+    """Immutable expression node.  Instances are interned in their arena,
+    so equality is object identity; only the constructors below make
+    them."""
 
-    __slots__ = ("kind", "payload", "args")
+    __slots__ = ("kind", "payload", "args", "slot")
 
     def __setattr__(self, *a):  # pragma: no cover - defensive
         raise AttributeError("Expr is immutable")
@@ -114,39 +125,191 @@ class Expr:
 
 
 # the slot setters write past ``Expr.__setattr__``, without an __init__ call
-_set_kind, _set_payload, _set_args = (
-    Expr.kind.__set__, Expr.payload.__set__, Expr.args.__set__)
+_set_kind, _set_payload, _set_args, _set_slot = (
+    Expr.kind.__set__, Expr.payload.__set__, Expr.args.__set__,
+    Expr.slot.__set__)
 
 
-def _new(kind: str, payload, args: tuple) -> Expr:
+def _new(kind: str, payload, args: tuple, slot: int) -> Expr:
     node = object.__new__(Expr)
     _set_kind(node, kind)
     _set_payload(node, payload)
     _set_args(node, args)
+    _set_slot(node, slot)
     return node
 
 
-# An op node's key, with b = None for a unary one: interned nodes live as
-# long as the process, so ids are never reused; and with the code in the
-# low bits and an id above bit 64, the int has more significant bits than
-# a float holds, so no constant's key (its value) equals it.
-_INTERN: dict = {}
-_CODE = {op: code for code, op in enumerate(
-    ("+", "-", "*", "/", "^", "neg", *FUNCTIONS), 1)}
+_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+        "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+_CODE = {op: code for code, op in enumerate((*_OPS, *FUNCTIONS), 1)}
 
 
+def _leaf(kind: str, v) -> Callable:
+    """A leaf's instruction: a constant's value, or a name's binding."""
+    return (lambda b: v) if kind == "const" else (lambda b: float(b[v]))
+
+
+def _instruction(e: Expr) -> Callable:
+    """What computes ``e`` from its arguments' values (or, for a leaf,
+    from the bindings)."""
+    if not e.args:
+        return _leaf(e.kind, e.payload)
+    return FUNCTIONS[e.payload] if e.kind == "call" else _OPS[e.kind]
+
+
+ZERO = _new("const", 0.0, (), 0)
+ONE = _new("const", 1.0, (), 1)
+
+_LIVE = weakref.WeakSet()       # every arena not yet freed
+
+
+class Arena:
+    """The nodes one metric is made of, in creation order: its intern
+    tables, its derivative memo and its tape.
+
+    Slot ``i`` holds ``nodes[i]`` and applies ``fns[i]`` to the values at
+    slots ``a[i]`` and ``b[i]``, at ``a[i]`` alone (``b[i] == -1``), or to
+    the bindings (a leaf, ``a[i] == -1``).  ``ops`` maps an op node's key
+    to it, ``atoms`` a constant's value or a name's (kind, name), and
+    ``derivs[var]`` a node's slot to its derivative by ``var``.  Slots 0
+    and 1 are ``ZERO`` and ``ONE``.  ``with arena:`` makes it the arena
+    the constructors write into, until the block ends."""
+
+    __slots__ = ("nodes", "fns", "a", "b", "ops", "atoms", "derivs",
+                 "__weakref__")
+
+    def __init__(self):
+        self.nodes: list[Expr] = [ZERO, ONE]
+        self.fns: list[Callable] = [_instruction(ZERO), _instruction(ONE)]
+        self.a = array("i", [-1, -1])
+        self.b = array("i", [-1, -1])
+        self.ops: dict[int, Expr] = {}
+        self.atoms: dict = {0.0: ZERO, 1.0: ONE}
+        self.derivs: dict[str, dict[int, Expr]] = {}
+        _LIVE.add(self)
+
+    def __enter__(self) -> Arena:
+        global _arena
+        _outer.append(_arena)
+        _arena = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _arena
+        _arena = _outer.pop()
+
+    def owns(self, e: Expr) -> bool:
+        """Whether ``e`` is this arena's node."""
+        s = e.slot
+        return s < len(self.nodes) and self.nodes[s] is e
+
+    def _append(self, kind: str, payload, args: tuple, fn: Callable,
+                x: int, y: int) -> Expr:
+        nodes = self.nodes
+        node = _new(kind, payload, args, len(nodes))
+        nodes.append(node)
+        self.fns.append(fn)
+        self.a.append(x)
+        self.b.append(y)
+        return node
+
+    def run(self, values: list, bindings: Mapping[str, float],
+            roots: Sequence[int], end: int) -> list:
+        """The values at the slots ``roots``, all below ``end``, after an
+        unchecked run of the slots from ``len(values)`` up to ``end``.  If
+        that may have met a value out of domain, the roots are recomputed
+        checked and the run is dropped: ``values`` stays all in domain."""
+        start = len(values)
+        append = values.append
+        try:
+            for fn, x, y in zip(self.fns[start:end], self.a[start:end],
+                                self.b[start:end]):
+                append(fn(values[x], values[y]) if y >= 0
+                       else fn(values[x]) if x >= 0 else fn(bindings))
+        except (ArithmeticError, ValueError, TypeError, KeyError):
+            values.extend([math.nan] * (end - len(values)))
+        else:
+            # one sum sees every new value: an inf, a nan or a complex
+            # anywhere leaves a non-finite or complex total
+            total = sum(values[start:end], 0.0)
+            if type(total) is float and math.isfinite(total):
+                return [values[r] for r in roots]
+        try:
+            return self.checked(values, start, bindings, roots)
+        finally:
+            del values[start:]
+
+    def checked(self, values: list, clean: int,
+                bindings: Mapping[str, float], roots: Sequence[int]) -> list:
+        """The values at the slots ``roots``, recomputed in ``values`` from
+        those below ``clean`` (``_recompute``)."""
+        _recompute([self.nodes[r] for r in roots], values, clean, bindings)
+        return [values[r] for r in roots]
+
+
+# the open arena, and the ones to reopen as ``with`` blocks end
+_arena = Arena()
+_outer: list[Arena] = []
+
+
+def current_arena() -> Arena:
+    """The arena the constructors write into now."""
+    return _arena
+
+
+def table_sizes() -> tuple[int, int]:
+    """The nodes and the derivative-memo entries of every live arena."""
+    arenas = list(_LIVE)
+    return (sum(len(arena.nodes) for arena in arenas),
+            sum(len(memo) for arena in arenas
+                for memo in arena.derivs.values()))
+
+
+class _TableSize:
+    """``len()`` reads one of ``table_sizes()``, under the names of the
+    process-wide tables the arenas replaced (``perfbench/worker.py`` reads
+    them)."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __len__(self) -> int:
+        return table_sizes()[self.index]
+
+
+_INTERN, _DIFF_MEMO = _TableSize(0), _TableSize(1)
+
+
+# An op node's key is one int of its arguments' slots (the second one
+# plus 1, so 0 for a unary node) and its op code.  Slots name nodes only
+# within one arena, so an operand must be the open arena's own node.
+# Constants and names are keyed in ``atoms``: no float key meets an int.
 def _node(kind: str, payload, a: Expr, b: Expr | None = None) -> Expr:
-    key = (id(a) << 64 | id(b)) << 5 | _CODE[payload or kind]
-    node = _INTERN.get(key)
+    arena = _arena
+    nodes = arena.nodes
+    x = a.slot
+    y = -1 if b is None else b.slot
+    try:
+        if nodes[x] is not a or y >= 0 and nodes[y] is not b:
+            raise IndexError
+    except IndexError:
+        raise ExprError(
+            "an operand is an expression of another arena") from None
+    key = (x << 32 | y + 1) << 5 | _CODE[payload or kind]
+    node = arena.ops.get(key)
     if node is None:
-        node = _INTERN[key] = _new(kind, payload, (a,) if b is None else (a, b))
+        node = arena.ops[key] = arena._append(
+            kind, payload, (a,) if b is None else (a, b),
+            FUNCTIONS[payload] if kind == "call" else _OPS[kind], x, y)
     return node
 
 
 def _atom(kind: str, payload, key) -> Expr:
-    node = _INTERN.get(key)
+    arena = _arena
+    node = arena.atoms.get(key)
     if node is None:
-        node = _INTERN[key] = _new(kind, payload, ())
+        node = arena.atoms[key] = arena._append(
+            kind, payload, (), _leaf(kind, payload), -1, -1)
     return node
 
 
@@ -157,10 +320,6 @@ def _atom(kind: str, payload, key) -> Expr:
 def const(value: float) -> Expr:
     value = float(value)
     return _atom("const", value, value)
-
-
-ZERO = const(0.0)
-ONE = const(1.0)
 
 
 def coord(name: str) -> Expr:
@@ -276,9 +435,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div}
+
+
 class _Parser:
     def __init__(self, text: str, chart: Iterable[str], params: Iterable[str]):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.chart = set(chart)
@@ -309,70 +470,88 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        e = self.term()
+        """One ``expr``.  The grammar's rules are entered as by recursive
+        descent, and call the constructors in the same order, but each
+        rule still waiting for a value is a frame on ``frames``, not on
+        the call stack, so any depth of nesting parses."""
+        frames: list[list] = []
+        rule = "expr"
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                e = add(e, rhs) if value == "+" else sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = mul(e, rhs) if value == "*" else div(e, rhs)
-            else:
-                return e
-
-    def factor(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return neg(self.power())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            return pow_(base, self.factor())
-        return base
-
-    def atom(self) -> Expr:
-        kind, value, offset = self.advance()
-        if kind == "number":
-            return const(float(value))
-        if kind == "ident":
-            nkind, nvalue, _ = self.peek()
-            if nkind == "op" and nvalue == "(":
-                if value not in FUNCTIONS:
+            # enter rules until an atom gives a value
+            while rule != "atom":
+                if rule == "factor":
+                    kind, value, _ = self.peek()
+                    if kind == "op" and value == "-":
+                        self.advance()
+                        frames.append(["neg"])
+                    frames.append(["power"])
+                    rule = "atom"
+                else:       # expr or term: a first operand, no op yet
+                    frames.append([rule, None, None])
+                    rule = "term" if rule == "expr" else "factor"
+            kind, value, offset = self.advance()
+            if kind == "number":
+                v = const(float(value))
+            elif kind == "ident":
+                nkind, nvalue, _ = self.peek()
+                if nkind == "op" and nvalue == "(":
+                    if value not in FUNCTIONS:
+                        raise UndeclaredNameError(value, offset)
+                    self.advance()
+                    frames.append(["call", value])
+                    rule = "expr"
+                    continue
+                if value in self.chart:
+                    v = coord(value)
+                elif value in self.params:
+                    v = param(value)
+                else:
                     raise UndeclaredNameError(value, offset)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return call(value, arg)
-            if value in self.chart:
-                return coord(value)
-            if value in self.params:
-                return param(value)
-            raise UndeclaredNameError(value, offset)
-        if kind == "op" and value == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input",
-                         offset)
+            elif kind == "op" and value == "(":
+                frames.append(["paren"])
+                rule = "expr"
+                continue
+            else:
+                raise ParseError(f"unexpected {value!r}" if value
+                                 else "unexpected end of input", offset)
+            # hand the value to the waiting frames until one starts a rule
+            while frames:
+                frame = frames[-1]
+                tag = frame[0]
+                if tag == "expr" or tag == "term":
+                    lhs, op = frame[1], frame[2]
+                    if op is not None:
+                        v = _BINARY[op](lhs, v)
+                    kind, value, _ = self.peek()
+                    ops = "+-" if tag == "expr" else "*/"
+                    if kind == "op" and value in ops:
+                        self.advance()
+                        frame[1:] = v, value
+                        rule = "term" if tag == "expr" else "factor"
+                        break
+                elif tag == "power":
+                    kind, value, _ = self.peek()
+                    if kind == "op" and value == "^":
+                        self.advance()
+                        frames[-1] = ["pow", v]
+                        rule = "factor"
+                        break
+                elif tag == "pow":
+                    v = pow_(frame[1], v)
+                elif tag == "neg":
+                    v = neg(v)
+                else:       # call or paren: the closing parenthesis
+                    self.expect_op(")")
+                    if tag == "call":
+                        v = call(frame[1], v)
+                frames.pop()
+            else:
+                return v
 
 
 def parse_expr(text: str, chart: Iterable[str], params: Iterable[str] = ()) -> Expr:
-    """Parse ``text`` against the declared coordinate and parameter names."""
+    """Parse ``text`` against the declared coordinate and parameter names,
+    into the open arena."""
     return _Parser(text, chart, params).parse()
 
 
@@ -380,14 +559,17 @@ def parse_expr(text: str, chart: Iterable[str], params: Iterable[str] = ()) -> E
 # differentiation
 # ---------------------------------------------------------------------------
 
-_DIFF_MEMO: dict[tuple[int, str], Expr] = {}
-
-
 def differentiate(e: Expr, var: str) -> Expr:
-    """Exact partial derivative with respect to coordinate ``var``."""
-    memo = _DIFF_MEMO
+    """Exact partial derivative with respect to coordinate ``var``, made
+    in the open arena, which must hold ``e``."""
+    arena = _arena
+    if not arena.owns(e):
+        raise ExprError("the expression to differentiate is of another arena")
+    memo = arena.derivs.get(var)
+    if memo is None:
+        memo = arena.derivs[var] = {}
     get = memo.get
-    d = get((id(e), var))
+    d = get(e.slot)
     if d is not None:
         return d
     # iterative post-order walk: a node is differentiated once the
@@ -400,19 +582,19 @@ def differentiate(e: Expr, var: str) -> Expr:
         da = db = None
         if args:
             a, b = args[0], args[-1]
-            da = get((id(a), var))
+            da = get(a.slot)
             if da is None:
                 stack.append(a)
                 continue
             if b is a or node.kind == "^" and b.kind == "const":
                 db = da     # a constant exponent's derivative is not read
             else:
-                db = get((id(b), var))
+                db = get(b.slot)
                 if db is None:
                     stack.append(b)
                     continue
         stack.pop()
-        d = memo[id(node), var] = _derivative(node, var, da, db)
+        d = memo[node.slot] = _derivative(node, var, da, db)
     return d
 
 
@@ -464,116 +646,11 @@ _CHAIN = {
 # evaluation
 # ---------------------------------------------------------------------------
 
-_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
-        "*": operator.mul, "/": operator.truediv, "^": operator.pow}
-
-
-def _leaf(e: Expr) -> Callable:
-    """A leaf's instruction: a constant's value, or a name's binding."""
-    v = e.payload
-    return (lambda b: v) if e.kind == "const" else (lambda b: float(b[v]))
-
-
-class Tape:
-    """A growing expression DAG as straight-line code, one slot per node.
-
-    ``add`` appends the nodes below its roots not on the tape yet, in
-    topological order, so a node shared by roots added together or apart
-    has one slot.  Slot ``i`` applies ``fns[i]`` to the values at slots
-    ``a[i]`` and ``b[i]``, at ``a[i]`` alone (``b[i] == -1``), or to the
-    bindings (a leaf, ``a[i] == -1``)."""
-
-    __slots__ = ("nodes", "slot", "fns", "a", "b")
-
-    def __init__(self):
-        self.nodes: list[Expr] = []     # keeps the ids keying ``slot`` alive
-        self.slot: dict[int, int] = {}
-        self.fns: list[Callable] = []
-        self.a = array("i")
-        self.b = array("i")
-
-    def add(self, roots: Sequence[Expr]) -> array:
-        """The roots' slots, after appending the nodes not on the tape."""
-        slot, nodes, fns, xs, ys = self.slot, self.nodes, self.fns, self.a, self.b
-        get = slot.get
-        for root in roots:
-            if id(root) in slot:
-                continue
-            # iterative post-order walk: a node is appended once all of
-            # its arguments are on the tape, however deep the expression;
-            # only nodes off it are pushed, so none is on the stack twice
-            stack = [root]
-            while stack:
-                node = stack[-1]
-                args = node.args
-                x = y = -1
-                if args:
-                    x = get(id(args[0]))
-                    if x is None:
-                        stack.append(args[0])
-                        continue
-                    if len(args) == 2:
-                        y = get(id(args[1]))
-                        if y is None:
-                            stack.append(args[1])
-                            continue
-                stack.pop()
-                slot[id(node)] = len(nodes)
-                nodes.append(node)
-                fns.append(_leaf(node) if not args else FUNCTIONS[node.payload]
-                           if node.kind == "call" else _OPS[node.kind])
-                xs.append(x)
-                ys.append(y)
-        return array("i", [slot[id(r)] for r in roots])
-
-    def run(self, values: list, bindings: Mapping[str, float],
-            roots: Sequence[int], end: int) -> list:
-        """The values at the slots ``roots``, all below ``end``, after an
-        unchecked run of the slots from ``len(values)`` up to ``end``.  If
-        that may have met a value out of domain, the roots are recomputed
-        checked and the run is dropped: ``values`` stays all in domain."""
-        start = len(values)
-        append = values.append
-        try:
-            for fn, x, y in zip(self.fns[start:end], self.a[start:end],
-                                self.b[start:end]):
-                append(fn(values[x], values[y]) if y >= 0
-                       else fn(values[x]) if x >= 0 else fn(bindings))
-        except (ArithmeticError, ValueError, TypeError, KeyError):
-            values.extend([math.nan] * (end - len(values)))
-        else:
-            # one sum sees every new value: an inf, a nan or a complex
-            # anywhere leaves a non-finite or complex total
-            total = sum(values[start:end], 0.0)
-            if type(total) is float and math.isfinite(total):
-                return [values[r] for r in roots]
-        try:
-            return self.checked(values, start, bindings, roots)
-        finally:
-            del values[start:]
-
-    def checked(self, values: list, clean: int,
-                bindings: Mapping[str, float], roots: Sequence[int]) -> list:
-        """The values at the slots ``roots``, recomputed in ``values`` in
-        slot order from those below ``clean``, one checked step at a time;
-        raises at the first node out of domain that the roots read."""
-        a, b = self.a, self.b
-        cone, stack = set(), [r for r in roots if r >= clean]
-        while stack:
-            s = stack.pop()
-            if s not in cone:
-                cone.add(s)
-                stack += (t for t in (a[s], b[s]) if t >= clean)
-        for s in sorted(cone):
-            args = [values[t] for t in (a[s], b[s]) if t >= 0]
-            values[s] = _step(self.nodes[s], self.fns[s], args, bindings)
-        return [values[r] for r in roots]
-
-
-def _step(e: Expr, fn: Callable, args: list,
-          bindings: Mapping[str, float]) -> float:
-    """``fn``'s value for node ``e``, or the error putting it out of domain."""
+def _step(e: Expr, args: list, bindings: Mapping[str, float]) -> float:
+    """The value of node ``e`` from its arguments' values ``args``, or the
+    error putting it out of domain."""
     kind, name = e.kind, e.payload
+    fn = _instruction(e)
     if kind == "/" and args[1] == 0.0:
         raise DomainError("division by zero", e)
     if kind == "call" and name == "log" and args[0] <= 0.0:
@@ -594,11 +671,30 @@ def _step(e: Expr, fn: Callable, args: list,
     return v
 
 
+def _recompute(roots: list[Expr], values, clean: int,
+               bindings: Mapping[str, float]) -> None:
+    """Write in ``values`` (indexed by slot) the value of every node at a
+    slot from ``clean`` up that ``roots`` read, in slot order, from the
+    values below ``clean``, one checked step at a time; raises at the
+    first node out of domain."""
+    cone, stack = {}, [r for r in roots if r.slot >= clean]
+    while stack:
+        node = stack.pop()
+        if node.slot not in cone:
+            cone[node.slot] = node
+            stack += (x for x in node.args if x.slot >= clean)
+    for s in sorted(cone):
+        node = cone[s]
+        values[s] = _step(node, [values[x.slot] for x in node.args], bindings)
+
+
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
-    """Evaluate to a double, on a tape of its own; raises ``DomainError``
-    naming the first sub-expression out of domain."""
-    tape = Tape()
-    return tape.run([], bindings, tape.add([e]), len(tape.nodes))[0]
+    """Evaluate to a double, one checked step per node of ``e`` in slot
+    order; raises ``DomainError`` naming the first sub-expression out of
+    domain."""
+    values: dict[int, float] = {}
+    _recompute([e], values, 0, bindings)
+    return values[e.slot]
 
 
 # ---------------------------------------------------------------------------

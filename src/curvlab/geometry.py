@@ -17,17 +17,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conventions import RIEMANN_SIGN, SCALE_FLOOR
 from .expressions import (
+    Arena,
     Expr,
-    Tape,
+    ExprError,
     ZERO,
     add,
     const,
+    current_arena,
     differentiate,
     div,
     mul,
@@ -51,8 +54,8 @@ class RankOverflowError(Exception):
 class SymbolicTensor:
     """Tensor field: object array of Expr plus a variance per slot.
 
-    ``slots``: once ``MetricField.evaluate_field`` places the components
-    on its metric's ``Tape``, that tape, their slots and one past the
+    ``slots``: once a ``MetricField`` has read the components' slots off
+    them (``MetricField.place``), its arena, those slots and one past the
     last, so the components must not be replaced after that.
     """
 
@@ -181,29 +184,33 @@ def _antisymmetric(component) -> np.ndarray:
 
 
 def _cached(build):
-    """A no-argument builder whose result the metric makes once."""
+    """A no-argument builder whose result the metric makes once, in its
+    arena."""
     name = build.__name__
     @functools.wraps(build)
     def cached(self):
         if name not in self._cache:
-            self._cache[name] = build(self)
+            with self.arena:
+                self._cache[name] = build(self)
         return self._cache[name]
     return cached
 
 
 def _per_field(build):
     """A builder of one field from another, made once per metric and
-    field contents; a ``LinearField`` maps it over its terms.  Nodes are
-    interned for the life of the process, so their ids name the contents;
-    a wrapper's own id would not (wrappers die and ids get recycled)."""
+    field contents, in the metric's arena; a ``LinearField`` maps it over
+    its terms.  The components' slots name the contents: a slot names one
+    node of the arena for the arena's life, while a wrapper's own id would
+    not (wrappers die and ids get recycled)."""
     name = build.__name__
     @functools.wraps(build)
     def per_field(self, t: Field) -> Field:
         if isinstance(t, LinearField):
             return t.map(getattr(self, name))
-        key = (name, t.variance, tuple(map(id, t.components.ravel())))
+        key = (name, t.variance, self.place(t)[1].tobytes())
         if key not in self._cache:
-            self._cache[key] = build(self, t)
+            with self.arena:
+                self._cache[key] = build(self, t)
         return self._cache[key]
     return per_field
 
@@ -212,13 +219,15 @@ class MetricField:
     """A 4d Lorentzian metric given by symbolic components.
 
     Only the upper triangle of ``g`` is read; the stored matrix shares
-    one Expr object per symmetric pair.  All curvature quantities are
-    built when first asked for and kept on the instance: by ``_cached``
-    and ``_per_field`` builders, and by ``nabla_field``.
+    one Expr object per symmetric pair.  ``arena`` holds the components
+    (by default the open arena, see ``expressions.Arena``) and every node
+    built from them.  All curvature quantities are built when first asked
+    for and kept on the instance: by ``_cached`` and ``_per_field``
+    builders, and by ``nabla_field``.
     """
 
     def __init__(self, name, chart, g, params=None, points=None,
-                 tetrad=None, static=False):
+                 tetrad=None, static=False, arena: Arena | None = None):
         self.name = str(name)
         self.chart = tuple(chart)
         if len(self.chart) != DIM:
@@ -232,14 +241,15 @@ class MetricField:
                 arr[i, j] = e
                 arr[j, i] = e
         self.g = arr
+        self.arena = current_arena() if arena is None else arena
         self._g_field = SymbolicTensor(arr, ("d", "d"))
+        self.place(self._g_field)
         self.params = {str(k): float(v) for k, v in (params or {}).items()}
         self.points = {str(k): tuple(float(x) for x in v)
                        for k, v in (points or {}).items()}
         self.tetrad = tetrad
         self.static = bool(static)
         self._cache: dict = {}
-        self.tape = Tape()
         self._context: PointContext | None = None
         for pname, coords in self.points.items():
             self._validate_signature(pname, coords)
@@ -291,10 +301,24 @@ class MetricField:
                 f"metric '{self.name}' at point '{pname}' {coords} does not have "
                 f"signature (+,-,-,-): eigenvalues {eigenvalues}")
 
+    def place(self, t: SymbolicTensor) -> tuple:
+        """``t.slots``: the metric's arena, the components' slots there and
+        one past the last, read off the components once.  A component of
+        another arena raises ``ExprError``: its slot names another node."""
+        arena = self.arena
+        if t.slots is None or t.slots[0] is not arena:
+            comps = t.components.ravel()
+            if not all(map(arena.owns, comps)):
+                raise ExprError(f"a field of metric '{self.name}' holds an "
+                                "expression of another arena")
+            slots = array("i", [e.slot for e in comps])
+            t.slots = (arena, slots, max(slots) + 1)
+        return t.slots
+
     def evaluate_field(self, t: Field, point) -> TensorValue:
         """``t`` at ``point``, evaluated once per point context.  A
-        ``SymbolicTensor`` runs its slots on the metric's tape with the
-        context's value list (``Tape.run``); a ``LinearField`` is
+        ``SymbolicTensor`` runs its slots on the metric's arena with the
+        context's value list (``Arena.run``); a ``LinearField`` is
         Σ cᵢ·value(fᵢ) over its terms' values."""
         ctx = self.at(point)
         value = ctx.memo.get(t)
@@ -304,11 +328,8 @@ class MetricField:
             value = ctx.memo[t] = TensorValue(
                 sum(parts[1:], parts[0]), t.variance, ctx.point)
         if value is None:
-            tape = self.tape
-            if t.slots is None or t.slots[0] is not tape:
-                slots = tape.add(t.components.ravel())
-                t.slots = (tape, slots, max(slots) + 1)
-            comps = tape.run(ctx.values, ctx.bindings, *t.slots[1:])
+            arena, slots, end = self.place(t)
+            comps = arena.run(ctx.values, ctx.bindings, slots, end)
             arr = np.array(comps, dtype=complex).reshape(t.components.shape)
             value = ctx.memo[t] = TensorValue(arr, t.variance, ctx.point)
         return value
@@ -424,8 +445,9 @@ class MetricField:
             raise RankOverflowError(
                 f"rank {t.rank} + {order} derivatives exceeds the rank-{MAX_RANK} limit")
         out = t
-        for _ in range(order):
-            out = self._cov1(out)
+        with self.arena:
+            for _ in range(order):
+                out = self._cov1(out)
         return out
 
     def _cov1(self, t: SymbolicTensor) -> SymbolicTensor:
@@ -494,8 +516,9 @@ class MetricField:
         if key not in self._cache:
             base = {"riemann": self.riemann_field, "weyl": self.weyl_field,
                     "ricci": self.ricci_field}[which]()
-            self._cache[key] = self._cov1(
-                self.nabla_field(which, 1) if order == 2 else base)
+            first = self.nabla_field(which, 1) if order == 2 else base
+            with self.arena:
+                self._cache[key] = self._cov1(first)
         return self._cache[key]
 
     @_per_field
@@ -545,8 +568,8 @@ class PointContext:
     many callers ask for it: a field's value under the ``SymbolicTensor``
     object (a ``LinearField`` under its terms), and any other result,
     read through ``once``, under a tuple of its name and inputs (a tetrad
-    as the ``NullTetrad`` object itself).  ``values`` holds the metric's
-    tape slots' values, in order and all in domain, as far as the fields
+    as the ``NullTetrad`` object itself).  ``values`` holds the values of
+    the metric's arena slots, in order and all in domain, as far as the fields
     read so far reach.  ``source`` and ``params`` let ``MetricField.at``
     serve a repeated tuple without rebuilding ``key``.  Results are
     handed out without a copy; callers must not modify them.

@@ -44,7 +44,7 @@ import re
 
 import numpy as np
 
-from .expressions import ExprError, parse_expr
+from .expressions import Arena, ExprError, parse_expr
 from .geometry import MetricField, SymbolicTensor
 from .newman_penrose import InvalidTetradError, NullTetrad, validate_tetrad
 
@@ -145,9 +145,10 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_entry_expr(text: str, chart, params, lineno: int):
+def _parse_entry_expr(text: str, chart, params, lineno: int, arena: Arena):
     try:
-        return parse_expr(text, chart, params)
+        with arena:
+            return parse_expr(text, chart, params)
     except ExprError as exc:
         raise MetricFileParseError(lineno, str(exc)) from exc
 
@@ -199,10 +200,13 @@ def parse_metric_text(text: str, name: str) -> MetricField:
     for key in METRIC_KEYS:
         if key not in seen:
             raise MetricFileValidationError(f"[metric] is missing entry '{key}'")
+    # the metric's arena, which the parser writes into before the
+    # metric exists
+    arena = Arena()
     g = [[None] * 4 for _ in range(4)]
     for key, (lineno, value) in seen.items():
         i, j = int(key[1]), int(key[2])
-        g[i][j] = _parse_entry_expr(value, chart, params, lineno)
+        g[i][j] = _parse_entry_expr(value, chart, params, lineno, arena)
 
     points = {}
     for lineno, key, value in _require(sections, "points"):
@@ -248,7 +252,8 @@ def parse_metric_text(text: str, name: str) -> MetricField:
                     f"[tetrad] leg '{key}' must have 4 components, "
                     f"got {len(parts)}")
             comp = np.array(
-                [_parse_entry_expr(p, chart, params, lineno) for p in parts],
+                [_parse_entry_expr(p, chart, params, lineno, arena)
+                 for p in parts],
                 dtype=object)
             legs[key] = SymbolicTensor(comp, ("u",))
         for key in TETRAD_KEYS:
@@ -257,7 +262,7 @@ def parse_metric_text(text: str, name: str) -> MetricField:
         tetrad = NullTetrad(legs["k"], legs["l"], legs["m_re"], legs["m_im"])
 
     m = MetricField(name, chart, g, params=params, points=points,
-                    tetrad=tetrad, static=static)
+                    tetrad=tetrad, static=static, arena=arena)
     if tetrad is not None:
         for pname, coords in m.points.items():
             check = validate_tetrad(m, tetrad, coords)

@@ -24,9 +24,6 @@ from .conventions import CURVATURE_SPINOR_R_FACTOR, FAMILIES
 EPS_DN = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 EPS_UP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
-O_DN = np.array([1.0, 0.0], dtype=complex)
-IOTA_DN = np.array([0.0, 1.0], dtype=complex)
-
 
 @dataclass(eq=False)
 class GeneralSpinor:
@@ -42,11 +39,6 @@ class GeneralSpinor:
             raise ValueError(f"component array has shape "
                              f"{self.components.shape}, expected {expected}")
         self.components = np.asarray(self.components, dtype=complex)
-
-    def max_abs(self) -> float:
-        if self.components.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.components)))
 
 
 def raise_slot(arr: np.ndarray, slot: int) -> np.ndarray:
@@ -107,9 +99,6 @@ class SymSpinor:
         for idx in itertools.product((0, 1), repeat=p + q):
             arr[idx] = self.components[sum(idx[:p]), sum(idx[p:])]
         return GeneralSpinor(arr, p, q)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components)))
 
 
 def make_condition_data(branch: str, amplitude: float):

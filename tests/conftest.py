@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from curvlab.conventions import SCALE_FLOOR
-from curvlab.expressions import FUNCTIONS, ZERO, DomainError, ExprError, parse_expr
+from curvlab.expressions import (FUNCTIONS, ZERO, Arena, DomainError,
+                                 ExprError, parse_expr)
 from curvlab.geometry import MetricField, SymbolicTensor, TensorValue
 from curvlab.newman_penrose import NullTetrad, _clusters, pnd_roots
 from curvlab.spinors import (GeneralSpinor, SymSpinor, _symmetrized,
@@ -138,6 +139,16 @@ class SpinorSlotError(ValueError):
     """Contraction or symmetrization across mismatched slot kinds."""
 
 
+# the basis dyad o_A and ι_A, all indices down
+O_DN = np.array([1.0, 0.0], dtype=complex)
+IOTA_DN = np.array([0.0, 1.0], dtype=complex)
+
+
+def max_abs(s) -> float:
+    """The largest modulus among a spinor's stored components."""
+    return float(np.max(np.abs(s.components))) if s.components.size else 0.0
+
+
 def valence(s: GeneralSpinor) -> tuple:
     return (s.unprimed, s.primed)
 
@@ -251,15 +262,16 @@ def petrov_from_roots(psi) -> str:
 
 def vector_field(m, strings):
     """Contravariant vector field from four component strings."""
-    comp = np.array([parse_expr(s, m.chart, tuple(m.params)) for s in strings],
-                    dtype=object)
+    with m.arena:
+        comp = np.array([parse_expr(s, m.chart, tuple(m.params))
+                         for s in strings], dtype=object)
     return SymbolicTensor(comp, ("u",))
 
 
 def metric_from_strings(name, chart, diag_or_entries, params=None,
                         points=None, **kw):
-    """Build a MetricField from {(i, j): "expr"} (upper triangle) or a
-    4-element diagonal list of strings."""
+    """Build a MetricField, in an arena of its own, from {(i, j): "expr"}
+    (upper triangle) or a 4-element diagonal list of strings."""
     params = params or {}
     entries = {}
     if isinstance(diag_or_entries, (list, tuple)):
@@ -268,9 +280,11 @@ def metric_from_strings(name, chart, diag_or_entries, params=None,
     else:
         entries = dict(diag_or_entries)
     g = [[ZERO for _ in range(4)] for _ in range(4)]
-    for (i, j), text in entries.items():
-        g[i][j] = parse_expr(text, chart, params)
-    return MetricField(name, chart, g, params=params, points=points, **kw)
+    with Arena() as arena:
+        for (i, j), text in entries.items():
+            g[i][j] = parse_expr(text, chart, params)
+    return MetricField(name, chart, g, params=params, points=points,
+                       arena=arena, **kw)
 
 
 @pytest.fixture(scope="session")

@@ -430,15 +430,18 @@ class TestExitCodes:
         assert err == ("error: division by zero in "
                        "'1.0/(2.0*sqrt(x))'\n")
 
-    def test_deep_nesting_is_one(self, capsys, tmp_path):
-        # 600 nested parentheses exceed the recursive-descent parser's
-        # depth while the metric file loads
-        path = self.minkowski_with_g11(tmp_path, "-" + "(" * 600 + "1"
-                                       + ")" * 600)
-        for command in ("analyze", "classify"):
-            code, out, err = run_cli(capsys, command, path)
-            assert code == 1 and out == ""
-            assert err == "error: expression nested too deeply to parse\n"
+    def test_deep_nesting_gets_the_bare_report(self, capsys, tmp_path):
+        # the parser keeps the rules it is inside of on a stack of its
+        # own, so any depth of parentheses parses, to the bare entry
+        commands = ("analyze", "classify")
+        path = self.minkowski_with_g11(tmp_path, "-1")
+        bare = [run_cli(capsys, command, path) for command in commands]
+        assert all(code == 0 and err == "" for code, _, err in bare)
+        for depth in (600, 5000):
+            path = self.minkowski_with_g11(
+                tmp_path, "-" + "(" * depth + "1" + ")" * depth)
+            assert [run_cli(capsys, command, path)
+                    for command in commands] == bare, depth
 
     def test_deep_sum_gets_a_report(self, capsys, tmp_path):
         # 3000 chained terms: parsed by loops, then differentiated,

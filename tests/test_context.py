@@ -21,7 +21,6 @@ from curvlab import (
     classify,
     corpus,
     expressions,
-    geometry,
     metricfile,
     newman_penrose,
     symmetry,
@@ -30,7 +29,7 @@ from curvlab.analysis import DEFAULT_SEED, analyze_point, reports_to_json
 from curvlab.classify import classify_point
 from curvlab.conventions import RESIDUAL_TOL
 from curvlab.corpus import load_corpus_metric
-from curvlab.expressions import Tape, const, mul, parse_expr
+from curvlab.expressions import Arena, const, mul, parse_expr
 from curvlab.geometry import LinearField, MetricField, SymbolicTensor, curvature
 from curvlab.newman_penrose import (
     InvalidTetradError,
@@ -80,9 +79,10 @@ def report_json(m, pname):
                            DEFAULT_SEED)
 
 
-def scaled_leg(field, factor):
-    comp = np.array([mul(const(factor), c) for c in field.components],
-                    dtype=object)
+def scaled_leg(m, field, factor):
+    with m.arena:
+        comp = np.array([mul(const(factor), c) for c in field.components],
+                        dtype=object)
     return SymbolicTensor(comp, ("u",))
 
 
@@ -182,14 +182,14 @@ def tapes_built(monkeypatch):
     """Every tape built."""
     built = []
 
-    class CountingTape(Tape):
+    class CountingArena(Arena):
         __slots__ = ()
 
         def __init__(self):
             built.append(self)
             super().__init__()
 
-    monkeypatch.setattr(geometry, "Tape", CountingTape)
+    monkeypatch.setattr(metricfile, "Arena", CountingArena)
     return built
 
 
@@ -198,13 +198,13 @@ def checked_runs(monkeypatch):
     """Counts runs of the checked steps, which replace the unchecked
     tape run only where a value is out of domain."""
     calls = Counter()
-    original = Tape.checked
+    original = Arena.checked
 
     def counting(self, *args):
         calls["checked"] += 1
         return original(self, *args)
 
-    monkeypatch.setattr(Tape, "checked", counting)
+    monkeypatch.setattr(Arena, "checked", counting)
     return calls
 
 
@@ -222,8 +222,9 @@ def reachable(fields):
 
 class TestTapes:
     def field(self, m, texts):
-        comp = np.array([parse_expr(s, m.chart) for s in texts],
-                        dtype=object)
+        with m.arena:
+            comp = np.array([parse_expr(s, m.chart) for s in texts],
+                            dtype=object)
         return SymbolicTensor(comp, ("u",))
 
     def test_field_at_one_point_builds_no_tape(self, tapes_built):
@@ -233,8 +234,8 @@ class TestTapes:
         p = m.points["origin"]
         first = m.evaluate_field(f, p)
         assert m.evaluate_field(f, list(p)) is first
-        assert tapes_built == [m.tape]
-        assert f.slots[0] is m.tape
+        assert tapes_built == [m.arena]
+        assert f.slots[0] is m.arena
 
     def test_field_at_three_points_builds_one_tape(self, tapes_built):
         m = load_corpus_metric("minkowski")
@@ -244,8 +245,8 @@ class TestTapes:
             p = (0.5, x, -1.0, 2.0)
             values.append(m.evaluate_field(f, p).array)
             m.evaluate_field(f, p)
-            sizes.append(len(m.tape.nodes))
-        assert tapes_built == [m.tape]
+            sizes.append(len(m.arena.nodes))
+        assert tapes_built == [m.arena]
         assert sizes == [sizes[0]] * 3
         assert np.array_equal(values[2], [1.5, -1.0, 3.0, 9.0])
 
@@ -265,21 +266,21 @@ class TestTapes:
             return value
 
         ran = []
-        run = Tape.run
+        run = Arena.run
 
         def counting_run(self, values, bindings, roots, end):
             ran.append(max(end - len(values), 0))
             return run(self, values, bindings, roots, end)
 
         monkeypatch.setattr(MetricField, "evaluate_field", recording)
-        monkeypatch.setattr(Tape, "run", counting_run)
+        monkeypatch.setattr(Arena, "run", counting_run)
         for pname in sorted(m.points):
             served.clear()
             ran.clear()
             analyze_point(m, pname, cross_validate=True)
             assert len(served) == 2 and served[0] is served[1], pname
             values = m.at(m.points[pname]).values
-            assert target.slots[2] <= len(values) <= len(m.tape.nodes), pname
+            assert target.slots[2] <= len(values) <= len(m.arena.nodes), pname
             assert sum(ran) == len(values), pname
 
 
@@ -296,12 +297,12 @@ class TestOneEvaluator:
         # adds to the tape
         m = load_corpus_metric(name)
         analyze_point(m, "p0", cross_validate=cross)
-        size = len(m.tape.nodes)
+        size = len(m.arena.nodes)
         assert size > 0 and checked_runs["checked"] == 0
         for pname in ("p1", "p2", "p3", "p4"):
             analyze_point(m, pname, cross_validate=cross)
             assert checked_runs["checked"] == 0, pname
-            assert len(m.tape.nodes) == size, pname
+            assert len(m.arena.nodes) == size, pname
 
 
 class TestOneTape:
@@ -320,9 +321,9 @@ class TestOneTape:
         for pname in sorted(m.points):
             analyze_point(m, pname, cross_validate=True)
         nodes = reachable(fields.values())
-        assert len(m.tape.nodes) == len(nodes)
-        assert {id(e) for e in m.tape.nodes} == set(nodes)
-        assert all(t.slots[0] is m.tape for t in fields.values())
+        assert len(m.arena.nodes) == len(nodes)
+        assert {id(e) for e in m.arena.nodes} == set(nodes)
+        assert all(t.slots[0] is m.arena for t in fields.values())
         # each field's own DAG, summed: what one tape per field held
         per_field = sum(len(reachable([t])) for t in fields.values())
         assert per_field > len(nodes)
@@ -373,8 +374,8 @@ class TestNoSymbolicGrowth:
         sizes, rotated = [], 0
         for pname in sorted(m.points):
             analyze_point(m, pname)
-            sizes.append((len(expressions._INTERN), len(m._cache),
-                          len(m.tape.nodes)))
+            sizes.append((expressions.table_sizes(), len(m._cache),
+                          len(m.arena.nodes)))
             rotated += bool(adapt_tetrad(m, m.tetrad,
                                          m.points[pname]).transforms)
         assert len(sizes) == 25 and rotated >= 10
@@ -390,7 +391,7 @@ class TestTetradKeys:
         p = m.points["origin"]
         t = m.tetrad
         k = m.evaluate_field(t.k, p).array
-        legs = [scaled_leg(t.k, i + 2.0) for i in range(40)]
+        legs = [scaled_leg(m, t.k, i + 2.0) for i in range(40)]
         for i, leg in enumerate(legs):
             scaled = NullTetrad(leg, t.l, t.m_re, t.m_im)
             assert np.array_equal(tetrad_frame(m, scaled, p).k, (i + 2.0) * k)
@@ -449,7 +450,7 @@ class TestOneSlot:
         stale = curvature(m, p).riemann.array
         m.params["M"] = 1.5
         fresh = MetricField(m.name, m.chart, m.g, params={"M": 1.5},
-                            points={"p0": p})
+                            points={"p0": p}, arena=m.arena)
         got = curvature(m, p).riemann.array
         assert not np.array_equal(got, stale)
         assert np.array_equal(got, curvature(fresh, p).riemann.array)
@@ -488,7 +489,7 @@ class TestChecksStillRun:
         m = load_corpus_metric("minkowski")
         p = m.points["origin"]
         t = m.tetrad
-        off = NullTetrad(scaled_leg(t.k, 1 + 1e-11), t.l, t.m_re, t.m_im)
+        off = NullTetrad(scaled_leg(m, t.k, 1 + 1e-11), t.l, t.m_re, t.m_im)
         classify_point(m, p, tetrad=off)
         spin_coefficients(m, off, p)
         with pytest.raises(InvalidTetradError):

@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +27,8 @@ from curvlab.expressions import (
     DomainError,
     ExprError,
     ParseError,
-    Tape,
+    Arena,
     UndeclaredNameError,
-    _DIFF_MEMO,
     differentiate,
     evaluate,
     free_names,
@@ -35,7 +36,7 @@ from curvlab.expressions import (
     sub,
     to_string,
 )
-from curvlab.geometry import SymbolicTensor
+from curvlab.geometry import MetricField, SymbolicTensor
 
 from conftest import metric_from_strings, reference_evaluate
 
@@ -50,6 +51,17 @@ def fd_derivative(expr, var, bindings, step=1e-5):
     up[var] += step
     dn[var] -= step
     return (evaluate(expr, up) - evaluate(expr, dn)) / (2 * step)
+
+
+def run_script(script):
+    """The standard output of ``script``, run in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 SAMPLE_EXPRESSIONS = [
@@ -132,10 +144,11 @@ class TestDerivatives:
     def test_constant_exponent_is_not_differentiated(self):
         # the memo holds the (node, variable) pairs whose derivatives a
         # derivative reads: a constant exponent's is never read
-        e = parse_expr("r^3.0625", CHART, PARAMS)
-        differentiate(e, "r")
-        assert (id(e.args[0]), "r") in _DIFF_MEMO
-        assert (id(e.args[1]), "r") not in _DIFF_MEMO
+        with Arena() as arena:
+            e = parse_expr("r^3.0625", CHART, PARAMS)
+            differentiate(e, "r")
+        assert e.args[0].slot in arena.derivs["r"]
+        assert e.args[1].slot not in arena.derivs["r"]
 
     def test_zero_quotient_numerator_folds(self):
         e = parse_expr("1/r", CHART, PARAMS)
@@ -252,14 +265,14 @@ class TestEvaluation:
     def test_roots_sharing_nodes_read_one_value_list(self):
         # sin(r) and its products are shared: one slot each, and both
         # roots read the one value list
-        e = parse_expr("sin(r)*cos(r) + sin(r)^2", CHART)
-        f = parse_expr("sin(r)^2", CHART)
+        with Arena() as arena:
+            e = parse_expr("sin(r)*cos(r) + sin(r)^2", CHART)
+            f = parse_expr("sin(r)^2", CHART)
         bindings = {"r": 0.8}
-        tape = Tape()
-        roots = tape.add([e, f])
+        roots = [e.slot, f.slot]
         values = []
-        v1, v2 = tape.run(values, bindings, roots, len(tape.nodes))
-        assert len(values) == len(tape.nodes)
+        v1, v2 = arena.run(values, bindings, roots, len(arena.nodes))
+        assert len(values) == len(arena.nodes)
         assert [values[s] for s in roots] == [v1, v2]
         assert v1 == evaluate(e, bindings) == reference_evaluate(e, bindings)
         assert v2 == evaluate(f, bindings)
@@ -283,6 +296,17 @@ class TestStructure:
         assert parse_expr("r^1", CHART) is x
         assert parse_expr("r*0", CHART).payload == 0.0
         assert parse_expr("-(-r)", CHART) is x
+
+    def test_nodes_are_made_in_the_order_of_recursive_descent(self):
+        # creation order is slot order: the parser makes each operand's
+        # nodes before the node that combines them, left operand first
+        with Arena() as arena:
+            parse_expr("sin(t)*r + -(r - t)^2^t/M - (t)", CHART, PARAMS)
+        assert [to_string(n) for n in arena.nodes[2:]] == [
+            "t", "sin(t)", "r", "sin(t)*r", "r - t", "2.0", "2.0^t",
+            "(r - t)^2.0^t", "-(r - t)^2.0^t", "M", "-(r - t)^2.0^t/M",
+            "sin(t)*r + -(r - t)^2.0^t/M",
+            "sin(t)*r + -(r - t)^2.0^t/M - t"]
 
     def test_double_minus_is_syntax_error(self):
         # the grammar allows at most one leading minus per factor
@@ -348,24 +372,21 @@ class TestStructure:
             assert sub(e, ZERO) is e
 
     def test_corpus_run_leaves_the_pinned_table_sizes(self):
-        # machine-independent build-size guard: the intern table and the
-        # derivative memo after analysing every corpus point in a fresh
-        # process.  A change that moves these counts re-pins them.
+        # machine-independent build-size guard: the nodes and the
+        # derivative-memo entries of every arena after analysing every
+        # corpus point in a fresh process, each metric kept alive.  A
+        # change that moves these counts re-pins them.
         script = (
             "from curvlab import expressions\n"
             "from curvlab.analysis import run_analysis\n"
             "from curvlab.corpus import CORPUS_NAMES, load_corpus_metric\n"
+            "kept = []\n"
             "for name in CORPUS_NAMES:\n"
-            "    run_analysis(load_corpus_metric(name))\n"
-            "print(len(expressions._INTERN), len(expressions._DIFF_MEMO))\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        interned, memo = map(int, done.stdout.split())
-        assert (interned, memo) == (20_118, 15_060)
+            "    kept.append(load_corpus_metric(name))\n"
+            "    run_analysis(kept[-1])\n"
+            "print(*expressions.table_sizes())\n")
+        interned, memo = map(int, run_script(script).split())
+        assert (interned, memo) == (20_269, 15_376)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +460,8 @@ def fresh_minkowski():
 
 
 def vector(m, texts):
-    comps = [parse_expr(text, m.chart) for text in texts]
+    with m.arena:
+        comps = [parse_expr(text, m.chart) for text in texts]
     return SymbolicTensor(np.array(comps, dtype=object), ("u",))
 
 
@@ -468,7 +490,7 @@ class TestTapeFallback:
         field = self.field(text, m)
         bad = (t_bad, 0.0, 0.0, 0.0)
         self.assert_raises_like_the_reference(m, field, bad)
-        assert field.slots[0] is m.tape
+        assert field.slots[0] is m.arena
         # the same point again, then a good one
         self.assert_raises_like_the_reference(m, field, bad)
         got = m.evaluate_field(field, (t_ok, 0.0, 0.0, 0.0)).array
@@ -482,9 +504,9 @@ class TestTapeFallback:
         m = fresh_minkowski()
         field = self.field(text, m)
         m.evaluate_field(field, (t_ok, 0.0, 0.0, 0.0))
-        size = len(m.tape.nodes)
+        size = len(m.arena.nodes)
         self.assert_raises_like_the_reference(m, field, (t_bad, 0.0, 0.0, 0.0))
-        assert len(m.tape.nodes) == size
+        assert len(m.arena.nodes) == size
 
     def test_bad_node_of_an_earlier_field_spares_a_later_one(self):
         # the later field's block runs over the earlier field's slots;
@@ -510,13 +532,13 @@ class TestTapeFallback:
         field = self.field("t*1.7e308", m)
         m.evaluate_field(field, (0.5, 0.0, 0.0, 0.0))
         checked = []
-        original = Tape.checked
+        original = Arena.checked
 
         def counting(self, *args):
             checked.append(args)
             return original(self, *args)
 
-        monkeypatch.setattr(Tape, "checked", counting)
+        monkeypatch.setattr(Arena, "checked", counting)
         got = m.evaluate_field(field, (1.0, 0.0, 0.0, 0.0)).array
         assert got[0] == 1.7e308 and got[1] == 2.0
         assert len(checked) == 1
@@ -536,15 +558,15 @@ class TestTapeBuild:
         # interpreter; the tape is built and run by loops
         assert sys.getrecursionlimit() < 3000
         coeffs = [1e-4 * (i + 1) for i in range(3000)]
-        e = parse_expr(" + ".join(f"{c!r}*t" for c in coeffs), CHART)
+        with Arena() as arena:
+            e = parse_expr(" + ".join(f"{c!r}*t" for c in coeffs), CHART)
         with pytest.raises(RecursionError):
             reference_evaluate(e, {"t": 0.3})
         want = coeffs[0] * 0.3
         for c in coeffs[1:]:
             want = want + c * 0.3
         assert evaluate(e, {"t": 0.3}) == want
-        tape = Tape()
-        assert list(tape.add([e])) == [len(tape.nodes) - 1]
+        assert e.slot == len(arena.nodes) - 1
 
     def test_deep_expression_differentiates_and_prints_without_recursion(self):
         coeffs = [1e-4 * (i + 1) for i in range(3000)]
@@ -559,14 +581,134 @@ class TestTapeBuild:
         assert text.count("+") == 2999 and "(" not in text
 
     def test_shared_nodes_appear_once(self):
-        e = parse_expr("sin(t)*sin(t) + sin(t)", CHART)
-        tape = Tape()
-        slots = tape.add([e, e])
-        # t, then sin(t), the product and the sum; no constants
-        assert tape.nodes[0] is parse_expr("t", CHART) and len(tape.nodes) == 4
-        assert list(slots) == [3, 3]
-        assert list(tape.add([parse_expr("sin(t)", CHART), e])) == [1, 3]
-        assert len(tape.nodes) == 4
+        with Arena() as arena:
+            e = parse_expr("sin(t)*sin(t) + sin(t)", CHART)
+            # ZERO and ONE, then t, sin(t), the product and the sum
+            assert arena.nodes[:2] == [ZERO, const(1.0)]
+            assert arena.nodes[2] is parse_expr("t", CHART)
+            assert len(arena.nodes) == 6 and e.slot == 5
+            assert parse_expr("sin(t)", CHART).slot == 3
+            assert parse_expr("sin(t)*sin(t) + sin(t)", CHART) is e
+        assert len(arena.nodes) == 6
         values = []
-        assert tape.run(values, {"t": 0.7}, [3], 4) == [evaluate(e, {"t": 0.7})]
-        assert len(values) == 4
+        assert arena.run(values, {"t": 0.7}, [5], 6) == [evaluate(e, {"t": 0.7})]
+        assert len(values) == 6
+
+
+# ---------------------------------------------------------------------------
+# arenas: one per metric, freed with it, never mixed
+# ---------------------------------------------------------------------------
+
+# analyses pp-waves with random profiles, one at a time, each dropped
+# before the next: the live tables must only ever be the default arena's
+# and the one live metric's, and return to the default arena's at the end
+PPWAVES_SCRIPT = '''
+import random
+from curvlab import expressions
+from curvlab.analysis import analyze_point
+from curvlab.metricfile import parse_metric_text
+
+TEXT = """
+[chart]
+coords = u, v, x, y
+[metric]
+g00 = {h}
+g01 = 1
+g02 = 0
+g03 = 0
+g11 = 0
+g12 = 0
+g13 = 0
+g22 = -1
+g23 = 0
+g33 = -1
+[tetrad]
+k    = 0, 1, 0, 0
+l    = 1, -({h})/2, 0, 0
+m_re = 0, 0, 1/sqrt(2), 0
+m_im = 0, 0, 0, 1/sqrt(2)
+[points]
+p0 = 0.3, 0.0, 0.7, -0.4
+"""
+
+rng = random.Random(0)
+
+
+def profile():
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        c = rng.choice([0.5, 1.0, 1.5, 2.0, -1.0])
+        i, j, k = (rng.randint(0, 2) for _ in range(3))
+        f = rng.choice(["", "*sin(x)", "*cos(y)", "*exp(u/4)"])
+        terms.append(f"{c}*u^{i}*x^{j}*y^{k}{f}")
+    return " + ".join(terms)
+
+
+base = expressions.table_sizes()
+largest = (0, 0)
+for n in range(100):
+    m = parse_metric_text(TEXT.format(h=profile()), f"wave{n}")
+    analyze_point(m, "p0")
+    own = (len(m.arena.nodes), sum(map(len, m.arena.derivs.values())))
+    assert expressions.table_sizes() == (base[0] + own[0], base[1] + own[1])
+    largest = max(largest, own)
+    del m
+print(*base, *largest, *expressions.table_sizes())
+'''
+
+
+class TestArenas:
+    def test_a_dropped_metric_frees_its_arena(self):
+        m = load_corpus_metric("ppwave_linear")
+        m.evaluate_field(m.nabla_field("riemann", 2), m.points["p0"])
+        arena = weakref.ref(m.arena)
+        del m
+        gc.collect()
+        assert arena() is None
+
+    def test_many_metrics_leave_the_tables_of_none(self):
+        base_nodes, base_memo, nodes, memo, end_nodes, end_memo = map(
+            int, run_script(PPWAVES_SCRIPT).split())
+        assert nodes > 100 and memo > 100
+        assert (end_nodes, end_memo) == (base_nodes, base_memo)
+
+    def test_a_node_of_another_metric_is_refused(self):
+        a, b = fresh_minkowski(), fresh_minkowski()
+        field = vector(a, ["t*x", "y + 3", "0", "1"])
+        # b holds a node at each of the field's slots, so a field read
+        # there would get b's values
+        vector(b, ["sin(t)*z", "x - y", "z/2", "y^2"])
+        assert max(e.slot for e in field.components) < len(b.arena.nodes)
+        point = (2.0, 3.0, 5.0, 7.0)
+        with pytest.raises(ExprError) as raised:
+            b.evaluate_field(field, point)
+        assert "\n" not in str(raised.value)
+        assert "another arena" in str(raised.value)
+        assert list(a.evaluate_field(field, point).array) == [6, 8, 0, 1]
+        with pytest.raises(ExprError, match="another arena"):
+            b.evaluate_field(field, point)
+        with pytest.raises(ExprError, match="another arena"):
+            b.lowered_vector_field(field)
+        with b.arena:
+            with pytest.raises(ExprError, match="another arena"):
+                mul(field.components[0], coord("t"))
+            with pytest.raises(ExprError, match="another arena"):
+                differentiate(field.components[0], "t")
+        with pytest.raises(ExprError, match="another arena"):
+            MetricField("mixed", a.chart, a.g, arena=b.arena)
+
+    def test_a_dead_node_out_of_domain_raises_nothing(self):
+        # log(t - 5) sits below the live field's slots, and is out of
+        # domain at t = 0: the unchecked run meets it, and the checked
+        # steps recompute only what the live field reads
+        m = fresh_minkowski()
+        with m.arena:
+            dead = parse_expr("log(t - 5)", m.chart)
+        live = vector(m, ["t + 1", "x*2", "0", "1"])
+        assert dead.slot < live.components[0].slot
+        point = (0.0, 1.5, 0.0, 0.0)
+        assert list(m.evaluate_field(live, point).array) == [1, 3, 0, 1]
+        assert m.at(point).values == []
+        assert m.metric_value(point)[0, 0] == 1.0
+        with pytest.raises(DomainError, match="log of a non-positive"):
+            evaluate(dead, m.bindings(point))

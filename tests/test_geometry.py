@@ -208,7 +208,8 @@ class TestCovariantDerivative:
         p = m.points["p0"]
         for a in range(4):
             lhs = evaluate(grad.components[a], m.bindings(p))
-            rhs = evaluate(differentiate(rs, m.chart[a]), m.bindings(p))
+            with m.arena:
+                rhs = evaluate(differentiate(rs, m.chart[a]), m.bindings(p))
             npt.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
 
     def test_ppwave_wave_vector_is_parallel(self, ppwave):
@@ -242,12 +243,13 @@ class TestCovariantDerivative:
     def test_gradient_cache_shared_across_wrapper_objects(self, schwarzschild):
         m = schwarzschild
         strings = ["r", "0", "1", "sin(theta)"]
-        v1 = SymbolicTensor(
-            np.array([parse_expr(s, m.chart) for s in strings],
-                     dtype=object), ("d",))
-        v2 = SymbolicTensor(
-            np.array([parse_expr(s, m.chart) for s in strings],
-                     dtype=object), ("d",))
+        with m.arena:
+            v1 = SymbolicTensor(
+                np.array([parse_expr(s, m.chart) for s in strings],
+                         dtype=object), ("d",))
+            v2 = SymbolicTensor(
+                np.array([parse_expr(s, m.chart) for s in strings],
+                         dtype=object), ("d",))
         assert v1 is not v2
         assert m.covector_gradient_field(v1) is m.covector_gradient_field(v2)
 
@@ -259,9 +261,10 @@ class TestCovariantDerivative:
         m = schwarzschild
         p = m.points["p0"]
         for i in range(40):
-            v = SymbolicTensor(
-                np.array([parse_expr(f"{i + 2}*r", m.chart), ZERO, ZERO,
-                          ZERO], dtype=object), ("d",))
+            with m.arena:
+                v = SymbolicTensor(
+                    np.array([parse_expr(f"{i + 2}*r", m.chart), ZERO, ZERO,
+                              ZERO], dtype=object), ("d",))
             cached = m.evaluate_field(m.covector_gradient_field(v), p).array
             fresh = m.evaluate_field(m.covariant_derivative_field(v), p).array
             npt.assert_allclose(
@@ -341,24 +344,26 @@ class TestCommutatorAction:
 
 def dense_cov1(m, t):
     """Reference ∇_a T: the full connection sum over every e, zeros
-    included, left to the smart constructors to fold."""
+    included, left to the smart constructors to fold, in the metric's
+    arena."""
     gamma = m.christoffel_symbolic().components
     comp = t.components
     out = np.empty((4,) * (t.rank + 1), dtype=object)
-    for a in range(4):
-        for idx in np.ndindex(*(4,) * t.rank):
-            term = differentiate(comp[idx], m.chart[a])
-            for slot in range(t.rank):
-                i_s = idx[slot]
-                corr = ZERO
-                for e in range(4):
-                    jdx = idx[:slot] + (e,) + idx[slot + 1:]
-                    if t.variance[slot] == "d":
-                        corr = add(corr, mul(gamma[e, a, i_s], comp[jdx]))
-                    else:
-                        corr = sub(corr, mul(gamma[i_s, a, e], comp[jdx]))
-                term = sub(term, corr)
-            out[(a,) + idx] = term
+    with m.arena:
+        for a in range(4):
+            for idx in np.ndindex(*(4,) * t.rank):
+                term = differentiate(comp[idx], m.chart[a])
+                for slot in range(t.rank):
+                    i_s = idx[slot]
+                    corr = ZERO
+                    for e in range(4):
+                        jdx = idx[:slot] + (e,) + idx[slot + 1:]
+                        if t.variance[slot] == "d":
+                            corr = add(corr, mul(gamma[e, a, i_s], comp[jdx]))
+                        else:
+                            corr = sub(corr, mul(gamma[i_s, a, e], comp[jdx]))
+                    term = sub(term, corr)
+                out[(a,) + idx] = term
     return SymbolicTensor(out, ("d",) + t.variance)
 
 
@@ -423,9 +428,10 @@ class TestZeroFolding:
 
     def test_sparse_connection_sum_handles_up_slots(self, schwarzschild):
         m = schwarzschild
-        v = SymbolicTensor(np.array([parse_expr(s, m.chart) for s in
-                                     ("1/r", "0", "sin(theta)", "0")],
-                                    dtype=object), ("u",))
+        with m.arena:
+            v = SymbolicTensor(np.array([parse_expr(s, m.chart) for s in
+                                         ("1/r", "0", "sin(theta)", "0")],
+                                        dtype=object), ("u",))
         assert_same_nodes(m.covariant_derivative_field(v), dense_cov1(m, v),
                           "vector")
 

@@ -261,7 +261,8 @@ def loop_gradient_scale(m, point, v_dn):
     dmax = 0.0
     for a in range(4):
         for i in range(4):
-            d = differentiate(v_dn.components[i], m.chart[a])
+            with m.arena:
+                d = differentiate(v_dn.components[i], m.chart[a])
             dmax = max(dmax, abs(evaluate(d, bindings)))
     gmax = m.evaluate_field(m.christoffel_symbolic(), point).max_abs()
     vval = m.evaluate_field(v_dn, point)

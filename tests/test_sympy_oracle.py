@@ -76,10 +76,12 @@ class TestDifferentiateAgainstSympy:
     def test_first_and_second_partials_of_every_component(self, oracle):
         m, g, reference = oracle
         ours = []       # in sympy's order
-        for b, c in g:
-            firsts = [differentiate(m.g[b, c], xa) for xa in m.chart]
-            ours += firsts
-            ours += [differentiate(da, xd) for da in firsts for xd in m.chart]
+        with m.arena:
+            for b, c in g:
+                firsts = [differentiate(m.g[b, c], xa) for xa in m.chart]
+                ours += firsts
+                ours += [differentiate(da, xd)
+                         for da in firsts for xd in m.chart]
         for pname, point in sorted(m.points.items()):
             bindings = m.bindings(point)
             values = [evaluate(e, bindings) for e in ours]
