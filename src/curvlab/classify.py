@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conventions import FAMILIES, RESIDUAL_TOL, SCALE_FLOOR
-from .geometry import MetricField, TensorValue, curvature
+from .geometry import MetricField, curvature, max_abs
 from .newman_penrose import (
     NullTetrad,
     TetradFrame,
@@ -94,7 +94,7 @@ class ClassificationReport:
     warnings: list = field(default_factory=list)
 
 
-def extract_AB(ricci: TensorValue, frame: TetradFrame,
+def extract_AB(ricci: np.ndarray, frame: TetradFrame,
                g: np.ndarray) -> tuple:
     """Least-squares fit of the Ricci tensor to A k_(a l_b) + B m_(a m̄_b).
 
@@ -109,13 +109,13 @@ def extract_AB(ricci: TensorValue, frame: TetradFrame,
     mmbar = np.real(0.5 * (np.outer(m_dn, np.conj(m_dn))
                            + np.outer(np.conj(m_dn), m_dn)))
     design = np.stack([kl.ravel(), mmbar.ravel()], axis=1)
-    target = np.real(ricci.array).ravel()
+    target = np.real(ricci).ravel()
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     resid = float(np.max(np.abs(target - design @ coef)))
     return float(coef[0]), float(coef[1]), resid
 
 
-def dec_check(einstein: TensorValue, frame: TetradFrame, g: np.ndarray,
+def dec_check(einstein: np.ndarray, frame: TetradFrame, g: np.ndarray,
               tol: float = RESIDUAL_TOL, seed: int = DEC_SEED,
               scale: float | None = None) -> str:
     """Dominant-energy probe: for seeded future timelike unit vectors u,
@@ -126,7 +126,7 @@ def dec_check(einstein: TensorValue, frame: TetradFrame, g: np.ndarray,
     left over from an exactly vacuum geometry is not sampled as matter).
     """
     ginv = np.linalg.inv(g)
-    gmix = ginv @ np.real(einstein.array)
+    gmix = ginv @ np.real(einstein)
     if scale is not None and float(np.max(np.abs(gmix))) <= tol * scale:
         return "satisfied"
     e0 = np.real(frame.k + frame.l) / np.sqrt(2.0)
@@ -229,13 +229,11 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
     ad = adapt_tetrad(m, tetrad, p, tol)
     semi = semi_symmetry_residual(m, p, tol)
     petrov = ad.petrov
-    einstein = TensorValue(
-        np.real(curv.ricci.array) - 0.5 * curv.scalar * curv.metric,
-        ("d", "d"), p)
+    einstein = np.real(curv.ricci) - 0.5 * curv.scalar * curv.metric
     report = ClassificationReport(
         point=tuple(p), petrov=petrov, semi_verdict=semi.verdict,
         dec=dec_check(einstein, frame, curv.metric, tol, dec_seed,
-                      scale=curv.riemann.max_abs()))
+                      scale=max_abs(curv.riemann)))
     report = static_note(report, m.static)
 
     if semi.verdict == "fails":
@@ -306,7 +304,7 @@ def _classify_d(m, p, report, tet_ad, frame_ad, curv, adapted, coeff,
 
     a_val, b_val, fit = extract_AB(curv.ricci, frame_ad, curv.metric)
     report.A, report.B, report.fit_residual = a_val, b_val, fit
-    fit_scale = max(float(np.max(np.abs(np.real(curv.ricci.array)))),
+    fit_scale = max(max_abs(np.real(curv.ricci)),
                     abs(a_val), abs(b_val), SCALE_FLOOR)
     if fit > tol * fit_scale:
         report.warnings.append(

@@ -339,10 +339,16 @@ def neg(e: Expr) -> Expr:
 
 
 # Equal constants are one node, so a constant 0 or 1 is ZERO or ONE.
+# A fold makes a constant only of a finite float.  One that overflows,
+# meets a nan or leaves the reals builds its node instead, so evaluation
+# names the sub-expression at fault (a literal such as 1e400 is still a
+# constant, and raises when evaluated).  A payload is a float, so only a
+# power can fold to another type.
 
 def add(a: Expr, b: Expr) -> Expr:
-    if a.kind == b.kind == "const":
-        return const(a.payload + b.payload)
+    if a.kind == b.kind == "const" \
+            and math.isfinite(v := a.payload + b.payload):
+        return const(v)
     if a is ZERO:
         return b
     if b is ZERO:
@@ -351,8 +357,9 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if a.kind == b.kind == "const":
-        return const(a.payload - b.payload)
+    if a.kind == b.kind == "const" \
+            and math.isfinite(v := a.payload - b.payload):
+        return const(v)
     if b is ZERO:
         return a
     if a is ZERO:
@@ -361,8 +368,9 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if a.kind == b.kind == "const":
-        return const(a.payload * b.payload)
+    if a.kind == b.kind == "const" \
+            and math.isfinite(v := a.payload * b.payload):
+        return const(v)
     if a is ZERO or b is ZERO:
         return ZERO
     if a is ONE:
@@ -373,8 +381,9 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if a.kind == b.kind == "const" and b is not ZERO:
-        return const(a.payload / b.payload)
+    if a.kind == b.kind == "const" and b is not ZERO \
+            and math.isfinite(v := a.payload / b.payload):
+        return const(v)
     if b is ONE:
         return a
     return _node("/", None, a, b)
@@ -385,7 +394,9 @@ def pow_(a: Expr, b: Expr) -> Expr:
         return a
     if a.kind == b.kind == "const":
         try:
-            return const(a.payload ** b.payload)
+            v = a.payload ** b.payload
+            if type(v) is float and math.isfinite(v):
+                return const(v)
         except (ValueError, OverflowError, ZeroDivisionError):
             pass
     return _node("^", None, a, b)
@@ -396,7 +407,8 @@ def call(fname: str, arg: Expr) -> Expr:
         raise ExprError(f"unknown function '{fname}'")
     if arg.kind == "const":
         try:
-            return const(FUNCTIONS[fname](arg.payload))
+            if math.isfinite(v := FUNCTIONS[fname](arg.payload)):
+                return const(v)
         except (ValueError, OverflowError):
             pass
     return _node("call", fname, arg)

@@ -3,8 +3,8 @@
 All differentiation is symbolic (see :mod:`curvlab.expressions`), so
 second covariant derivatives of the curvature -- fourth derivatives of
 the metric -- are exact up to floating-point rounding at evaluation
-time.  Numeric tensor values at a point are dense complex arrays wrapped
-in :class:`TensorValue`.
+time.  Numeric tensor values at a point are plain dense complex ndarrays,
+one axis per slot; the variance of each slot is the field's.
 
 Sign conventions are frozen in :mod:`curvlab.conventions`; the short
 version is that the curvature tensor carries an overall minus relative
@@ -130,26 +130,9 @@ class LinearField:
 Field = SymbolicTensor | LinearField
 
 
-@dataclass(eq=False)
-class TensorValue:
-    """Dense numeric tensor at a point.  ``variance`` holds 'u'/'d' per slot."""
-
-    array: np.ndarray
-    variance: tuple
-    point: tuple
-
-    def __post_init__(self):
-        self.array = np.asarray(self.array, dtype=complex)
-        self.point = tuple(float(x) for x in self.point)
-        if self.array.shape != (DIM,) * len(self.variance):
-            raise ValueError("array shape does not match variance")
-
-    @property
-    def rank(self) -> int:
-        return len(self.variance)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.array))) if self.array.size else 0.0
+def max_abs(a: np.ndarray) -> float:
+    """The largest modulus among the entries of ``a``."""
+    return float(np.max(np.abs(a)))
 
 
 def _det_expr(g: np.ndarray, rows: tuple, cols: tuple) -> Expr:
@@ -282,15 +265,17 @@ class MetricField:
 
     def metric_value(self, point) -> np.ndarray:
         g = self.evaluate_field(self._g_field, point)
-        return np.ascontiguousarray(g.array.real)
+        return np.ascontiguousarray(g.real)
 
-    def _check_det(self, gv: np.ndarray, point) -> float:
-        det = float(np.linalg.det(gv))
-        scale = max(float(np.max(np.abs(gv))), SCALE_FLOOR)
-        if abs(det) < 1e-12 * scale ** 4:
+    def _check_det(self, gv: np.ndarray, point) -> None:
+        # decided on g / max|g|: its entries are at most 1, so its
+        # determinant (|det| <= 24) cannot overflow however large g is
+        scale = max(max_abs(gv), SCALE_FLOOR)
+        det = float(np.linalg.det(gv / scale))
+        if abs(det) < 1e-12:
             raise DegenerateMetricError(
-                f"metric '{self.name}' is degenerate at {tuple(point)}: det = {det:.3e}")
-        return det
+                f"metric '{self.name}' is degenerate at {tuple(point)}: "
+                f"det(g/max|g|) = {det:.3e}")
 
     def _validate_signature(self, pname: str, coords: tuple) -> None:
         gv = self.metric_value(coords)
@@ -315,23 +300,21 @@ class MetricField:
             t.slots = (arena, slots, max(slots) + 1)
         return t.slots
 
-    def evaluate_field(self, t: Field, point) -> TensorValue:
-        """``t`` at ``point``, evaluated once per point context.  A
-        ``SymbolicTensor`` runs its slots on the metric's arena with the
-        context's value list (``Arena.run``); a ``LinearField`` is
+    def evaluate_field(self, t: Field, point) -> np.ndarray:
+        """``t`` at ``point`` as a complex array, evaluated once per point
+        context.  A ``SymbolicTensor`` runs its slots on the metric's arena
+        with the context's value list (``Arena.run``); a ``LinearField`` is
         Σ cᵢ·value(fᵢ) over its terms' values."""
         ctx = self.at(point)
         value = ctx.memo.get(t)
         if value is None and isinstance(t, LinearField):
-            parts = [c * self.evaluate_field(f, point).array
-                     for c, f in t.terms]
-            value = ctx.memo[t] = TensorValue(
-                sum(parts[1:], parts[0]), t.variance, ctx.point)
+            parts = [c * self.evaluate_field(f, point) for c, f in t.terms]
+            value = ctx.memo[t] = sum(parts[1:], parts[0])
         if value is None:
             arena, slots, end = self.place(t)
             comps = arena.run(ctx.values, ctx.bindings, slots, end)
-            arr = np.array(comps, dtype=complex).reshape(t.components.shape)
-            value = ctx.memo[t] = TensorValue(arr, t.variance, ctx.point)
+            value = ctx.memo[t] = np.array(
+                comps, dtype=complex).reshape(t.components.shape)
         return value
 
     # -- symbolic pipeline --------------------------------------------------
@@ -552,12 +535,12 @@ class MetricField:
 class Curvature:
     """All curvature objects at one point (down-index unless noted)."""
 
-    riemann: TensorValue        # R_abcd
-    riemann_up: TensorValue     # R^a_bcd
-    ricci: TensorValue          # R_ab
+    riemann: np.ndarray         # R_abcd
+    riemann_up: np.ndarray      # R^a_bcd
+    ricci: np.ndarray           # R_ab
     scalar: float               # R
-    weyl: TensorValue           # C_abcd
-    metric: np.ndarray          # g_ab numeric
+    weyl: np.ndarray            # C_abcd
+    metric: np.ndarray          # g_ab, real
 
 
 @dataclass(eq=False)
@@ -600,22 +583,21 @@ def curvature(m: MetricField, point) -> Curvature:
             m.evaluate_field(m.riemann_field(), point),
             m.evaluate_field(m.riemann_up_symbolic(), point),
             m.evaluate_field(m.ricci_field(), point),
-            float(m.evaluate_field(m.scalar_field(), point).array.real),
+            float(m.evaluate_field(m.scalar_field(), point).real),
             m.evaluate_field(m.weyl_field(), point), gv)
     return m.at(point).once(("curvature",), make)
 
 
-def commutator_action(riemann_up: TensorValue, t: TensorValue) -> TensorValue:
+def commutator_action(riemann_up: np.ndarray, t: np.ndarray) -> np.ndarray:
     """2∇_[a∇_b]T_{c...} via the Ricci identity, as a curvature contraction.
 
-    ``riemann_up`` is R^e_{cab}; the result gains two leading down slots
-    (a, b) and equals  Σ_slots R^e_{c_i a b} T_{... e ...}.
+    ``riemann_up`` is R^e_{cab} and ``t`` has all slots down; the result
+    gains two leading down slots (a, b) and equals
+    Σ_slots R^e_{c_i a b} T_{... e ...}.
     """
-    if any(v != "d" for v in t.variance):
-        raise ValueError("commutator_action expects all slots down")
-    if t.rank > 4:
+    r = t.ndim
+    if r > 4:
         raise RankOverflowError("commutator_action input must have rank <= 4")
-    r = t.rank
     letters = list("cdef"[:r])
     acc = np.zeros((DIM, DIM) + (DIM,) * r, dtype=complex)
     for slot in range(r):
@@ -624,5 +606,5 @@ def commutator_action(riemann_up: TensorValue, t: TensorValue) -> TensorValue:
         tout = letters.copy()
         tout[slot] = "q"
         spec = "pqab," + "".join(tin) + "->ab" + "".join(tout)
-        acc += np.einsum(spec, riemann_up.array, t.array)
-    return TensorValue(acc, ("d", "d") + t.variance, t.point)
+        acc += np.einsum(spec, riemann_up, t)
+    return acc

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import FAMILIES, PHI_SIGN, RESIDUAL_TOL, SCALE_FLOOR
-from .geometry import Curvature, Field, LinearField, MetricField, curvature
+from .geometry import (Curvature, Field, LinearField, MetricField, curvature,
+                       max_abs)
 
 
 class InvalidTetradError(Exception):
@@ -74,7 +75,7 @@ def tetrad_frame(metric: MetricField, tetrad: NullTetrad, point) -> TetradFrame:
     ctx = metric.at(point)
 
     def make():
-        k, l, mre, mim = (metric.evaluate_field(leg, point).array for leg in
+        k, l, mre, mim = (metric.evaluate_field(leg, point) for leg in
                           (tetrad.k, tetrad.l, tetrad.m_re, tetrad.m_im))
         return TetradFrame(k, l, mre + 1j * mim, ctx.point)
     return ctx.once(("frame", tetrad), make)
@@ -90,23 +91,12 @@ class TetradCheck:
     point: tuple
 
 
-def validate_tetrad(metric: MetricField, tetrad, point,
+def validate_tetrad(metric: MetricField, tetrad: NullTetrad, point,
                     tol: float = RESIDUAL_TOL) -> TetradCheck:
-    """All nine cross products of (k, l, m, m̄) against their targets."""
-    frame = tetrad if isinstance(tetrad, TetradFrame) else \
-        tetrad_frame(metric, tetrad, point)
+    """All nine cross products of the legs of ``tetrad`` at ``point``
+    against their targets."""
     return validate_tetrad_from_metric_value(
-        metric.metric_value(point), frame, tol)
-
-
-def require_valid_tetrad(metric: MetricField, tetrad, point,
-                         tol: float = RESIDUAL_TOL) -> TetradFrame:
-    frame = tetrad if isinstance(tetrad, TetradFrame) else \
-        tetrad_frame(metric, tetrad, point)
-    check = validate_tetrad(metric, frame, point, tol)
-    if not check.valid:
-        raise InvalidTetradError(check)
-    return frame
+        metric.metric_value(point), tetrad_frame(metric, tetrad, point), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +135,7 @@ def np_scalars(curv: Curvature, frame: TetradFrame,
     if check.max_residual > 10 * tol * check.scale:
         raise InvalidTetradError(check)
 
-    C = curv.weyl.array
+    C = curv.weyl
 
     def c4(a, b, c, d):
         return complex(np.einsum("abcd,a,b,c,d->", C, a, b, c, d))
@@ -158,7 +148,7 @@ def np_scalars(curv: Curvature, frame: TetradFrame,
         c4(l, mb, l, mb),
     ], dtype=complex)
 
-    phi_ab = PHI_SIGN * (curv.ricci.array - 0.25 * curv.scalar * gv)
+    phi_ab = PHI_SIGN * (curv.ricci - 0.25 * curv.scalar * gv)
 
     def ph(x, y):
         return complex(x @ phi_ab @ y)
@@ -178,30 +168,35 @@ def np_scalars(curv: Curvature, frame: TetradFrame,
 
 def validate_tetrad_from_metric_value(gv: np.ndarray, frame: TetradFrame,
                                       tol: float = RESIDUAL_TOL) -> TetradCheck:
-    """validate_tetrad when only the numeric metric is at hand."""
+    """All nine cross products of the legs of ``frame`` under the numeric
+    metric ``gv`` against their targets."""
 
     def dot(x, y):
         return complex(x @ gv @ y)
 
     k, l, m, mb = frame.k, frame.l, frame.m, frame.mbar
-    targets = {
-        "k.k": (dot(k, k), 0.0), "l.l": (dot(l, l), 0.0),
-        "m.m": (dot(m, m), 0.0), "k.l": (dot(k, l), 1.0),
-        "k.m": (dot(k, m), 0.0), "l.m": (dot(l, m), 0.0),
-        "k.mbar": (dot(k, mb), 0.0), "l.mbar": (dot(l, mb), 0.0),
-        "m.mbar": (dot(m, mb), -1.0),
-    }
-    gmax = float(np.max(np.abs(gv)))
-    vmax = max(float(np.max(np.abs(v))) for v in (k, l, m))
+    # legs too large for the metric overflow a product to inf or nan
+    # (inf - inf); such a product fails the check below, and a nan one
+    # is the worst
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = {
+            "k.k": (dot(k, k), 0.0), "l.l": (dot(l, l), 0.0),
+            "m.m": (dot(m, m), 0.0), "k.l": (dot(k, l), 1.0),
+            "k.m": (dot(k, m), 0.0), "l.m": (dot(l, m), 0.0),
+            "k.mbar": (dot(k, mb), 0.0), "l.mbar": (dot(l, mb), 0.0),
+            "m.mbar": (dot(m, mb), -1.0),
+        }
+    gmax = max_abs(gv)
+    vmax = max(max_abs(v) for v in (k, l, m))
     scale = max(gmax * vmax * vmax, SCALE_FLOOR)
     products = {}
     worst, worst_res = "k.k", 0.0
     for name, (value, target) in targets.items():
         res = abs(value - target)
         products[name] = (value, target, res)
-        if res > worst_res:
+        if res > worst_res or math.isnan(res):
             worst, worst_res = name, res
-    return TetradCheck(products, scale, worst_res <= tol * scale,
+    return TetradCheck(products, scale, worst_res <= tol * scale < math.inf,
                        worst, worst_res, frame.point)
 
 
@@ -219,7 +214,11 @@ def spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
     The tetrad check runs on every call; the contraction once per
     (point, tetrad, tol), and a failed check caches nothing.
     """
-    frame = require_valid_tetrad(metric, tetrad, point, tol)
+    frame = tetrad_frame(metric, tetrad, point)
+    check = validate_tetrad_from_metric_value(
+        metric.metric_value(point), frame, tol)
+    if not check.valid:
+        raise InvalidTetradError(check)
     return metric.at(point).once(
         ("spin", tetrad, tol),
         lambda: _spin_coefficients(metric, tetrad, point, frame))
@@ -229,8 +228,7 @@ def _spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
                        frame: TetradFrame) -> dict:
     def grad_of(field: Field) -> np.ndarray:
         dn = metric.lowered_vector_field(field)
-        return metric.evaluate_field(
-            metric.covector_gradient_field(dn), point).array
+        return metric.evaluate_field(metric.covector_gradient_field(dn), point)
 
     nk = grad_of(tetrad.k)
     nl = grad_of(tetrad.l)
@@ -320,13 +318,6 @@ def null_rotate_frame(frame: TetradFrame, param: complex,
     if kind == "reverse":
         return TetradFrame(l, k, mb, frame.point)
     raise ValueError(f"unknown rotation kind {kind!r}")
-
-
-def null_rotate(data, param: complex, kind: str):
-    """Dispatch on a Ψ 5-vector or a TetradFrame."""
-    if isinstance(data, TetradFrame):
-        return null_rotate_frame(data, param, kind)
-    return null_rotate_weyl(data, param, kind)
 
 
 def rotate_tetrad_field(tetrad: NullTetrad, param: complex,
@@ -550,7 +541,7 @@ def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
         _, transforms = adapt_weyl(declared.psi, petrov, tol)
         rotated = tetrad
         for kind, param in transforms:
-            frame = null_rotate(frame, param, kind)
+            frame = null_rotate_frame(frame, param, kind)
             rotated = rotate_tetrad_field(rotated, param, kind)
         data = np_scalars(curv, frame, tol) if transforms else declared
         return AdaptedTetrad(rotated, petrov, transforms, frame, data)

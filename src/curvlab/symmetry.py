@@ -28,6 +28,7 @@ from .geometry import (
     MetricField,
     commutator_action,
     curvature,
+    max_abs,
 )
 
 
@@ -88,12 +89,12 @@ def _commutator_residual(m: MetricField, point, condition: str, which: str,
     def make():
         c = curvature(m, point)
         target = {"riemann": c.riemann, "weyl": c.weyl, "ricci": c.ricci}[which]
-        scale = max(c.riemann_up.max_abs(), c.riemann.max_abs(),
-                    target.max_abs())
+        scale = max(max_abs(c.riemann_up), max_abs(c.riemann),
+                    max_abs(target))
         if method == "commutator":
-            out = commutator_action(c.riemann_up, target).array
+            out = commutator_action(c.riemann_up, target)
         elif method == "direct":
-            d2 = m.evaluate_field(m.nabla_field(which, order=2), point).array
+            d2 = m.evaluate_field(m.nabla_field(which, order=2), point)
             out = d2 - np.swapaxes(d2, 0, 1)
         else:
             raise ValueError(f"unknown method {method!r}")
@@ -125,8 +126,8 @@ def second_order_symmetry_residual(m: MetricField, point,
                                    tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Residual of the unsymmetrized condition ∇_a∇_b R_cdef = 0."""
     c = curvature(m, point)
-    d2 = m.evaluate_field(m.nabla_field("riemann", order=2), point).array
-    return _report("second_order", np.max(np.abs(d2)), c.riemann.max_abs(),
+    d2 = m.evaluate_field(m.nabla_field("riemann", order=2), point)
+    return _report("second_order", np.max(np.abs(d2)), max_abs(c.riemann),
                    point, tol)
 
 
@@ -134,9 +135,9 @@ def locally_symmetric_residual(m: MetricField, point,
                                tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Residual of ∇_a R_cdef = 0."""
     c = curvature(m, point)
-    d1 = m.evaluate_field(m.nabla_field("riemann", order=1), point).array
+    d1 = m.evaluate_field(m.nabla_field("riemann", order=1), point)
     return _report("locally_symmetric", np.max(np.abs(d1)),
-                   c.riemann.max_abs(), point, tol)
+                   max_abs(c.riemann), point, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +156,10 @@ def _gradient_scale(m: MetricField, point, v_dn: Field) -> float:
     """Magnitude scale for ∇v residuals: the larger of the partial
     derivatives of the components and of |Γ|·|v| (so that points where
     both happen to be small do not inflate verdicts)."""
-    dmax = m.evaluate_field(m.partial_gradient_field(v_dn), point).max_abs()
-    gmax = m.evaluate_field(m.christoffel_symbolic(), point).max_abs()
-    vval = m.evaluate_field(v_dn, point)
-    return max(dmax, gmax * vval.max_abs(), SCALE_FLOOR)
+    dmax = max_abs(m.evaluate_field(m.partial_gradient_field(v_dn), point))
+    gmax = max_abs(m.evaluate_field(m.christoffel_symbolic(), point))
+    vmax = max_abs(m.evaluate_field(v_dn, point))
+    return max(dmax, gmax * vmax, SCALE_FLOOR)
 
 
 def recurrence_check(m: MetricField, k: Field, partner: Field, point,
@@ -168,9 +169,9 @@ def recurrence_check(m: MetricField, k: Field, partner: Field, point,
     k = _require_field(k, "k")
     partner = _require_field(partner, "partner")
     k_dn = m.lowered_vector_field(k)
-    nabla_k = m.evaluate_field(m.covector_gradient_field(k_dn), point).array
-    k_val = m.evaluate_field(k_dn, point).array
-    l_val = m.evaluate_field(partner, point).array
+    nabla_k = m.evaluate_field(m.covector_gradient_field(k_dn), point)
+    k_val = m.evaluate_field(k_dn, point)
+    l_val = m.evaluate_field(partner, point)
     v = np.einsum("b,ab->a", l_val, nabla_k)
     resid = np.max(np.abs(nabla_k - np.outer(v, k_val)))
     scale = _gradient_scale(m, point, k_dn)
@@ -186,10 +187,10 @@ def decomposability_check(m: MetricField, k: Field, partner: Field, point,
     partner = _require_field(partner, "partner")
     k_dn = m.lowered_vector_field(k)
     l_dn = m.lowered_vector_field(partner)
-    nk = m.evaluate_field(m.covector_gradient_field(k_dn), point).array
-    nl = m.evaluate_field(m.covector_gradient_field(l_dn), point).array
-    kv = m.evaluate_field(k_dn, point).array
-    lv = m.evaluate_field(l_dn, point).array
+    nk = m.evaluate_field(m.covector_gradient_field(k_dn), point)
+    nl = m.evaluate_field(m.covector_gradient_field(l_dn), point)
+    kv = m.evaluate_field(k_dn, point)
+    lv = m.evaluate_field(l_dn, point)
     grad = np.einsum("ca,b->cab", nk, lv) + np.einsum("a,cb->cab", kv, nl)
     scale = max(
         _gradient_scale(m, point, k_dn) * np.max(np.abs(lv)),
@@ -203,13 +204,13 @@ def constant_null_vector_check(m: MetricField, k: Field, point,
     """Residual of ∇_a k_b = 0 for a null field k (nullity is asserted)."""
     k = _require_field(k, "k")
     k_dn = m.lowered_vector_field(k)
-    kv_dn = m.evaluate_field(k_dn, point).array
-    kv_up = m.evaluate_field(k, point).array
+    kv_dn = m.evaluate_field(k_dn, point)
+    kv_up = m.evaluate_field(k, point)
     norm = complex(np.dot(kv_up, kv_dn))
     null_scale = max(np.max(np.abs(kv_up)) * np.max(np.abs(kv_dn)), SCALE_FLOOR)
     if abs(norm) > tol * null_scale:
         raise ValueError(
             f"field is not null at {tuple(point)}: k·k = {norm:.3e}")
-    nk = m.evaluate_field(m.covector_gradient_field(k_dn), point).array
+    nk = m.evaluate_field(m.covector_gradient_field(k_dn), point)
     scale = _gradient_scale(m, point, k_dn)
     return _report("constant_null", np.max(np.abs(nk)), scale, point, tol)

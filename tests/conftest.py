@@ -13,7 +13,7 @@ import pytest
 from curvlab.conventions import SCALE_FLOOR
 from curvlab.expressions import (FUNCTIONS, ZERO, Arena, DomainError,
                                  ExprError, parse_expr)
-from curvlab.geometry import MetricField, SymbolicTensor, TensorValue
+from curvlab.geometry import MetricField, SymbolicTensor
 from curvlab.newman_penrose import NullTetrad, _clusters, pnd_roots
 from curvlab.spinors import (GeneralSpinor, SymSpinor, _symmetrized,
                              raise_slot)
@@ -103,22 +103,10 @@ def inverse_value(m, point):
     return np.linalg.inv(gv)
 
 
-def raise_index(t, slot, ginv):
-    if t.variance[slot] != "d":
-        raise ValueError(f"slot {slot} is already up")
-    arr = np.tensordot(ginv, t.array, axes=([1], [slot]))
-    arr = np.moveaxis(arr, 0, slot)
-    variance = t.variance[:slot] + ("u",) + t.variance[slot + 1:]
-    return TensorValue(arr, variance, t.point)
-
-
-def lower_index(t, slot, g):
-    if t.variance[slot] != "u":
-        raise ValueError(f"slot {slot} is already down")
-    arr = np.tensordot(g, t.array, axes=([1], [slot]))
-    arr = np.moveaxis(arr, 0, slot)
-    variance = t.variance[:slot] + ("d",) + t.variance[slot + 1:]
-    return TensorValue(arr, variance, t.point)
+def move_index(t, slot, h):
+    """The array ``t`` with slot ``slot`` contracted into the matrix ``h``:
+    g^{ab} raises a down slot, g_ab lowers an up one."""
+    return np.moveaxis(np.tensordot(h, t, axes=([1], [slot])), 0, slot)
 
 
 def spinor_outer(*factors):

@@ -17,7 +17,7 @@ import pytest
 from curvlab.analysis import corpus_regression, cross_validate_point
 from curvlab.classify import TheoremViolationError, classify_point, dec_check
 from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
-from curvlab.geometry import TensorValue, curvature
+from curvlab.geometry import curvature
 from curvlab.newman_penrose import (
     adapt_tetrad,
     np_scalars,
@@ -290,7 +290,7 @@ def test_criterion_10_dominant_energy_probe(corpus):
     mmbar = np.real(0.5 * (np.outer(mm, mm.conj())
                            + np.outer(mm.conj(), mm)))
     for amplitude in (1.0, -1.0, 0.3, -2.5):
-        einstein = TensorValue(amplitude * mmbar, ("d", "d"), coords)
+        einstein = amplitude * mmbar
         assert dec_check(einstein, frame, g) == "violated", \
             amplitude
     assert classify_point(flat, coords).dec == "satisfied"

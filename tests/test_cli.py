@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from curvlab.analysis import (
 from curvlab.classify import TheoremViolationError
 from curvlab.cli import main
 from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
+from curvlab.expressions import FUNCTIONS
 
 CORPUS_FILE = "src/curvlab/corpus_data/{}.ini"
 NARIAI = CORPUS_FILE.format("nariai")
@@ -430,6 +433,73 @@ class TestExitCodes:
         assert err == ("error: division by zero in "
                        "'1.0/(2.0*sqrt(x))'\n")
 
+    @pytest.mark.parametrize("line, entry, message", (
+        ("g11 = -1\n", "g11 = -1 + (-2)^0.5\n",
+         "power produced a complex value in '(-2.0)^0.5'"),
+        ("g00 = 1\n", "g00 = 1 + 1e308*10\n", "overflow in '1e+308*10.0'"),
+    ))
+    def test_an_unfoldable_constant_is_named(self, capsys, tmp_path, line,
+                                             entry, message):
+        with open(MINKOWSKI, encoding="utf-8") as fh:
+            path = self.write(tmp_path, fh.read().replace(line, entry))
+        for command in ("analyze", "classify"):
+            code, out, err = run_cli(capsys, command, path)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_a_folded_away_overflow_leaves_the_report(self, capsys, tmp_path):
+        # 0*(1e308*10) is 0, not 0*inf = nan in a tetrad leg
+        old = "m_re = 0, 0, 1/(sqrt(2)*r), 0"
+        path = tmp_path / "schwarzschild.ini"
+        with open(SCHWARZSCHILD, encoding="utf-8") as fh:
+            text = fh.read()
+        assert old in text
+        path.write_text(text.replace(old, old[:-3] + " + 0*(1e308*10), 0"),
+                        encoding="utf-8")
+        got = run_cli(capsys, "analyze", str(path), "--json")
+        assert got == run_cli(capsys, "analyze", SCHWARZSCHILD, "--json")
+
+    def test_large_components_are_scaled_not_overflowed(self, capsys,
+                                                        tmp_path):
+        # Minkowski with g_ab times 1e100 and every leg times 1e-50
+        with open(MINKOWSKI, encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        scaled = []
+        for line in lines:
+            key, _, value = line.partition("=")
+            if key.startswith("g"):
+                line = f"{key}= ({value.strip()})*1e100\n"
+            elif key.strip() in ("k", "l", "m_re", "m_im"):
+                legs = ", ".join(f"({c.strip()})*1e-50"
+                                 for c in value.split(","))
+                line = f"{key}= {legs}\n"
+            scaled.append(line)
+        path = self.write(tmp_path, "".join(scaled))
+        assert "g00 = (1)*1e100" in "".join(scaled)
+        code, out, err = run_cli(capsys, "classify", path)
+        assert (code, err) == (0, "")
+        assert out == "case origin: O (petrov O, semi-symmetry holds, " \
+            "dec satisfied)\n"
+        path = self.minkowski_with_g11(tmp_path, "-1e200")
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: metric 'case' is degenerate at "
+                              "(0.0, 0.0, 0.0, 0.0): det(g/max|g|) = ")
+
+    def test_a_leg_too_large_for_the_metric_is_invalid(self, capsys,
+                                                       tmp_path):
+        # its products overflow; inf <= tol * inf must not pass the check
+        with open(MINKOWSKI, encoding="utf-8") as fh:
+            text = fh.read().replace("m_re = 0, 0, 1/sqrt(2), 0",
+                                     "m_re = 0, 0, 1e200, 0")
+        path = self.write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "classify", path)
+        assert code == 3 and out == ""
+        assert err == ("error: [tetrad] at point 'origin': tetrad invalid at "
+                       "(0.0, 0.0, 0.0, 0.0): worst product m.m has residual "
+                       "inf (scale inf)\n")
+
     def test_deep_nesting_gets_the_bare_report(self, capsys, tmp_path):
         # the parser keeps the rules it is inside of on a stack of its
         # own, so any depth of parentheses parses, to the bare entry
@@ -462,6 +532,61 @@ class TestExitCodes:
         monkeypatch.setattr(analysis_mod, "classify_point", explode)
         code, _, err = run_cli(capsys, "analyze", MINKOWSKI)
         assert code == 4 and "type II" in err
+
+
+# pieces of the fuzzed metric entries: numbers at the edges of the double
+# range and off the reals under a power, every function, every coordinate
+FUZZ_SEED = 3
+FUZZ_TEXTS = 300
+FUZZ_NUMBERS = ("1e308", "1e400", "1e-300", "-2", "0.5")
+FUZZ_NAMES = FUZZ_NUMBERS + ("t", "x", "y", "z")
+FUZZ_WRAPS = ("{}", "1 + 0*({})", "1 + 1e-30*({})")
+
+
+def fuzz_text(rng, depth=3):
+    """A random text of the expression grammar, nested ``depth`` deep."""
+    roll = rng.random() if depth else 0.0
+    if roll < 0.35:
+        return rng.choice(FUZZ_NAMES)
+    sub = fuzz_text(rng, depth - 1)
+    if roll < 0.5:
+        return f"{rng.choice(sorted(FUNCTIONS))}({sub})"
+    if roll < 0.6:
+        return f"-({sub})" if sub.startswith("-") else f"-{sub}"
+    if roll < 0.7:
+        return f"({sub})"
+    return f"{sub} {rng.choice('+-*/^')} {fuzz_text(rng, depth - 1)}"
+
+
+class TestFuzzedEntries:
+    def test_each_ends_in_a_report_or_one_error_line(self, capsys, tmp_path):
+        # each text goes into g00 or the third component of m_re, bare or
+        # under a factor that may fold it away; every run must end in a
+        # documented exit code with no traceback and no numpy warning
+        with open(MINKOWSKI, encoding="utf-8") as fh:
+            base = fh.read()
+        slots = {"g00 = 1\n": "g00 = {}\n",
+                 "m_re = 0, 0, 1/sqrt(2), 0\n": "m_re = 0, 0, {}, 0\n"}
+        assert all(line in base for line in slots)
+        path = tmp_path / "fuzz.ini"
+        rng = random.Random(FUZZ_SEED)
+        for _ in range(FUZZ_TEXTS):
+            text = rng.choice(FUZZ_WRAPS).format(fuzz_text(rng))
+            line = rng.choice(sorted(slots))
+            entry = slots[line].format(text)
+            path.write_text(base.replace(line, entry), encoding="utf-8")
+            for argv in (("classify", str(path)),
+                         ("analyze", str(path), "--json")):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        code, _, err = run_cli(capsys, *argv)
+                    except Exception as exc:
+                        pytest.fail(f"{argv[0]} with {entry!r}: {exc!r}")
+                assert 0 <= code <= 4, (argv[0], entry, code)
+                assert len(err.splitlines()) <= 1, (argv[0], entry, err)
+                assert code == 0 or err.startswith("error: "), (
+                    argv[0], entry, err)
 
 
 class TestAnalysisHelpers:

@@ -36,9 +36,9 @@ from curvlab.newman_penrose import (
     NullTetrad,
     adapt_tetrad,
     np_scalars,
-    require_valid_tetrad,
     spin_coefficients,
     tetrad_frame,
+    validate_tetrad_from_metric_value,
 )
 from curvlab.symmetry import semi_symmetry_residual
 
@@ -243,7 +243,7 @@ class TestTapes:
         values, sizes = [], []
         for x in (1.0, 2.0, 3.0):
             p = (0.5, x, -1.0, 2.0)
-            values.append(m.evaluate_field(f, p).array)
+            values.append(m.evaluate_field(f, p))
             m.evaluate_field(f, p)
             sizes.append(len(m.arena.nodes))
         assert tapes_built == [m.arena]
@@ -390,7 +390,7 @@ class TestTetradKeys:
         m = load_corpus_metric("minkowski")
         p = m.points["origin"]
         t = m.tetrad
-        k = m.evaluate_field(t.k, p).array
+        k = m.evaluate_field(t.k, p)
         legs = [scaled_leg(m, t.k, i + 2.0) for i in range(40)]
         for i, leg in enumerate(legs):
             scaled = NullTetrad(leg, t.l, t.m_re, t.m_im)
@@ -427,14 +427,14 @@ class TestOneSlot:
         m = load_corpus_metric("schwarzschild")
         p = list(m.points["p0"])
         ctx = m.at(p)
-        old = curvature(m, p).riemann.array
+        old = curvature(m, p).riemann
         p[1] += 1.0
         moved = m.at(p)
         assert moved is not ctx and moved.point == tuple(p)
         fresh = load_corpus_metric("schwarzschild")
-        got = curvature(m, p).riemann.array
+        got = curvature(m, p).riemann
         assert not np.array_equal(got, old)
-        assert np.array_equal(got, curvature(fresh, p).riemann.array)
+        assert np.array_equal(got, curvature(fresh, p).riemann)
 
     def test_signed_zero_parameter_misses_the_same_tuple(self):
         m = load_corpus_metric("schwarzschild")
@@ -447,13 +447,13 @@ class TestOneSlot:
     def test_changed_parameter_misses_the_slot(self):
         m = load_corpus_metric("schwarzschild")
         p = m.points["p0"]
-        stale = curvature(m, p).riemann.array
+        stale = curvature(m, p).riemann
         m.params["M"] = 1.5
         fresh = MetricField(m.name, m.chart, m.g, params={"M": 1.5},
                             points={"p0": p}, arena=m.arena)
-        got = curvature(m, p).riemann.array
+        got = curvature(m, p).riemann
         assert not np.array_equal(got, stale)
-        assert np.array_equal(got, curvature(fresh, p).riemann.array)
+        assert np.array_equal(got, curvature(fresh, p).riemann)
 
     def test_interleaved_points_match_fresh_metrics(self):
         a = load_corpus_metric("nariai")
@@ -471,8 +471,8 @@ class TestChecksStillRun:
         analyze_point(m, "origin")
         t = m.tetrad
         bad = NullTetrad(t.k, t.k, t.m_re, t.m_im)
-        with pytest.raises(InvalidTetradError):
-            require_valid_tetrad(m, bad, p)
+        assert not validate_tetrad_from_metric_value(
+            m.metric_value(p), tetrad_frame(m, bad, p)).valid
         with pytest.raises(InvalidTetradError):
             np_scalars(curvature(m, p), tetrad_frame(m, bad, p))
         with pytest.raises(InvalidTetradError):
@@ -494,8 +494,8 @@ class TestChecksStillRun:
         spin_coefficients(m, off, p)
         with pytest.raises(InvalidTetradError):
             adapt_tetrad(m, off, p, tol=1e-14)
-        with pytest.raises(InvalidTetradError):
-            require_valid_tetrad(m, off, p, tol=1e-14)
+        assert not validate_tetrad_from_metric_value(
+            m.metric_value(p), tetrad_frame(m, off, p), tol=1e-14).valid
         with pytest.raises(InvalidTetradError):
             spin_coefficients(m, off, p, tol=1e-14)
         with pytest.raises(InvalidTetradError):
@@ -530,7 +530,13 @@ class TestTracerHooks:
                   + ("nabla_field", "evaluate_field")]
         wanted += [(module, "curvature")
                    for module in (analysis, classify, symmetry)]
-        wanted += [(newman_penrose, name) for name in tracing._NP_FUNCS]
+        # the tracer still lists the two newman_penrose functions that
+        # were deleted; install skips them, and no others may be missing
+        stale = {"null_rotate", "require_valid_tetrad"}
+        assert {name for name in tracing._NP_FUNCS
+                if not hasattr(newman_penrose, name)} == stale
+        wanted += [(newman_penrose, name) for name in tracing._NP_FUNCS
+                   if name not in stale]
         wanted += [(classify, name) for name in
                    ("semi_symmetry_residual",) + tracing.NULL_PROBES]
         wanted += [(analysis, name) for name in tracing._SPINOR_FUNCS

@@ -22,17 +22,16 @@ from curvlab.newman_penrose import (
     TetradFrame,
     adapt_tetrad,
     adapt_weyl,
-    null_rotate,
     null_rotate_frame,
     null_rotate_weyl,
     np_scalars,
     petrov_classify,
     pnd_roots,
-    require_valid_tetrad,
     rotate_tetrad_field,
     spin_coefficients,
     tetrad_frame,
     validate_tetrad,
+    validate_tetrad_from_metric_value,
     weyl_invariants,
 )
 
@@ -81,7 +80,8 @@ class TestTetradValidation:
         point = schwarzschild.points["p0"]
         frame = tetrad_frame(schwarzschild, tetrads["schwarzschild"], point)
         bad = TetradFrame(2.0 * frame.k, frame.l, frame.m, frame.point)
-        check = validate_tetrad(schwarzschild, bad, point)
+        check = validate_tetrad_from_metric_value(
+            schwarzschild.metric_value(point), bad)
         assert not check.valid
         assert check.worst == "k.l"
         assert abs(check.products["k.l"][0] - 2.0) < 1e-12
@@ -90,7 +90,8 @@ class TestTetradValidation:
         point = schwarzschild.points["p0"]
         frame = tetrad_frame(schwarzschild, tetrads["schwarzschild"], point)
         bad = TetradFrame(frame.k + frame.l, frame.l, frame.m, frame.point)
-        check = validate_tetrad(schwarzschild, bad, point)
+        check = validate_tetrad_from_metric_value(
+            schwarzschild.metric_value(point), bad)
         assert not check.valid
         assert abs(check.products["k.k"][0] - 2.0) < 1e-12
 
@@ -103,13 +104,19 @@ class TestTetradValidation:
             np_scalars(curv, bad)
         assert err.value.check.worst == "k.l"
 
-    def test_require_valid_tetrad(self, nariai, tetrads):
+    def test_a_bad_frame_fails_and_spin_coefficients_raise(self, nariai,
+                                                          tetrads):
         point = nariai.points["p0"]
-        frame = require_valid_tetrad(nariai, tetrads["nariai"], point)
+        gv = nariai.metric_value(point)
+        t = tetrads["nariai"]
+        frame = tetrad_frame(nariai, t, point)
+        assert validate_tetrad_from_metric_value(gv, frame).valid
         assert frame.k.shape == (4,)
         bad = TetradFrame(frame.k, frame.k, frame.m, frame.point)
+        assert not validate_tetrad_from_metric_value(gv, bad).valid
         with pytest.raises(InvalidTetradError):
-            require_valid_tetrad(nariai, bad, point)
+            spin_coefficients(nariai, NullTetrad(t.k, t.k, t.m_re, t.m_im),
+                              point)
 
 
 class TestCurvatureScalars:
@@ -294,7 +301,8 @@ class TestNullRotations:
         data = np_scalars(curv, frame)
 
         rotated = null_rotate_frame(frame, param, kind)
-        assert validate_tetrad(metric, rotated, point).valid
+        assert validate_tetrad_from_metric_value(
+            metric.metric_value(point), rotated).valid
         direct = np_scalars(curv, rotated).psi
         formula = null_rotate_weyl(data.psi, param, kind)
         scale = max(np.max(np.abs(formula)), 1e-30)
@@ -358,15 +366,6 @@ class TestNullRotations:
         assert all(np.isfinite(complex(v))
                    for v in sc.values())
 
-    def test_null_rotate_dispatches(self, minkowski, tetrads):
-        psi = np.arange(5, dtype=complex)
-        npt.assert_allclose(null_rotate(psi, 0.5, "about-l"),
-                            null_rotate_weyl(psi, 0.5, "about-l"))
-        frame = tetrad_frame(minkowski, tetrads["minkowski"],
-                             minkowski.points["origin"])
-        out = null_rotate(frame, 0.5, "about-l")
-        assert isinstance(out, TetradFrame)
-
 
 def combine(*pairs) -> SymbolicTensor:
     """A vector field Σ c·f as new expressions: each component is
@@ -420,7 +419,7 @@ def leg_values(m, leg, point):
     dn = m.lowered_vector_field(leg)
     fields = (leg, dn, m.covector_gradient_field(dn),
               m.partial_gradient_field(dn))
-    return [m.evaluate_field(f, point).array for f in fields]
+    return [m.evaluate_field(f, point) for f in fields]
 
 
 class TestLinearFieldRotation:

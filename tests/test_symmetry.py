@@ -5,7 +5,7 @@ import pytest
 from curvlab.conventions import SCALE_FLOOR
 from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
 from curvlab.expressions import differentiate, evaluate
-from curvlab.geometry import curvature
+from curvlab.geometry import curvature, max_abs
 from curvlab.symmetry import (
     RecurrenceResult,
     TetradMissingError,
@@ -154,7 +154,7 @@ class TestImplicationChains:
         for m in list(all_metrics) + [ppwave_u2]:
             for p in m.points.values():
                 c = curvature(m, p)
-                if c.weyl.max_abs() <= 1e-9 * max(c.riemann.max_abs(), 1e-14):
+                if max_abs(c.weyl) <= 1e-9 * max(max_abs(c.riemann), 1e-14):
                     continue
                 semi = semi_symmetry_residual(m, p)
                 conf = conformal_semi_symmetry_residual(m, p)
@@ -264,9 +264,9 @@ def loop_gradient_scale(m, point, v_dn):
             with m.arena:
                 d = differentiate(v_dn.components[i], m.chart[a])
             dmax = max(dmax, abs(evaluate(d, bindings)))
-    gmax = m.evaluate_field(m.christoffel_symbolic(), point).max_abs()
-    vval = m.evaluate_field(v_dn, point)
-    return max(dmax, gmax * vval.max_abs(), SCALE_FLOOR)
+    gmax = max_abs(m.evaluate_field(m.christoffel_symbolic(), point))
+    vmax = max_abs(m.evaluate_field(v_dn, point))
+    return max(dmax, gmax * vmax, SCALE_FLOOR)
 
 
 class TestGradientScale:

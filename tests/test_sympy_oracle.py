@@ -106,7 +106,7 @@ class TestDifferentiateAgainstSympy:
             inner = (np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg)
                      - dg)
             expected = 0.5 * np.einsum("ad,dbc->abc", ginv, inner)
-            ours = m.evaluate_field(m.christoffel_symbolic(), point).array
+            ours = m.evaluate_field(m.christoffel_symbolic(), point)
             assert np.all(ours.imag == 0.0)
             diff = np.max(np.abs(ours.real - expected))
             scale = np.max(np.abs(expected))
