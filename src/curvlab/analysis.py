@@ -22,12 +22,13 @@ from .corpus import CORPUS_NAMES, GOLDEN, load_corpus_metric
 from .geometry import MetricField, curvature  # noqa: F401
 from .newman_penrose import NPData, adapt_tetrad, spin_coefficients
 from .spinors import (
-    SymSpinor,
     check_contracted_condition,
     check_ricci_commutator,
     check_weyl_condition_1,
     check_weyl_condition_2,
     make_condition_data,
+    ricci_spinor,
+    weyl_spinor,
 )
 from .symmetry import (
     TetradMissingError,
@@ -80,16 +81,16 @@ def spinor_family_check(data: NPData, tol: float = RESIDUAL_TOL) -> dict | None:
                    if max(data.misfit(name)) <= tol * scale), None)
     if family is None:
         return None
-    psi_s = SymSpinor.from_weyl(data.psi)
-    phi_s = SymSpinor.from_phi(data.phi)
+    psi = weyl_spinor(data.psi)
+    phi = ricci_spinor(data.phi)
     scalar = float(data.scalar)
     sq = max(scale * scale, SCALE_FLOOR)
     return {
         "family": family,
-        "weyl_condition_1": check_weyl_condition_1(psi_s, scalar) / sq,
-        "contracted_condition": check_contracted_condition(psi_s, scalar) / sq,
-        "weyl_condition_2": check_weyl_condition_2(psi_s, phi_s) / sq,
-        "ricci_commutator": check_ricci_commutator(psi_s, phi_s, scalar) / sq,
+        "weyl_condition_1": check_weyl_condition_1(psi, scalar) / sq,
+        "contracted_condition": check_contracted_condition(psi, scalar) / sq,
+        "weyl_condition_2": check_weyl_condition_2(psi, phi) / sq,
+        "ricci_commutator": check_ricci_commutator(psi, phi, scalar) / sq,
     }
 
 
@@ -306,9 +307,9 @@ def lemma_suite() -> tuple:
         "III": np.array([0, 0, 0, 1, 0], dtype=complex),
     }
     for name, psi_vec in rejects.items():
-        psi = SymSpinor.from_weyl(psi_vec)
         checks.append((f"type {name}: contracted condition stays nonzero",
-                       check_contracted_condition(psi, 0.0), False))
+                       check_contracted_condition(weyl_spinor(psi_vec), 0.0),
+                       False))
     psi_d, phi_d, _ = make_condition_data("D", 1.0)
     checks.append(("D with scalar curvature dropped: ricci commutator "
                    "stays nonzero",

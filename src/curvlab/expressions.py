@@ -673,7 +673,9 @@ def _step(e: Expr, args: list, bindings: Mapping[str, float]) -> float:
         v = fn(*args) if args else fn(bindings)
     except KeyError:
         raise ExprError(f"missing binding for '{name}'") from None
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+    except OverflowError:
+        raise DomainError("overflow", e) from None
+    except (ValueError, ZeroDivisionError) as exc:
         message = f"invalid power: {exc}" if kind == "^" else str(exc)
         raise DomainError(message, e) from None
     if isinstance(v, complex):

@@ -6,6 +6,7 @@ modules can be exercised before the I/O layer exists.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from curvlab.expressions import (FUNCTIONS, ZERO, Arena, DomainError,
                                  ExprError, parse_expr)
 from curvlab.geometry import MetricField, SymbolicTensor
 from curvlab.newman_penrose import NullTetrad, _clusters, pnd_roots
-from curvlab.spinors import (GeneralSpinor, SymSpinor, _symmetrized,
-                             raise_slot)
+from curvlab.spinors import _symmetrized, raise_slot
 
 PI = math.pi
 
@@ -67,7 +67,9 @@ def reference_evaluate(e, bindings, memo=None):
         exponent = reference_evaluate(e.args[1], bindings, memo)
         try:
             v = base ** exponent
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        except OverflowError:
+            raise DomainError("overflow", e) from None
+        except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"invalid power: {exc}", e) from None
         if isinstance(v, complex):
             raise DomainError("power produced a complex value", e)
@@ -80,7 +82,9 @@ def reference_evaluate(e, bindings, memo=None):
             raise DomainError("sqrt of a negative value", e)
         try:
             v = FUNCTIONS[fname](u)
-        except (ValueError, OverflowError) as exc:
+        except OverflowError:
+            raise DomainError("overflow", e) from None
+        except ValueError as exc:
             raise DomainError(str(exc), e) from None
     else:
         raise ExprError(f"unknown node kind {kind!r}")
@@ -109,6 +113,24 @@ def move_index(t, slot, h):
     return np.moveaxis(np.tensordot(h, t, axes=([1], [slot])), 0, slot)
 
 
+@dataclass(eq=False)
+class Spinor:
+    """A spinor's component array with its valence, for the slot
+    bookkeeping of the test-only algebra below: unprimed slots first,
+    then primed slots.  The package itself passes bare arrays."""
+
+    components: np.ndarray
+    unprimed: int
+    primed: int
+
+    def __post_init__(self):
+        expected = (2,) * (self.unprimed + self.primed)
+        if tuple(self.components.shape) != expected:
+            raise ValueError(f"component array has shape "
+                             f"{self.components.shape}, expected {expected}")
+        self.components = np.asarray(self.components, dtype=complex)
+
+
 def spinor_outer(*factors):
     """Tensor product, regrouping so unprimed slots stay in front."""
     arr = np.array(1.0, dtype=complex)
@@ -120,7 +142,7 @@ def spinor_outer(*factors):
         [i for i, up in enumerate(layout) if not up]
     arr = np.transpose(arr, order) if layout else arr
     p = sum(1 for up in layout if up)
-    return GeneralSpinor(arr, p, len(layout) - p)
+    return Spinor(arr, p, len(layout) - p)
 
 
 class SpinorSlotError(ValueError):
@@ -132,25 +154,20 @@ O_DN = np.array([1.0, 0.0], dtype=complex)
 IOTA_DN = np.array([0.0, 1.0], dtype=complex)
 
 
-def max_abs(s) -> float:
-    """The largest modulus among a spinor's stored components."""
-    return float(np.max(np.abs(s.components))) if s.components.size else 0.0
-
-
-def valence(s: GeneralSpinor) -> tuple:
+def valence(s: Spinor) -> tuple:
     return (s.unprimed, s.primed)
 
 
-def is_unprimed_slot(s: GeneralSpinor, slot: int) -> bool:
+def is_unprimed_slot(s: Spinor, slot: int) -> bool:
     return slot < s.unprimed
 
 
-def vector_spinor(components, primed: bool = False) -> GeneralSpinor:
+def vector_spinor(components, primed: bool = False) -> Spinor:
     arr = np.asarray(components, dtype=complex)
-    return GeneralSpinor(arr, 0 if primed else 1, 1 if primed else 0)
+    return Spinor(arr, 0 if primed else 1, 1 if primed else 0)
 
 
-def contract(s1: GeneralSpinor, s2: GeneralSpinor, pairs) -> GeneralSpinor:
+def contract(s1: Spinor, s2: Spinor, pairs) -> Spinor:
     """s1_{...A...} s2^{...A...}: each pair (i, j) contracts lower slot i
     of s1 against slot j of s2 raised with ε."""
     pairs = list(pairs)
@@ -180,44 +197,42 @@ def contract(s1: GeneralSpinor, s2: GeneralSpinor, pairs) -> GeneralSpinor:
     if pr1 and up2:
         arr = np.moveaxis(arr, range(up1 + pr1, up1 + pr1 + up2),
                           range(up1, up1 + up2))
-    return GeneralSpinor(arr, up1 + up2, pr1 + pr2)
+    return Spinor(arr, up1 + up2, pr1 + pr2)
 
 
-def symmetrize(s: GeneralSpinor, slots) -> GeneralSpinor:
+def symmetrize(s: Spinor, slots) -> Spinor:
     slots = tuple(slots)
     kinds = {is_unprimed_slot(s, i) for i in slots}
     if len(kinds) > 1:
         raise SpinorSlotError("cannot symmetrize unprimed with primed slots")
-    return GeneralSpinor(_symmetrized(s.components, slots),
-                         s.unprimed, s.primed)
+    return Spinor(_symmetrized(s.components, slots), s.unprimed, s.primed)
 
 
-def sym_from_general(g: GeneralSpinor) -> SymSpinor:
-    """The distinct components of a totally symmetric GeneralSpinor."""
+def sym_from_general(g: Spinor) -> np.ndarray:
+    """The distinct components of a totally symmetric spinor: entry
+    [i, j] has i ι-valued unprimed and j ῑ-valued primed slots."""
     p, q = g.unprimed, g.primed
     comps = np.empty((p + 1, q + 1), dtype=complex)
     for i in range(p + 1):
         for j in range(q + 1):
             idx = (1,) * i + (0,) * (p - i) + (1,) * j + (0,) * (q - j)
             comps[i, j] = g.components[idx]
-    return SymSpinor(comps, p, q)
+    return comps
 
 
-def weyl_scalars(s: SymSpinor) -> np.ndarray:
-    """Ψ0..Ψ4 of a valence-(4,0) spinor (inverse of SymSpinor.from_weyl)."""
-    if (s.unprimed, s.primed) != (4, 0):
-        raise ValueError("not a valence-(4,0) spinor")
-    return np.array([(-1.0) ** k * s.components[4 - k, 0] for k in range(5)])
+def weyl_scalars(psi: np.ndarray) -> np.ndarray:
+    """Ψ0..Ψ4 of a Weyl spinor array (inverse of spinors.weyl_spinor)."""
+    comps = sym_from_general(Spinor(psi, 4, 0))
+    return np.array([(-1.0) ** k * comps[4 - k, 0] for k in range(5)])
 
 
-def phi_matrix(s: SymSpinor) -> np.ndarray:
-    """Φ_ij of a valence-(2,2) spinor (inverse of SymSpinor.from_phi)."""
-    if (s.unprimed, s.primed) != (2, 2):
-        raise ValueError("not a valence-(2,2) spinor")
+def phi_matrix(phi_spinor: np.ndarray) -> np.ndarray:
+    """Φ_ij of a Ricci spinor array (inverse of spinors.ricci_spinor)."""
+    comps = sym_from_general(Spinor(phi_spinor, 2, 2))
     phi = np.empty((3, 3), dtype=complex)
     for i in range(3):
         for j in range(3):
-            phi[i, j] = (-1.0) ** (i + j) * s.components[2 - i, 2 - j]
+            phi[i, j] = (-1.0) ** (i + j) * comps[2 - i, 2 - j]
     return phi
 
 

@@ -26,12 +26,12 @@ from curvlab.newman_penrose import (
     tetrad_frame,
 )
 from curvlab.spinors import (
-    SymSpinor,
     check_contracted_condition,
     check_ricci_commutator,
     check_weyl_condition_1,
     check_weyl_condition_2,
     make_condition_data,
+    weyl_spinor,
 )
 from curvlab.symmetry import (
     conformal_semi_symmetry_residual,
@@ -102,8 +102,7 @@ def test_criterion_01_condition_families_pass_weyl_checks():
     }
     for name, psi_vec in rejects.items():
         scale = float(np.max(np.abs(psi_vec))) ** 2
-        residual = check_contracted_condition(SymSpinor.from_weyl(psi_vec),
-                                              0.0)
+        residual = check_contracted_condition(weyl_spinor(psi_vec), 0.0)
         assert residual >= DECISIVE * scale, (name, residual)
 
 

@@ -48,6 +48,47 @@ ANALYZE_JSON_SHA256 = {
         "7923328436b52472276664c1eff8b041f1309cc6a8114fb58b5495a1f04fbebe",
 }
 
+# SHA-256 of the text outputs that hold the spinor-family residuals and
+# the lemma suite, pinned like the JSON reports above: `analyze <metric>`
+# and `classify <metric>` at the default seed, `analyze schwarzschild.ini
+# --cross-validate` and `lemmas`
+ANALYZE_TEXT_SHA256 = {
+    "bertotti_robinson":
+        "1bfba4409af15747b62bf91c66c3970ebe5bc3b5410bdd0876c9b8320f4895bd",
+    "minkowski":
+        "39f584ffe667f332e1095aed9e217cdad44eafbf5416410f182ece65d5454fb0",
+    "nariai":
+        "be89d250f55202b3fc62f65ff31d2b359d0e74a2cdda2fe31bd607d2f54dea3b",
+    "ppwave_linear":
+        "6c71f8eb4c7fd5bf213980531807d1dad8492002a9bf5f3b99e943fdd5d2f591",
+    "ppwave_quadratic_u":
+        "75d9f842fc54594939304183faa2bd74d01cb2ecc554645ea43623e66b0a126b",
+    "product2x2":
+        "dfbcf9fa4b3735c5786f3a76b9fdfb99cd75f9a29c0a1a1cfdf2c31f4666b46d",
+    "schwarzschild":
+        "71b570711904b80c8eb0fc2abeca57349a70a91ae5f9f27afdf95d6628ac8764",
+}
+CLASSIFY_SHA256 = {
+    "bertotti_robinson":
+        "0ac267f1ff99c2fce22803b56f37c06750dc27c0402f4fa05d34429b7b609790",
+    "minkowski":
+        "75651f41b91b4632f3171d5599ce5a7ce18e0f16e8662cd2ee1801632f39d179",
+    "nariai":
+        "2062901d9eada61e98a9bf77937bd4cec70df2a33336268b34ed683c4842e74a",
+    "ppwave_linear":
+        "1cb54af3930caa2bde90826787ca18f3c3a907c4fa7ba7fd0d890f3951023da7",
+    "ppwave_quadratic_u":
+        "d46eb48930495952aa4de5b0a7630ca68d3e98f11de2e49e35c94ce4b67dcd4d",
+    "product2x2":
+        "137916f4e8f709a09e8ef6f661c788433b131d8e82fb36ad30de7f1d01525bc6",
+    "schwarzschild":
+        "0ca1d3403c7bf15655c05604c0b58e10f269d0ac04f43728332788b1c86da61e",
+}
+CROSS_VALIDATE_TEXT_SHA256 = (
+    "5a3cd26481a9dcb296311e7fefdd69835c731feaaf2c0fd67ed0fe90c9409ffe")
+LEMMAS_SHA256 = (
+    "e8bf0ec5e4a53a20de1506be218804df2c688253bf524e4875f674a2d97723ba")
+
 # `analyze <metric> --json` at the default seed, checked in when the
 # pins above were last confirmed.  A change that moves last bits but no
 # branch, verdict or Petrov type still passes this value-level guard
@@ -96,6 +137,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def pinned_digest(capsys, *argv):
+    """SHA-256 of the standard output of a command that must succeed."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
 class TestAnalyzeJson:
@@ -157,11 +205,8 @@ class TestAnalyzeJson:
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_corpus_reports_are_pinned(self, capsys, name):
-        code, out, err = run_cli(capsys, "analyze", CORPUS_FILE.format(name),
-                                 "--json")
-        assert code == 0, err
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == ANALYZE_JSON_SHA256[name]
+        assert pinned_digest(capsys, "analyze", CORPUS_FILE.format(name),
+                             "--json") == ANALYZE_JSON_SHA256[name]
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_corpus_reports_match_the_checked_in_values(self, capsys, name):
@@ -196,6 +241,15 @@ class TestAnalyzeJson:
 
 
 class TestAnalyzeText:
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus_reports_are_pinned(self, capsys, name):
+        assert pinned_digest(capsys, "analyze", CORPUS_FILE.format(name)) \
+            == ANALYZE_TEXT_SHA256[name]
+
+    def test_cross_validated_report_is_pinned(self, capsys):
+        assert pinned_digest(capsys, "analyze", SCHWARZSCHILD,
+                             "--cross-validate") == CROSS_VALIDATE_TEXT_SHA256
+
     def test_sections_present(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", NARIAI, "--point", "p0")
         assert code == 0
@@ -228,6 +282,11 @@ class TestAnalyzeText:
 
 
 class TestClassifyCommand:
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus_lines_are_pinned(self, capsys, name):
+        assert pinned_digest(capsys, "classify", CORPUS_FILE.format(name)) \
+            == CLASSIFY_SHA256[name]
+
     def test_one_line_per_point(self, capsys):
         code, out, _ = run_cli(capsys, "classify", NARIAI)
         assert code == 0
@@ -274,6 +333,9 @@ class TestCorpusCommand:
 
 
 class TestLemmasCommand:
+    def test_output_is_pinned(self, capsys):
+        assert pinned_digest(capsys, "lemmas") == LEMMAS_SHA256
+
     def test_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "lemmas")
         assert code == 0
@@ -437,6 +499,10 @@ class TestExitCodes:
         ("g11 = -1\n", "g11 = -1 + (-2)^0.5\n",
          "power produced a complex value in '(-2.0)^0.5'"),
         ("g00 = 1\n", "g00 = 1 + 1e308*10\n", "overflow in '1e+308*10.0'"),
+        ("g00 = 1\n", "g00 = 1 + 10^400\n", "overflow in '10.0^400.0'"),
+        ("g00 = 1\n", "g00 = exp(1000)\n", "overflow in 'exp(1000.0)'"),
+        ("g00 = 1\n", "g00 = 1 + 0^(-1)\n", "invalid power: 0.0 cannot be "
+         "raised to a negative power in '0.0^-1.0'"),
     ))
     def test_an_unfoldable_constant_is_named(self, capsys, tmp_path, line,
                                              entry, message):

@@ -473,6 +473,9 @@ DOMAIN_CASES = {
     "sqrt of a negative value": ("sqrt(t)", 2.0, -4.0),
     "complex power": ("t^0.5", 2.0, -4.0),
     "overflow that vanishes": ("1/(t*1e200*1e200)", 1e-300, 1.0),
+    "power overflow": ("t^400", 2.0, 10.0),
+    "exp overflow": ("exp(t)", 2.0, 1000.0),
+    "zero to a negative power": ("t^(-1)", 2.0, 0.0),
 }
 
 
