@@ -12,6 +12,7 @@ consistency failure and raises instead of guessing.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,17 +150,18 @@ def dec_check(einstein: np.ndarray, frame: TetradFrame, g: np.ndarray,
 
 @functools.lru_cache(maxsize=None)
 def _dec_samples(seed: int) -> tuple:
-    """The ``DEC_SAMPLES`` boosts of ``dec_check``, drawn once per seed:
-    per sample a rapidity χ ~ U(0, 2), then a direction n from three
-    normals, made unit.  Returned as the columns cosh χ and sinh χ and
-    the rows of n, read-only since every call shares them."""
-    rng = np.random.default_rng(seed)
-    chi = np.empty((DEC_SAMPLES, 1))
-    n = np.empty((DEC_SAMPLES, 3))
-    for i in range(DEC_SAMPLES):
-        chi[i] = rng.uniform(0.0, 2.0)
-        n[i] = rng.normal(size=3)
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    """The ``DEC_SAMPLES`` boosts of ``dec_check``, drawn once per seed
+    from the standard library's ``random.Random(seed)``, whose stream
+    CPython keeps the same across versions: per sample a rapidity
+    χ = ``uniform(0, 2)``, then a direction n from three ``gauss(0, 1)``,
+    made unit.  Returned as the columns cosh χ and sinh χ and the rows of
+    n, read-only since every call shares them."""
+    rng = random.Random(seed)
+    draws = np.array([[rng.uniform(0.0, 2.0), rng.gauss(0.0, 1.0),
+                       rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)]
+                      for _ in range(DEC_SAMPLES)])
+    chi, n = draws[:, :1], draws[:, 1:]
+    n = n / np.linalg.norm(n, axis=1, keepdims=True)
     samples = np.cosh(chi), np.sinh(chi), n
     for a in samples:
         a.flags.writeable = False

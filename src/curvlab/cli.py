@@ -162,7 +162,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     if getattr(args, "seed", 0) < 0:
-        # numpy's generator takes no negative seed
+        # random.Random(-5) draws what Random(5) draws, so a negative
+        # seed would silently repeat a positive one
         print("error: --seed must be a non-negative integer", file=sys.stderr)
         return EXIT_INPUT
     try:

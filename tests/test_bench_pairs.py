@@ -2,6 +2,7 @@
 the benchmark."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -142,3 +143,38 @@ def test_failed_runs_are_printed_and_set_the_exit_status(
     out = capsys.readouterr().out
     assert f"corpus          parent failed {parent}" in out
     assert f"corpus          change failed {change}" in out
+
+
+
+def test_both_sides_run_from_fresh_exports(tmp_path, monkeypatch):
+    """Neither side runs from the checkout: the parent is a ``git archive``
+    export of the revision and the change a copy of the working tree's
+    tracked and untracked, non-ignored files, both under one temporary
+    directory."""
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "pkg" / "run.py").write_text("old\n")
+    (repo / "gone.txt").write_text("tracked\n")
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "parent"], check=True)
+    (repo / "pkg" / "run.py").write_text("edited\n")
+    (repo / "pkg" / "new.py").write_text("unstaged\n")
+    (repo / "out.log").write_text("ignored\n")
+    (repo / "gone.txt").unlink()
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+
+    sides = bench_pairs.export_sides("HEAD", tmp_path / "tmp")
+    for root in sides.values():
+        assert root.parent == tmp_path / "tmp"
+        assert root != bench_pairs.ROOT
+    parent, change = sides["parent"], sides["change"]
+    assert (parent / "pkg" / "run.py").read_text() == "old\n"
+    assert (change / "pkg" / "run.py").read_text() == "edited\n"
+    assert (change / "pkg" / "new.py").is_file()
+    assert not (parent / "pkg" / "new.py").exists()
+    assert not (change / "out.log").exists()
+    assert not (change / "gone.txt").exists()
+    assert (parent / "gone.txt").is_file()

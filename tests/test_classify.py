@@ -1,3 +1,9 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -204,10 +210,10 @@ def looped_dec_check(einstein, frame, g, tol=RESIDUAL_TOL, seed=DEC_SEED):
     gmax = max(float(np.max(np.abs(gmix))), SCALE_FLOOR)
     metmax = float(np.max(np.abs(g)))
     e0max = float(np.max(np.abs(e0)))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(DEC_SAMPLES):
         chi = rng.uniform(0.0, 2.0)
-        n = rng.normal(size=3)
+        n = np.array([rng.gauss(0.0, 1.0) for _ in range(3)])
         n = n / np.linalg.norm(n)
         u = np.cosh(chi) * e0 + np.sinh(chi) * (n[0] * e1 + n[1] * e2
                                                 + n[2] * e3)
@@ -240,6 +246,44 @@ class TestDecSamples:
     def test_drawn_once_per_seed(self):
         assert _dec_samples(DEC_SEED) is _dec_samples(DEC_SEED)
         assert _dec_samples(5)[0].shape == (DEC_SAMPLES, 1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 8, DEC_SEED])
+    def test_boosts_are_read_only_unit_rapidities_in_range(self, seed):
+        ch, sh, n = _dec_samples(seed)
+        assert (ch.shape, sh.shape, n.shape) == (
+            (DEC_SAMPLES, 1), (DEC_SAMPLES, 1), (DEC_SAMPLES, 3))
+        chi = np.arcsinh(sh)
+        assert np.all(chi >= 0.0) and np.all(chi < 2.0)
+        npt.assert_allclose(ch, np.cosh(chi), rtol=1e-14)
+        npt.assert_allclose(np.linalg.norm(n, axis=1), 1.0, rtol=1e-14)
+        for a in (ch, sh, n):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    def test_seeds_draw_different_boosts(self):
+        for a, b in zip(_dec_samples(7), _dec_samples(8)):
+            assert not np.array_equal(a, b)
+
+    def test_analysis_never_imports_numpy_random(self):
+        """The boosts come from the standard library's generator, so
+        neither a non-vacuum analysis nor the corpus run loads
+        ``numpy.random`` (its bit generators, ``secrets``, ``hashlib``)."""
+        root = Path(__file__).resolve().parents[1]
+        product = root / "src" / "curvlab" / "corpus_data" / "product2x2.ini"
+        script = (
+            "import contextlib, io, sys\n"
+            "from curvlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['analyze', {str(product)!r}, '--json']) == 0\n"
+            "    assert main(['corpus', 'run']) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestCorpusBranches:

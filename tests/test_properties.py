@@ -15,15 +15,23 @@ from the family's formulas alone.  At every point:
 (c) a point that is not decisively non-semi-symmetric lands in a named
     branch or carries the dead-band warning, and no point's adapted data
     misses its radiation or Coulomb pattern or the two-term null-pair
-    form of the Ricci tensor.
+    form of the Ricci tensor;
+(d) the identities every metric obeys hold to ``IDENTITY_TOL`` of the
+    largest component: the algebraic Bianchi identity R_a[bcd] = 0 and a
+    trace-free Weyl tensor g^ac C_abcd = 0 (against max|R|), and the
+    differential Bianchi identity ∇_[e R_ab]cd = 0 (against max|∇R|, or
+    max|Γ|·max|R| where ∇R is itself rounding noise).
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from curvlab.classify import classify_point
+from curvlab.conventions import SCALE_FLOOR
+from curvlab.geometry import curvature, max_abs
 from curvlab.metricfile import parse_metric_text
 from curvlab.symmetry import conformal_semi_symmetry_residual
 
@@ -32,6 +40,7 @@ METRICS_PER_FAMILY = 12
 POINTS_PER_METRIC = 6
 DEAD_BAND = "semi-symmetry residual sits inside the dead band"
 BROKEN_SHAPES = ("pattern violated", "two-term null-pair form")
+IDENTITY_TOL = 1e-10
 
 
 def num(rng, lo, hi):
@@ -149,6 +158,29 @@ def conformally_flat(rng):
     return metric_text(("t", "x", "y", "z"), g, tetrad, points)
 
 
+def identity_residuals(m, p) -> dict:
+    """Each identity's largest component at ``p``, relative to max|R| (the
+    algebraic ones) or to max|∇R| (the differential one).  On a
+    covariantly constant R, ∇R = ∂R - ΓR - ... is rounding noise left by
+    terms of size max|Γ|·max|R|, so that bounds its scale from below.
+    The cyclic sums over three slots are 3 times the antisymmetrization,
+    given the antisymmetry R_abcd = -R_abdc."""
+    curv = curvature(m, p)
+    r = curv.riemann
+    nr = m.evaluate_field(m.nabla_field("riemann", 1), p)   # ∇_e R_abcd
+    gamma = m.evaluate_field(m.christoffel_symbolic(), p)
+    ginv = np.linalg.inv(curv.metric)
+    algebraic = r + np.einsum("acdb->abcd", r) + np.einsum("adbc->abcd", r)
+    differential = (nr + np.einsum("cabde->eabcd", nr)
+                    + np.einsum("dabec->eabcd", nr))
+    r_scale = max(max_abs(r), SCALE_FLOOR)
+    return {"algebraic Bianchi": max_abs(algebraic) / r_scale,
+            "Weyl trace": max_abs(np.einsum("ac,abcd->bd", ginv,
+                                            curv.weyl)) / r_scale,
+            "differential Bianchi": max_abs(differential)
+            / max(max_abs(nr), max_abs(gamma) * max_abs(r), SCALE_FLOOR)}
+
+
 FAMILIES = {
     "product_2x2": product_2x2,
     "pp_wave": pp_wave,
@@ -175,3 +207,6 @@ def test_theorem_and_classification_hold_on_generated_metrics(family):
             assert not [w for w in report.warnings
                         if any(s in w for s in BROKEN_SHAPES)], \
                 (where, report.warnings)
+            residuals = identity_residuals(m, p)                   # (d)
+            assert max(residuals.values()) <= IDENTITY_TOL, (where,
+                                                             residuals)

@@ -5,8 +5,11 @@ Usage, from the root of a checkout::
     python3 tools/bench_pairs.py --parent REV --workload cross_validate \\
         --seeds 11-20 --seconds 40 --out BENCH_9.json
 
-The parent revision is exported with ``git archive`` into a temporary
-directory; the change is this checkout's working tree.  Per workload and
+Both sides run from fresh copies in one temporary directory: the parent
+revision exported with ``git archive``, the change as this checkout's
+working tree (its tracked files and its untracked files that git does not
+ignore, so a new, unstaged file runs too).  Neither runs from the
+checkout itself, so the two differ in their files only.  Per workload and
 seed, one pair of ``perfbench/run.py --trace 0`` runs is made with that
 seed and the same ``--seconds`` on both sides, the parent first in odd
 pairs and the change first in even ones.  One ``--trace 1`` run per side, at the first seed,
@@ -33,6 +36,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -105,6 +109,28 @@ def export(rev: str, dest: Path) -> Path:
     dest.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return dest
+
+
+def export_worktree(dest: Path) -> Path:
+    """The working tree's tracked and untracked, non-ignored files, as
+    they are on disk, copied into ``dest``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True).stdout
+    dest.mkdir(parents=True)
+    for name in filter(None, listed.decode().split("\0")):
+        src = ROOT / name
+        if src.is_file():           # a tracked file deleted on disk is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+    return dest
+
+
+def export_sides(parent: str, tmp: Path) -> dict:
+    """The parent revision and the working tree, each exported under
+    ``tmp``."""
+    return {"parent": export(parent, tmp / "parent"),
+            "change": export_worktree(tmp / "change")}
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float,
@@ -204,8 +230,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     gated = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        sides = {"parent": export(args.parent, Path(tmp) / "parent"),
-                 "change": ROOT}
+        sides = export_sides(args.parent, Path(tmp))
         record = {
             "parent": subprocess.run(
                 ["git", "rev-parse", args.parent], cwd=ROOT, check=True,
