@@ -20,6 +20,7 @@ import numpy as np
 from .conventions import FAMILIES, RESIDUAL_TOL, SCALE_FLOOR
 from .geometry import MetricField, curvature, max_abs
 from .newman_penrose import (
+    LEG_QUANTITIES,
     NullTetrad,
     TetradFrame,
     adapt_tetrad,
@@ -27,6 +28,7 @@ from .newman_penrose import (
     tetrad_frame,
 )
 from .symmetry import (
+    NullLeg,
     TetradMissingError,
     constant_null_vector_check,
     decomposability_check,
@@ -251,8 +253,8 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
     if petrov in ("I", "II", "III"):
         raise TheoremViolationError(p, petrov, semi.verdict)
 
-    tet_ad, frame_ad, adapted = ad.tetrad, ad.frame, ad.data
-    coeff = spin_coefficients(m, tet_ad, p, tol)
+    frame_ad, adapted = ad.frame, ad.data
+    coeff = spin_coefficients(m, tetrad, p, tol, ad.transforms)
     sc_scale = max(max(abs(v) for v in coeff.values()), SCALE_FLOOR)
     np_scale = max(adapted.scale(), SCALE_FLOOR)
 
@@ -262,14 +264,20 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
     report.constraints["sigma*psi4-rho*phi22"] = _relative(
         balance, sc_scale * np_scale)
 
+    def leg(name: str) -> NullLeg:
+        """The adapted leg ``name`` ('k' or 'l') as the null probes read
+        it."""
+        return NullLeg(*(getattr(tetrad_frame(m, tetrad, p, q, ad.transforms),
+                                 name) for q in LEG_QUANTITIES))
+
     if petrov == "N":
-        return _classify_n(m, p, report, tet_ad, adapted, coeff,
+        return _classify_n(m, p, report, leg, adapted, coeff,
                            sc_scale, np_scale, tol)
-    return _classify_d(m, p, report, tet_ad, frame_ad, curv, adapted,
+    return _classify_d(m, p, report, leg, frame_ad, curv, adapted,
                        coeff, np_scale, tol)
 
 
-def _classify_n(m, p, report, tet_ad, adapted, coeff, sc_scale, np_scale,
+def _classify_n(m, p, report, leg, adapted, coeff, sc_scale, np_scale,
                 tol):
     pattern = max(adapted.misfit("N"))
     if verdict_for(pattern, np_scale, tol) != "holds":
@@ -279,7 +287,7 @@ def _classify_n(m, p, report, tet_ad, adapted, coeff, sc_scale, np_scale,
         return report
     shear = max(abs(coeff["sigma"]), abs(coeff["rho"]))
     if verdict_for(shear, sc_scale, tol) == "holds":
-        constant_k = constant_null_vector_check(m, tet_ad.k, p, tol)
+        constant_k = constant_null_vector_check(m, leg("k"), p, tol)
         report.constraints["constant_null_k"] = _relative(
             constant_k.residual, constant_k.scale)
         if constant_k.verdict == "holds":
@@ -289,7 +297,7 @@ def _classify_n(m, p, report, tet_ad, adapted, coeff, sc_scale, np_scale,
     return report
 
 
-def _classify_d(m, p, report, tet_ad, frame_ad, curv, adapted, coeff,
+def _classify_d(m, p, report, leg, frame_ad, curv, adapted, coeff,
                 np_scale, tol):
     slot, _, factor = FAMILIES["D"]
     psi2 = adapted.psi[slot]
@@ -319,9 +327,10 @@ def _classify_d(m, p, report, tet_ad, frame_ad, curv, adapted, coeff,
     report.constraints.update(products)
 
     if hint == "generic":
-        rec_k = recurrence_check(m, tet_ad.k, tet_ad.l, p, tol)
-        rec_l = recurrence_check(m, tet_ad.l, tet_ad.k, p, tol)
-        product = decomposability_check(m, tet_ad.k, tet_ad.l, p, tol)
+        k, l = leg("k"), leg("l")
+        rec_k = recurrence_check(m, k, l, p, tol)
+        rec_l = recurrence_check(m, l, k, p, tol)
+        product = decomposability_check(m, k, l, p, tol)
         report.recurrence = max(_relative(rec_k.residual, rec_k.scale),
                                 _relative(rec_l.residual, rec_l.scale))
         report.decomposability = _relative(product.residual, product.scale)

@@ -72,64 +72,6 @@ class SymbolicTensor:
         return len(self.variance)
 
 
-@dataclass(frozen=True)
-class LinearField:
-    """A constant combination Σ cᵢ fᵢ of fields, held as (cᵢ, fᵢ) terms.
-    A tetrad rotated by constant parameters has such legs; ``MetricField``
-    maps their lowering, ∇ and ∂ over the terms, so they build nothing.
-    Equal terms make equal fields, so a point sums each combination once."""
-
-    terms: tuple
-    variance: tuple
-    __array_ufunc__ = None      # numpy scalars defer to the operators below
-
-    def __post_init__(self):    # one term per field, none with c = 0
-        merged: dict = {}
-        for c, f in self.terms:
-            merged[f] = merged[f] + c if f in merged else c
-        object.__setattr__(self, "terms", tuple(
-            (c, f) for f, c in merged.items() if c != 0))
-
-    @classmethod
-    def of(cls, f) -> LinearField:
-        return f if isinstance(f, LinearField) else cls(((1.0, f),), f.variance)
-
-    def map(self, fn) -> LinearField:
-        terms = tuple((c, fn(f)) for c, f in self.terms)
-        return LinearField(terms, terms[0][1].variance)
-
-    def _scaled(self, fn) -> LinearField:
-        return LinearField(tuple((fn(c), f) for c, f in self.terms),
-                           self.variance)
-
-    def __add__(self, other: LinearField) -> LinearField:
-        return LinearField(self.terms + other.terms, self.variance)
-
-    def __mul__(self, scalar) -> LinearField:
-        return self._scaled(lambda c: c * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> LinearField:
-        return self._scaled(lambda c: c / scalar)
-
-    def conjugate(self) -> LinearField:
-        return self._scaled(lambda c: c.conjugate())
-
-    @property
-    def real(self) -> LinearField:
-        return self._scaled(lambda c: float(c.real))
-
-    @property
-    def imag(self) -> LinearField:
-        return self._scaled(lambda c: float(c.imag))
-
-
-# what the evaluator and the field builders take: a declared field, or a
-# constant combination of declared fields
-Field = SymbolicTensor | LinearField
-
-
 def max_abs(a: np.ndarray) -> float:
     """The largest modulus among the entries of ``a``."""
     return float(np.max(np.abs(a)))
@@ -181,15 +123,13 @@ def _cached(build):
 
 def _per_field(build):
     """A builder of one field from another, made once per metric and
-    field contents, in the metric's arena; a ``LinearField`` maps it over
-    its terms.  The components' slots name the contents: a slot names one
-    node of the arena for the arena's life, while a wrapper's own id would
-    not (wrappers die and ids get recycled)."""
+    field contents, in the metric's arena.  The components' slots name
+    the contents: a slot names one node of the arena for the arena's
+    life, while a wrapper's own id would not (wrappers die and ids get
+    recycled)."""
     name = build.__name__
     @functools.wraps(build)
-    def per_field(self, t: Field) -> Field:
-        if isinstance(t, LinearField):
-            return t.map(getattr(self, name))
+    def per_field(self, t: SymbolicTensor) -> SymbolicTensor:
         key = (name, t.variance, self.place(t)[1].tobytes())
         if key not in self._cache:
             with self.arena:
@@ -300,16 +240,12 @@ class MetricField:
             t.slots = (arena, slots, max(slots) + 1)
         return t.slots
 
-    def evaluate_field(self, t: Field, point) -> np.ndarray:
+    def evaluate_field(self, t: SymbolicTensor, point) -> np.ndarray:
         """``t`` at ``point`` as a complex array, evaluated once per point
-        context.  A ``SymbolicTensor`` runs its slots on the metric's arena
-        with the context's value list (``Arena.run``); a ``LinearField`` is
-        Σ cᵢ·value(fᵢ) over its terms' values."""
+        context: its slots run on the metric's arena with the context's
+        value list (``Arena.run``)."""
         ctx = self.at(point)
         value = ctx.memo.get(t)
-        if value is None and isinstance(t, LinearField):
-            parts = [c * self.evaluate_field(f, point) for c, f in t.terms]
-            value = ctx.memo[t] = sum(parts[1:], parts[0])
         if value is None:
             arena, slots, end = self.place(t)
             comps = arena.run(ctx.values, ctx.bindings, slots, end)
@@ -505,22 +441,23 @@ class MetricField:
         return self._cache[key]
 
     @_per_field
-    def lowered_vector_field(self, v_up: Field) -> Field:
+    def lowered_vector_field(self, v_up: SymbolicTensor) -> SymbolicTensor:
         """v_b = g_be v^e."""
         comp = [_fold(mul(self.g[b, e], v_up.components[e]) for e in range(DIM))
                 for b in range(DIM)]
         return SymbolicTensor(np.array(comp, dtype=object), ("d",))
 
     @_per_field
-    def covector_gradient_field(self, v_dn: Field) -> Field:
+    def covector_gradient_field(self, v_dn: SymbolicTensor) -> SymbolicTensor:
         """∇_a v_b for a covector field, and ∂_a v_b with it (∇'s own
-        derivatives), ready for any rotated leg."""
+        derivatives), so that no later point builds the ∂ the null probes
+        read."""
         out = self._cov1(v_dn)
         self.partial_gradient_field(v_dn)
         return out
 
     @_per_field
-    def partial_gradient_field(self, v_dn: Field) -> Field:
+    def partial_gradient_field(self, v_dn: SymbolicTensor) -> SymbolicTensor:
         """∂_a v_b for a covector field (not a tensor)."""
         comp = np.array([[differentiate(e, va) for e in v_dn.components]
                          for va in self.chart], dtype=object)
@@ -549,11 +486,10 @@ class PointContext:
 
     ``memo`` holds every result made at the point, each made once however
     many callers ask for it: a field's value under the ``SymbolicTensor``
-    object (a ``LinearField`` under its terms), and any other result,
-    read through ``once``, under a tuple of its name and inputs (a tetrad
-    as the ``NullTetrad`` object itself).  ``values`` holds the values of
-    the metric's arena slots, in order and all in domain, as far as the fields
-    read so far reach.  ``source`` and ``params`` let ``MetricField.at``
+    object, and any other result, read through ``once``, under a tuple of
+    its name and inputs (a tetrad as the ``NullTetrad`` object itself).
+    ``values`` holds the values of the metric's arena slots, in order and
+    all in domain, as far as the fields read so far reach.  ``source`` and ``params`` let ``MetricField.at``
     serve a repeated tuple without rebuilding ``key``.  Results are
     handed out without a copy; callers must not modify them.
     """

@@ -7,10 +7,10 @@ coefficients.  On top of those this module implements the Petrov
 classification (the invariant chain I, J, K, L, N), the adaptation of a
 tetrad to the repeated principal null direction of that type (from the
 roots of the direction quartic), and the tetrad transformation group
-(null rotations about either real direction, boosts and spins),
-including transformations of tetrad *fields* by constant parameters: the
-legs adapted to a degenerate direction are constant combinations of the
-declared legs (``LinearField``), so adapting builds no expression.
+(null rotations about either real direction, boosts and spins).  The
+adapted tetrad exists only as numbers at a point: its parameters are
+constants there, so lowering, ∇ and ∂ commute with the rotation, and each
+quantity of the adapted legs is that of the declared legs, rotated.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import FAMILIES, PHI_SIGN, RESIDUAL_TOL, SCALE_FLOOR
-from .geometry import (Curvature, Field, LinearField, MetricField, curvature,
+from .geometry import (Curvature, MetricField, SymbolicTensor, curvature,
                        max_abs)
 
 
@@ -39,26 +39,26 @@ class InvalidTetradError(Exception):
 
 @dataclass(eq=False)
 class NullTetrad:
-    """Four vector fields, declared or rotated (``LinearField``); the
-    complex leg is m = m_re + i m_im."""
+    """Four declared vector fields; the complex leg is m = m_re + i m_im."""
 
-    k: Field
-    l: Field
-    m_re: Field
-    m_im: Field
+    k: SymbolicTensor
+    l: SymbolicTensor
+    m_re: SymbolicTensor
+    m_im: SymbolicTensor
 
     def __post_init__(self):
         for name in ("k", "l", "m_re", "m_im"):
             f = getattr(self, name)
-            if not isinstance(f, Field) or f.variance != ("u",):
+            if not isinstance(f, SymbolicTensor) or f.variance != ("u",):
                 raise TypeError(f"tetrad field '{name}' must be a "
                                 "contravariant vector field")
 
 
 @dataclass(eq=False)
 class TetradFrame:
-    """Tetrad legs at one point (contravariant components): numeric, or
-    the LinearField legs that rotate_tetrad_field passes through."""
+    """One quantity of the tetrad legs at one point (see ``leg_field``):
+    their contravariant components, or their lowered components, ∇ or ∂,
+    with m = m_re + i m_im."""
 
     k: np.ndarray
     l: np.ndarray
@@ -70,15 +70,44 @@ class TetradFrame:
         return np.conj(self.m)
 
 
-def tetrad_frame(metric: MetricField, tetrad: NullTetrad, point) -> TetradFrame:
-    """The legs at ``point``, evaluated once per point context."""
+LEG_QUANTITIES = ("value", "lowered", "nabla", "partial")
+
+
+def leg_field(metric: MetricField, leg: SymbolicTensor,
+              quantity: str) -> SymbolicTensor:
+    """The field whose value is ``quantity`` of the vector field ``leg``:
+    'value' v^a itself, 'lowered' v_a, 'nabla' ∇_a v_b or 'partial'
+    ∂_a v_b."""
+    if quantity == "value":
+        return leg
+    dn = metric.lowered_vector_field(leg)
+    if quantity == "lowered":
+        return dn
+    if quantity == "nabla":
+        return metric.covector_gradient_field(dn)
+    if quantity == "partial":
+        return metric.partial_gradient_field(dn)
+    raise ValueError(f"unknown leg quantity {quantity!r}")
+
+
+def tetrad_frame(metric: MetricField, tetrad: NullTetrad, point,
+                 quantity: str = "value", transforms=()) -> TetradFrame:
+    """``quantity`` of the legs at ``point`` (see ``leg_field``), rotated
+    by the (kind, param) pairs ``transforms`` in order; made once per
+    point context.  The parameters are constants, so the rotation acts on
+    each quantity as on the legs themselves."""
     ctx = metric.at(point)
+    transforms = tuple(transforms)
 
     def make():
-        k, l, mre, mim = (metric.evaluate_field(leg, point) for leg in
-                          (tetrad.k, tetrad.l, tetrad.m_re, tetrad.m_im))
-        return TetradFrame(k, l, mre + 1j * mim, ctx.point)
-    return ctx.once(("frame", tetrad), make)
+        k, l, mre, mim = (
+            metric.evaluate_field(leg_field(metric, leg, quantity), point)
+            for leg in (tetrad.k, tetrad.l, tetrad.m_re, tetrad.m_im))
+        frame = TetradFrame(k, l, mre + 1j * mim, ctx.point)
+        for kind, param in transforms:
+            frame = null_rotate_frame(frame, param, kind)
+        return frame
+    return ctx.once(("frame", tetrad, quantity, transforms), make)
 
 
 @dataclass(eq=False)
@@ -205,34 +234,29 @@ def validate_tetrad_from_metric_value(gv: np.ndarray, frame: TetradFrame,
 # ---------------------------------------------------------------------------
 
 def spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
-                      tol: float = RESIDUAL_TOL) -> dict:
+                      tol: float = RESIDUAL_TOL, transforms=()) -> dict:
     """The twelve NP connection scalars by name (kappa, sigma, rho, tau,
     epsilon, beta, alpha, gamma, pi, lambda, mu, nu, in that order), from
-    covariant derivatives of the tetrad legs (sign table frozen in the
-    conventions document).
+    covariant derivatives of the legs of ``tetrad`` rotated by
+    ``transforms`` (sign table frozen in the conventions document).
 
     The tetrad check runs on every call; the contraction once per
-    (point, tetrad, tol), and a failed check caches nothing.
+    (point, tetrad, tol, transforms), and a failed check caches nothing.
     """
-    frame = tetrad_frame(metric, tetrad, point)
+    transforms = tuple(transforms)
+    frame = tetrad_frame(metric, tetrad, point, "value", transforms)
     check = validate_tetrad_from_metric_value(
         metric.metric_value(point), frame, tol)
     if not check.valid:
         raise InvalidTetradError(check)
     return metric.at(point).once(
-        ("spin", tetrad, tol),
-        lambda: _spin_coefficients(metric, tetrad, point, frame))
+        ("spin", tetrad, tol, transforms),
+        lambda: _spin_coefficients(frame, tetrad_frame(
+            metric, tetrad, point, "nabla", transforms)))
 
 
-def _spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
-                       frame: TetradFrame) -> dict:
-    def grad_of(field: Field) -> np.ndarray:
-        dn = metric.lowered_vector_field(field)
-        return metric.evaluate_field(metric.covector_gradient_field(dn), point)
-
-    nk = grad_of(tetrad.k)
-    nl = grad_of(tetrad.l)
-    nm = grad_of(tetrad.m_re) + 1j * grad_of(tetrad.m_im)
+def _spin_coefficients(frame: TetradFrame, nabla: TetradFrame) -> dict:
+    nk, nl, nm = nabla.k, nabla.l, nabla.m
     k, l, m, mb = frame.k, frame.l, frame.m, frame.mbar
 
     def d(x, grad, y):
@@ -294,8 +318,8 @@ def null_rotate_weyl(psi, param: complex, kind: str) -> np.ndarray:
 
 def null_rotate_frame(frame: TetradFrame, param: complex,
                       kind: str) -> TetradFrame:
-    """The same transformation applied to tetrad legs: numeric arrays, or
-    the LinearField legs of rotate_tetrad_field."""
+    """The same transformation applied to one quantity of the tetrad
+    legs."""
     k, l, m = frame.k, frame.l, frame.m
     mb = m.conjugate()
     if kind == "about-k":
@@ -318,18 +342,6 @@ def null_rotate_frame(frame: TetradFrame, param: complex,
     if kind == "reverse":
         return TetradFrame(l, k, mb, frame.point)
     raise ValueError(f"unknown rotation kind {kind!r}")
-
-
-def rotate_tetrad_field(tetrad: NullTetrad, param: complex,
-                        kind: str) -> NullTetrad:
-    """Transform tetrad *fields* by a constant parameter: the legs of the
-    result are ``LinearField`` combinations of the declared legs, given
-    by ``null_rotate_frame`` itself, so no expression is built."""
-    leg = LinearField.of
-    legs = TetradFrame(leg(tetrad.k), leg(tetrad.l),
-                       leg(tetrad.m_re) + 1j * leg(tetrad.m_im), ())
-    out = null_rotate_frame(legs, param, kind)
-    return NullTetrad(out.k.real, out.l.real, out.m.real, out.m.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +486,7 @@ def adapt_weyl(psi, petrov: str, tol: float = RESIDUAL_TOL):
     Σ_j C(5-k, j) Ψ_{k-1+j} z^j, of which a k-fold root is a simple root.
 
     Returns (psi_adapted, transforms) where transforms is the list of
-    (kind, param) pairs applied, for null_rotate_frame and rotate_tetrad_field.
+    (kind, param) pairs applied, for null_rotate_frame and tetrad_frame.
     """
     psi = np.asarray(psi, dtype=complex)
     transforms: list = []
@@ -514,9 +526,9 @@ def adapt_weyl(psi, petrov: str, tol: float = RESIDUAL_TOL):
 @dataclass(eq=False)
 class AdaptedTetrad:
     """A tetrad re-aligned so the repeated principal null direction sits
-    on the k leg (constant-parameter rotations computed at one point)."""
+    on the k leg, by constant-parameter rotations computed at one point;
+    ``tetrad_frame`` with ``transforms`` gives any quantity of its legs."""
 
-    tetrad: NullTetrad      # the rotated fields (the given ones if none)
     petrov: str             # the Petrov type of the point, decided once
     transforms: list        # (kind, param) pairs from adapt_weyl
     frame: TetradFrame      # the adapted legs at the point
@@ -526,7 +538,7 @@ class AdaptedTetrad:
 def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
                  tol: float = RESIDUAL_TOL) -> AdaptedTetrad:
     """Decide the Petrov type of the Ψ of ``tetrad`` at ``point`` and
-    rotate ``tetrad`` by the transformations ``adapt_weyl`` finds for
+    rotate its legs there by the transformations ``adapt_weyl`` finds for
     that type (identity when it is already adapted).
 
     Computed once per (tetrad, tol) in the point context: ``tol`` gates
@@ -539,10 +551,8 @@ def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
         declared = np_scalars(curv, frame, tol)
         petrov = petrov_classify(declared.psi, tol)
         _, transforms = adapt_weyl(declared.psi, petrov, tol)
-        rotated = tetrad
-        for kind, param in transforms:
-            frame = null_rotate_frame(frame, param, kind)
-            rotated = rotate_tetrad_field(rotated, param, kind)
+        if transforms:
+            frame = tetrad_frame(metric, tetrad, point, "value", transforms)
         data = np_scalars(curv, frame, tol) if transforms else declared
-        return AdaptedTetrad(rotated, petrov, transforms, frame, data)
+        return AdaptedTetrad(petrov, transforms, frame, data)
     return metric.at(point).once(("adapted", tetrad, tol), make)

@@ -14,6 +14,10 @@ second metric derivatives; the direct route through two symbolic
 covariant derivatives is kept behind ``method="direct"`` as a
 cross-check.  The unsymmetrized second-derivative condition has no
 algebraic shortcut and is always computed directly.
+
+The null-field probes read numbers only: a ``NullLeg`` holds a vector
+field's value, lowered value, ∇ and ∂ at the point, whether of a declared
+field (``null_leg``) or of a leg of the adapted tetrad.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import numpy as np
 
 from .conventions import RESIDUAL_DEAD_BAND, RESIDUAL_TOL, SCALE_FLOOR
 from .geometry import (
-    Field,
     MetricField,
+    SymbolicTensor,
     commutator_action,
     curvature,
     max_abs,
 )
+from .newman_penrose import LEG_QUANTITIES, leg_field
 
 
 class TetradMissingError(Exception):
@@ -144,73 +149,72 @@ def locally_symmetric_residual(m: MetricField, point,
 # null-field probes
 # ---------------------------------------------------------------------------
 
-def _require_field(field, name: str) -> Field:
+@dataclass(eq=False)
+class NullLeg:
+    """A vector field's numbers at one point, one per ``LEG_QUANTITIES``
+    entry: v^a, v_a, ∇_a v_b and ∂_a v_b."""
+
+    value: np.ndarray
+    lowered: np.ndarray
+    nabla: np.ndarray
+    partial: np.ndarray
+
+
+def null_leg(m: MetricField, field, point, name: str = "k") -> NullLeg:
+    """The numbers of the declared vector field ``field`` at ``point``."""
     if field is None:
         raise TetradMissingError(f"metric declares no tetrad field '{name}'")
-    if not isinstance(field, Field) or field.variance != ("u",):
+    if not isinstance(field, SymbolicTensor) or field.variance != ("u",):
         raise TypeError(f"'{name}' must be a contravariant vector field")
-    return field
+    return NullLeg(*(m.evaluate_field(leg_field(m, field, q), point)
+                     for q in LEG_QUANTITIES))
 
 
-def _gradient_scale(m: MetricField, point, v_dn: Field) -> float:
+def _gradient_scale(m: MetricField, point, v: NullLeg) -> float:
     """Magnitude scale for ∇v residuals: the larger of the partial
     derivatives of the components and of |Γ|·|v| (so that points where
     both happen to be small do not inflate verdicts)."""
-    dmax = max_abs(m.evaluate_field(m.partial_gradient_field(v_dn), point))
+    dmax = max_abs(v.partial)
     gmax = max_abs(m.evaluate_field(m.christoffel_symbolic(), point))
-    vmax = max_abs(m.evaluate_field(v_dn, point))
+    vmax = max_abs(v.lowered)
     return max(dmax, gmax * vmax, SCALE_FLOOR)
 
 
-def recurrence_check(m: MetricField, k: Field, partner: Field, point,
+def recurrence_check(m: MetricField, k: NullLeg, partner: NullLeg, point,
                      tol: float = RESIDUAL_TOL) -> RecurrenceResult:
     """Test whether ∇_a k_b = v_a k_b, with v_a := ℓ^b ∇_a k_b extracted
     through the partner field ℓ normalised so k·ℓ = 1."""
-    k = _require_field(k, "k")
-    partner = _require_field(partner, "partner")
-    k_dn = m.lowered_vector_field(k)
-    nabla_k = m.evaluate_field(m.covector_gradient_field(k_dn), point)
-    k_val = m.evaluate_field(k_dn, point)
-    l_val = m.evaluate_field(partner, point)
-    v = np.einsum("b,ab->a", l_val, nabla_k)
-    resid = np.max(np.abs(nabla_k - np.outer(v, k_val)))
-    scale = _gradient_scale(m, point, k_dn)
+    nabla_k = k.nabla
+    v = np.einsum("b,ab->a", partner.value, nabla_k)
+    resid = np.max(np.abs(nabla_k - np.outer(v, k.lowered)))
+    scale = _gradient_scale(m, point, k)
     return RecurrenceResult(v, float(resid), float(scale),
                             verdict_for(resid, scale, tol), tuple(point))
 
 
-def decomposability_check(m: MetricField, k: Field, partner: Field, point,
-                          tol: float = RESIDUAL_TOL) -> ResidualReport:
+def decomposability_check(m: MetricField, k: NullLeg, partner: NullLeg,
+                          point, tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Residual of ∇_c (k_a ℓ_b) = 0: the product of the two null
     covectors is covariantly constant exactly on 2x2 product geometries."""
-    k = _require_field(k, "k")
-    partner = _require_field(partner, "partner")
-    k_dn = m.lowered_vector_field(k)
-    l_dn = m.lowered_vector_field(partner)
-    nk = m.evaluate_field(m.covector_gradient_field(k_dn), point)
-    nl = m.evaluate_field(m.covector_gradient_field(l_dn), point)
-    kv = m.evaluate_field(k_dn, point)
-    lv = m.evaluate_field(l_dn, point)
-    grad = np.einsum("ca,b->cab", nk, lv) + np.einsum("a,cb->cab", kv, nl)
+    kv, lv = k.lowered, partner.lowered
+    grad = np.einsum("ca,b->cab", k.nabla, lv) + \
+        np.einsum("a,cb->cab", kv, partner.nabla)
     scale = max(
-        _gradient_scale(m, point, k_dn) * np.max(np.abs(lv)),
-        _gradient_scale(m, point, l_dn) * np.max(np.abs(kv)),
+        _gradient_scale(m, point, k) * np.max(np.abs(lv)),
+        _gradient_scale(m, point, partner) * np.max(np.abs(kv)),
         SCALE_FLOOR)
     return _report("decomposable", np.max(np.abs(grad)), scale, point, tol)
 
 
-def constant_null_vector_check(m: MetricField, k: Field, point,
+def constant_null_vector_check(m: MetricField, k: NullLeg, point,
                                tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Residual of ∇_a k_b = 0 for a null field k (nullity is asserted)."""
-    k = _require_field(k, "k")
-    k_dn = m.lowered_vector_field(k)
-    kv_dn = m.evaluate_field(k_dn, point)
-    kv_up = m.evaluate_field(k, point)
+    kv_dn, kv_up = k.lowered, k.value
     norm = complex(np.dot(kv_up, kv_dn))
     null_scale = max(np.max(np.abs(kv_up)) * np.max(np.abs(kv_dn)), SCALE_FLOOR)
     if abs(norm) > tol * null_scale:
         raise ValueError(
             f"field is not null at {tuple(point)}: k·k = {norm:.3e}")
-    nk = m.evaluate_field(m.covector_gradient_field(k_dn), point)
-    scale = _gradient_scale(m, point, k_dn)
-    return _report("constant_null", np.max(np.abs(nk)), scale, point, tol)
+    scale = _gradient_scale(m, point, k)
+    return _report("constant_null", np.max(np.abs(k.nabla)), scale, point,
+                   tol)

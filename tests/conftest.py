@@ -13,7 +13,7 @@ import pytest
 
 from curvlab.conventions import SCALE_FLOOR
 from curvlab.expressions import (FUNCTIONS, ZERO, Arena, DomainError,
-                                 ExprError, parse_expr)
+                                 ExprError, add, const, mul, parse_expr)
 from curvlab.geometry import MetricField, SymbolicTensor
 from curvlab.newman_penrose import NullTetrad, _clusters, pnd_roots
 from curvlab.spinors import _symmetrized, raise_slot
@@ -256,6 +256,53 @@ def petrov_from_roots(psi) -> str:
         (2, 1, 1): "II",
         (1, 1, 1, 1): "I",
     }[pattern]
+
+
+def combine(*pairs) -> SymbolicTensor:
+    """A vector field Σ c·f as new expressions: each component is
+    Σ mul(const(c), f_a) over the (coefficient, field) pairs."""
+    comp = np.empty(4, dtype=object)
+    for a in range(4):
+        s = ZERO
+        for coeff, field in pairs:
+            if coeff != 0.0:
+                s = add(s, mul(const(coeff), field.components[a]))
+        comp[a] = s
+    return SymbolicTensor(comp, ("u",))
+
+
+def symbolic_rotation(tetrad: NullTetrad, param, kind: str) -> NullTetrad:
+    """The reference: each constant rotation written out as real
+    combinations of the legs, built as new symbolic fields."""
+    k, l, mre, mim = tetrad.k, tetrad.l, tetrad.m_re, tetrad.m_im
+    if kind == "about-k":
+        c = complex(param)
+        # m' = m + c k ; l' = l + 2 Re(c̄ m) + |c|² k
+        return NullTetrad(
+            k=combine((1.0, k)),
+            l=combine((1.0, l), (2 * c.real, mre), (2 * c.imag, mim),
+                      (abs(c) ** 2, k)),
+            m_re=combine((1.0, mre), (c.real, k)),
+            m_im=combine((1.0, mim), (c.imag, k)))
+    if kind == "about-l":
+        b = complex(param)
+        return NullTetrad(
+            k=combine((1.0, k), (2 * b.real, mre), (2 * b.imag, mim),
+                      (abs(b) ** 2, l)),
+            l=combine((1.0, l)),
+            m_re=combine((1.0, mre), (b.real, l)),
+            m_im=combine((1.0, mim), (b.imag, l)))
+    if kind == "boost-spin":
+        a = abs(param)
+        ph = complex(param) / a
+        # m' = e^{iθ} m: real part cr·m_re − ci·m_im, imag cr·m_im + ci·m_re
+        return NullTetrad(
+            k=combine((a, k)),
+            l=combine((1.0 / a, l)),
+            m_re=combine((ph.real, mre), (-ph.imag, mim)),
+            m_im=combine((ph.imag, mre), (ph.real, mim)))
+    assert kind == "reverse"
+    return NullTetrad(k=l, l=k, m_re=mre, m_im=combine((-1.0, mim)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from curvlab.symmetry import (
     conformal_semi_symmetry_residual,
     constant_null_vector_check,
     decomposability_check,
+    null_leg,
     recurrence_check,
     second_order_symmetry_residual,
     semi_symmetry_residual,
@@ -191,12 +192,12 @@ def test_criterion_06_generic_two_block_chain(corpus):
             for key in ("A*sigma", "A*lambda", "A*mu", "A*rho",
                         "B*kappa", "B*nu", "B*pi", "B*tau"):
                 assert rep.constraints[key] <= TOL, (name, pname, key)
-            rec_k = recurrence_check(m, m.tetrad.k, m.tetrad.l, coords)
-            rec_l = recurrence_check(m, m.tetrad.l, m.tetrad.k, coords)
+            k, l = (null_leg(m, f, coords) for f in (m.tetrad.k, m.tetrad.l))
+            rec_k = recurrence_check(m, k, l, coords)
+            rec_l = recurrence_check(m, l, k, coords)
             assert rec_k.residual <= TOL * rec_k.scale, (name, pname)
             assert rec_l.residual <= TOL * rec_l.scale, (name, pname)
-            product = decomposability_check(m, m.tetrad.k, m.tetrad.l,
-                                            coords)
+            product = decomposability_check(m, k, l, coords)
             assert product.residual <= TOL * product.scale, (name, pname)
 
 
@@ -210,8 +211,8 @@ def test_criterion_07_second_order_split(corpus):
     for coords in linear.points.values():
         second = second_order_symmetry_residual(linear, coords, TOL)
         assert second.residual <= TOL * second.scale
-        constant = constant_null_vector_check(linear, linear.tetrad.k,
-                                              coords)
+        constant = constant_null_vector_check(
+            linear, null_leg(linear, linear.tetrad.k, coords), coords)
         assert constant.verdict == "holds"
     for coords in quadratic.points.values():
         second = second_order_symmetry_residual(quadratic, coords, TOL)

@@ -30,8 +30,9 @@ from curvlab.classify import classify_point
 from curvlab.conventions import RESIDUAL_TOL
 from curvlab.corpus import load_corpus_metric
 from curvlab.expressions import Arena, const, mul, parse_expr
-from curvlab.geometry import LinearField, MetricField, SymbolicTensor, curvature
+from curvlab.geometry import MetricField, SymbolicTensor, curvature
 from curvlab.newman_penrose import (
+    LEG_QUANTITIES,
     InvalidTetradError,
     NullTetrad,
     adapt_tetrad,
@@ -98,20 +99,21 @@ class TestEvaluatedOnce:
             assert evaluated[id(m.weyl_field())] == 1, pname
 
     def test_tetrad_frame_once_per_point_and_tetrad(self, evaluations):
-        # only tetrad_frame reads the m legs as such (the null probes
-        # evaluate k and l themselves); the rotated legs also read the
-        # declared legs' values, so evaluations are counted, not calls
+        # only tetrad_frame reads the legs (the null probes read its
+        # frames too); a rotated frame also reads the declared legs'
+        # values, so evaluations are counted, not calls
         m = load_corpus_metric("nariai")
         t = m.tetrad
         rotated_points = 0
         for pname in sorted(m.points):
             evaluations.clear()
             analyze_point(m, pname)
-            rotated = adapt_tetrad(m, t, m.points[pname]).tetrad
-            rotated_points += rotated is not t
-            for tetrad in (t, rotated):
-                assert evaluations[id(tetrad.m_re)] == 1, pname
-                assert evaluations[id(tetrad.m_im)] == 1, pname
+            p = m.points[pname]
+            ad = adapt_tetrad(m, t, p)
+            rotated_points += bool(ad.transforms)
+            assert tetrad_frame(m, t, p, "value", ad.transforms) is ad.frame
+            assert evaluations[id(t.m_re)] == 1, pname
+            assert evaluations[id(t.m_im)] == 1, pname
         assert rotated_points > 0
 
     def test_repeated_calls_share_results(self):
@@ -121,17 +123,18 @@ class TestEvaluatedOnce:
         assert tetrad_frame(m, m.tetrad, p) is tetrad_frame(m, m.tetrad, p)
         ad = adapt_tetrad(m, m.tetrad, p)
         assert ad is adapt_tetrad(m, m.tetrad, p)
-        assert ad.tetrad is ad.tetrad
+        assert tetrad_frame(m, m.tetrad, p, "nabla", ad.transforms) is \
+            tetrad_frame(m, m.tetrad, list(p), "nabla", list(ad.transforms))
 
     def test_spin_coefficients_once_per_point_and_tetrad(self, monkeypatch):
         # on points that need no adaptation analyze_point and
-        # classify_point ask for the same tetrad's coefficients
+        # classify_point ask for the same frames' coefficients
         contractions = Counter()
         original = newman_penrose._spin_coefficients
 
-        def counting(metric, tetrad, point, frame):
-            contractions[(tuple(point), id(tetrad))] += 1
-            return original(metric, tetrad, point, frame)
+        def counting(frame, nabla):
+            contractions[(frame.point, id(frame))] += 1
+            return original(frame, nabla)
 
         monkeypatch.setattr(newman_penrose, "_spin_coefficients", counting)
         m = load_corpus_metric("nariai")
@@ -141,7 +144,7 @@ class TestEvaluatedOnce:
         p = m.points["p0"]
         assert spin_coefficients(m, m.tetrad, p) is \
             spin_coefficients(m, m.tetrad, p)
-        unadapted = sum(adapt_tetrad(m, m.tetrad, q).tetrad is m.tetrad
+        unadapted = sum(not adapt_tetrad(m, m.tetrad, q).transforms
                         for q in m.points.values())
         assert unadapted > 0
 
@@ -328,10 +331,11 @@ class TestOneTape:
         per_field = sum(len(reachable([t])) for t in fields.values())
         assert per_field > len(nodes)
 
-    def test_equal_combinations_are_summed_once_per_point(self, monkeypatch):
-        # the null probes rebuild the lowered legs and their gradients
-        # of a rotated tetrad on every call; equal combinations share
-        # one value
+    def test_each_rotated_quantity_is_computed_once_per_point(self,
+                                                              monkeypatch):
+        # the adaptation, the spin coefficients and the null probes read
+        # the adapted legs' value, lowered value, ∇ and ∂; each is the
+        # declared legs' one, rotated once per point
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         import workloads
 
@@ -339,22 +343,26 @@ class TestOneTape:
             workloads.corpus_text(ROOT / "src", "product2x2"),
             workloads.grid_points(1, 8))
         m = metricfile.parse_metric_text(text, "product2x2")
-        sums = Counter()
-        original = MetricField.evaluate_field
-
-        def counting(self, t, point):
-            if isinstance(t, LinearField) and t not in self.at(point).memo:
-                sums[t.terms, t.variance] += 1
-            return original(self, t, point)
-
-        monkeypatch.setattr(MetricField, "evaluate_field", counting)
-        rotated = [p for p in sorted(m.points)
-                   if adapt_tetrad(m, m.tetrad, m.points[p]).transforms]
+        steps = {p: len(adapt_tetrad(m, m.tetrad, m.points[p]).transforms)
+                 for p in sorted(m.points)}
+        rotated = [p for p, n in steps.items() if n]
         assert rotated
+        rotations = Counter()
+        original = newman_penrose.null_rotate_frame
+
+        def counting(frame, param, kind):
+            rotations[frame.point] += 1
+            return original(frame, param, kind)
+
+        monkeypatch.setattr(newman_penrose, "null_rotate_frame", counting)
+        fresh = metricfile.parse_metric_text(text, "product2x2")
         for pname in rotated[:2]:
-            sums.clear()
-            analyze_point(m, pname)
-            assert len(sums) > 8 and set(sums.values()) == {1}, pname
+            rotations.clear()
+            rep = analyze_point(fresh, pname)
+            assert rep.classification.branch == "D-generic-decomposable"
+            assert rotations == {
+                tuple(fresh.points[pname]): len(LEG_QUANTITIES) * steps[pname]
+            }, pname
 
 
 class TestNoSymbolicGrowth:
@@ -530,9 +538,9 @@ class TestTracerHooks:
                   + ("nabla_field", "evaluate_field")]
         wanted += [(module, "curvature")
                    for module in (analysis, classify, symmetry)]
-        # the tracer still lists the two newman_penrose functions that
+        # the tracer still lists the three newman_penrose functions that
         # were deleted; install skips them, and no others may be missing
-        stale = {"null_rotate", "require_valid_tetrad"}
+        stale = {"null_rotate", "require_valid_tetrad", "rotate_tetrad_field"}
         assert {name for name in tracing._NP_FUNCS
                 if not hasattr(newman_penrose, name)} == stale
         wanted += [(newman_penrose, name) for name in tracing._NP_FUNCS

@@ -13,9 +13,9 @@ import pytest
 
 from curvlab import expressions
 from curvlab.corpus import load_corpus_metric
-from curvlab.expressions import ZERO, add, const, mul
-from curvlab.geometry import LinearField, SymbolicTensor, curvature
+from curvlab.geometry import curvature
 from curvlab.newman_penrose import (
+    LEG_QUANTITIES,
     InvalidTetradError,
     NPData,
     NullTetrad,
@@ -27,7 +27,6 @@ from curvlab.newman_penrose import (
     np_scalars,
     petrov_classify,
     pnd_roots,
-    rotate_tetrad_field,
     spin_coefficients,
     tetrad_frame,
     validate_tetrad,
@@ -35,7 +34,7 @@ from curvlab.newman_penrose import (
     weyl_invariants,
 )
 
-from conftest import cluster_roots, petrov_from_roots
+from conftest import cluster_roots, petrov_from_roots, symbolic_rotation
 
 SQRT2 = math.sqrt(2.0)
 ALL_NAMES = ["minkowski", "schwarzschild", "nariai", "ppwave",
@@ -344,74 +343,32 @@ class TestNullRotations:
         with pytest.raises(ValueError):
             null_rotate_frame(frame, 0.0, "boost-spin")
         with pytest.raises(ValueError):
-            rotate_tetrad_field(tetrads["minkowski"], 1.0, "twist")
+            tetrad_frame(minkowski, tetrads["minkowski"],
+                         minkowski.points["p1"], "value", [("twist", 1.0)])
 
     @pytest.mark.parametrize("kind,param", ROTATION_CASES)
     def test_field_rotation_matches_frame_rotation(self, kind, param,
                                                    nariai, tetrads):
+        # the legs written out as new symbolic fields, against the
+        # declared legs' frame rotated as numbers
         point = nariai.points["p3"]
-        field = rotate_tetrad_field(tetrads["nariai"], param, kind)
+        with nariai.arena:
+            field = symbolic_rotation(tetrads["nariai"], param, kind)
         via_field = tetrad_frame(nariai, field, point)
-        via_frame = null_rotate_frame(
-            tetrad_frame(nariai, tetrads["nariai"], point), param, kind)
+        via_frame = tetrad_frame(nariai, tetrads["nariai"], point, "value",
+                                 [(kind, param)])
         npt.assert_allclose(via_field.k, via_frame.k, atol=1e-13)
         npt.assert_allclose(via_field.l, via_frame.l, atol=1e-13)
         npt.assert_allclose(via_field.m, via_frame.m, atol=1e-13)
-        assert validate_tetrad(nariai, field, point).valid
+        assert validate_tetrad_from_metric_value(
+            nariai.metric_value(point), via_frame).valid
 
     def test_rotated_field_supports_spin_coefficients(self, nariai, tetrads):
         # the adapted-frame machinery needs derivatives of rotated legs
-        field = rotate_tetrad_field(tetrads["nariai"], 0.3 + 0.2j, "about-l")
-        sc = spin_coefficients(nariai, field, nariai.points["p0"])
+        sc = spin_coefficients(nariai, tetrads["nariai"], nariai.points["p0"],
+                               transforms=[("about-l", 0.3 + 0.2j)])
         assert all(np.isfinite(complex(v))
                    for v in sc.values())
-
-
-def combine(*pairs) -> SymbolicTensor:
-    """A vector field Σ c·f as new expressions: each component is
-    Σ mul(const(c), f_a) over the (coefficient, field) pairs."""
-    comp = np.empty(4, dtype=object)
-    for a in range(4):
-        s = ZERO
-        for coeff, field in pairs:
-            if coeff != 0.0:
-                s = add(s, mul(const(coeff), field.components[a]))
-        comp[a] = s
-    return SymbolicTensor(comp, ("u",))
-
-
-def symbolic_rotation(tetrad: NullTetrad, param, kind: str) -> NullTetrad:
-    """The reference: each constant rotation written out as real
-    combinations of the legs, built as new symbolic fields."""
-    k, l, mre, mim = tetrad.k, tetrad.l, tetrad.m_re, tetrad.m_im
-    if kind == "about-k":
-        c = complex(param)
-        # m' = m + c k ; l' = l + 2 Re(c̄ m) + |c|² k
-        return NullTetrad(
-            k=combine((1.0, k)),
-            l=combine((1.0, l), (2 * c.real, mre), (2 * c.imag, mim),
-                      (abs(c) ** 2, k)),
-            m_re=combine((1.0, mre), (c.real, k)),
-            m_im=combine((1.0, mim), (c.imag, k)))
-    if kind == "about-l":
-        b = complex(param)
-        return NullTetrad(
-            k=combine((1.0, k), (2 * b.real, mre), (2 * b.imag, mim),
-                      (abs(b) ** 2, l)),
-            l=combine((1.0, l)),
-            m_re=combine((1.0, mre), (b.real, l)),
-            m_im=combine((1.0, mim), (b.imag, l)))
-    if kind == "boost-spin":
-        a = abs(param)
-        ph = complex(param) / a
-        # m' = e^{iθ} m: real part cr·m_re − ci·m_im, imag cr·m_im + ci·m_re
-        return NullTetrad(
-            k=combine((a, k)),
-            l=combine((1.0 / a, l)),
-            m_re=combine((ph.real, mre), (-ph.imag, mim)),
-            m_im=combine((ph.imag, mre), (ph.real, mim)))
-    assert kind == "reverse"
-    return NullTetrad(k=l, l=k, m_re=mre, m_im=combine((-1.0, mim)))
 
 
 def leg_values(m, leg, point):
@@ -422,21 +379,29 @@ def leg_values(m, leg, point):
     return [m.evaluate_field(f, point) for f in fields]
 
 
+def frame_leg(frame, name: str) -> np.ndarray:
+    """One real leg's entry of a frame: k, l, or the parts of m."""
+    if name in ("k", "l"):
+        return getattr(frame, name)
+    return frame.m.real if name == "m_re" else frame.m.imag
+
+
 class TestLinearFieldRotation:
-    """Rotated legs are constant combinations of at most the four
-    declared legs, and every number read from them equals the symbolic
-    reference rotation's within a few ulp of its scale."""
+    """Each quantity of the rotated legs (value, lowered value, ∇, ∂),
+    read from the declared legs' numeric frames rotated by
+    ``tetrad_frame``, equals the symbolic reference rotation's within a
+    few ulp of its scale."""
 
     ULPS = 8
 
-    def assert_matches(self, m, rotated, reference, point):
+    def assert_matches(self, m, transforms, reference, point):
         eps = np.finfo(float).eps
+        frames = [tetrad_frame(m, m.tetrad, point, q, transforms)
+                  for q in LEG_QUANTITIES]
         for name in ("k", "l", "m_re", "m_im"):
-            leg = getattr(rotated, name)
-            assert isinstance(leg, LinearField) and len(leg.terms) <= 4
-            for got, want in zip(
-                    leg_values(m, leg, point),
-                    leg_values(m, getattr(reference, name), point)):
+            for frame, want in zip(
+                    frames, leg_values(m, getattr(reference, name), point)):
+                got = frame_leg(frame, name)
                 scale = max(float(np.max(np.abs(want))), 1e-300)
                 assert np.max(np.abs(got - want)) <= \
                     self.ULPS * eps * scale, (name, point)
@@ -448,8 +413,7 @@ class TestLinearFieldRotation:
         m = load_corpus_metric(name)
         with m.arena:
             reference = symbolic_rotation(m.tetrad, param, kind)
-        self.assert_matches(m, rotate_tetrad_field(m.tetrad, param, kind),
-                            reference, m.points["p3"])
+        self.assert_matches(m, [(kind, param)], reference, m.points["p3"])
 
     @pytest.mark.parametrize("name", ["nariai", "product2x2"])
     def test_adapted_sequences_match_the_symbolic_route(self, name):
@@ -463,17 +427,21 @@ class TestLinearFieldRotation:
                     reference = symbolic_rotation(reference, param, kind)
             if ad.transforms:
                 composed += len(ad.transforms) > 1
-                self.assert_matches(m, ad.tetrad, reference, point)
+                self.assert_matches(m, ad.transforms, reference, point)
         assert composed > 0
 
-    def test_rotation_builds_no_expression(self, tetrads):
+    def test_rotation_builds_no_expression(self, nariai, tetrads):
+        # once the declared legs' quantities exist, rotating them by any
+        # sequence of constant transformations is arithmetic on numbers
+        tetrad, point = tetrads["nariai"], nariai.points["p2"]
+        for q in LEG_QUANTITIES:
+            tetrad_frame(nariai, tetrad, point, q)
         before = expressions.table_sizes()
-        tetrad = tetrads["nariai"]
-        for kind, param in ROTATION_CASES:
-            tetrad = rotate_tetrad_field(tetrad, param, kind)
+        frames = [tetrad_frame(nariai, tetrad, point, q, ROTATION_CASES)
+                  for q in LEG_QUANTITIES]
         assert expressions.table_sizes() == before
-        assert all(len(getattr(tetrad, name).terms) <= 4
-                   for name in ("k", "l", "m_re", "m_im"))
+        assert validate_tetrad_from_metric_value(
+            nariai.metric_value(point), frames[0]).valid
 
 
 def test_canonical_type_ii_invariants():

@@ -14,6 +14,7 @@ from curvlab.symmetry import (
     constant_null_vector_check,
     decomposability_check,
     locally_symmetric_residual,
+    null_leg,
     recurrence_check,
     ricci_semi_symmetry_residual,
     second_order_symmetry_residual,
@@ -161,17 +162,24 @@ class TestImplicationChains:
                 assert semi.verdict == conf.verdict, (m.name, p)
 
 
+def legs(m, point, *fields):
+    """The declared fields' numbers at ``point``, as the null probes
+    read them."""
+    return [null_leg(m, f, point) for f in fields]
+
+
 class TestRecurrence:
     def test_wave_vector_is_constant_hence_recurrent(self, ppwave, null_pairs):
-        k, l = null_pairs["ppwave"]
-        res = recurrence_check(ppwave, k, l, ppwave.points["p0"])
+        p = ppwave.points["p0"]
+        k, l = legs(ppwave, p, *null_pairs["ppwave"])
+        res = recurrence_check(ppwave, k, l, p)
         assert res.holds
         assert res.residual == 0.0
         npt.assert_allclose(res.v, 0, atol=1e-15)
 
     def test_product_null_directions_recurrent(self, nariai, null_pairs):
-        k, l = null_pairs["nariai"]
         for name, p in nariai.points.items():
+            k, l = legs(nariai, p, *null_pairs["nariai"])
             res = recurrence_check(nariai, k, l, p)
             assert res.holds, (name, res.residual, res.scale)
             # the recurrence covector points along the timelike factor
@@ -181,44 +189,49 @@ class TestRecurrence:
                                 err_msg=f"recurrence covector at {name}")
 
     def test_product_partner_recurrent_too(self, nariai, null_pairs):
-        k, l = null_pairs["nariai"]
-        res = recurrence_check(nariai, l, k, nariai.points["p0"])
+        p = nariai.points["p0"]
+        k, l = legs(nariai, p, *null_pairs["nariai"])
+        res = recurrence_check(nariai, l, k, p)
         assert res.holds
 
     def test_expanding_congruence_not_recurrent(self, schwarzschild, null_pairs):
-        k, l = null_pairs["schwarzschild"]
-        res = recurrence_check(schwarzschild, k, l, schwarzschild.points["p0"])
+        p = schwarzschild.points["p0"]
+        k, l = legs(schwarzschild, p, *null_pairs["schwarzschild"])
+        res = recurrence_check(schwarzschild, k, l, p)
         assert res.verdict == "fails"
 
     def test_missing_field_raises(self, nariai, null_pairs):
-        k, l = null_pairs["nariai"]
+        k, _ = null_pairs["nariai"]
+        p = nariai.points["p0"]
         with pytest.raises(TetradMissingError):
-            recurrence_check(nariai, k, None, nariai.points["p0"])
+            recurrence_check(nariai, null_leg(nariai, k, p),
+                             null_leg(nariai, None, p, "partner"), p)
 
 
 class TestDecomposability:
     def test_product_metrics_decompose(self, nariai, product2x2, null_pairs):
         for m in (nariai, product2x2):
-            k, l = null_pairs[m.name]
             for p in m.points.values():
+                k, l = legs(m, p, *null_pairs[m.name])
                 rep = decomposability_check(m, k, l, p)
                 assert rep.holds, (m.name, p, rep.residual / rep.scale)
 
     def test_flat_space_decomposes(self, minkowski, null_pairs):
-        k, l = null_pairs["minkowski"]
-        rep = decomposability_check(minkowski, k, l,
-                                    minkowski.points["origin"])
+        p = minkowski.points["origin"]
+        k, l = legs(minkowski, p, *null_pairs["minkowski"])
+        rep = decomposability_check(minkowski, k, l, p)
         assert rep.holds
 
     def test_wave_does_not_decompose(self, ppwave, null_pairs):
-        k, l = null_pairs["ppwave"]
-        rep = decomposability_check(ppwave, k, l, ppwave.points["p0"])
+        p = ppwave.points["p0"]
+        k, l = legs(ppwave, p, *null_pairs["ppwave"])
+        rep = decomposability_check(ppwave, k, l, p)
         assert rep.verdict == "fails"
 
     def test_schwarzschild_does_not_decompose(self, schwarzschild, null_pairs):
-        k, l = null_pairs["schwarzschild"]
-        rep = decomposability_check(schwarzschild, k, l,
-                                    schwarzschild.points["p0"])
+        p = schwarzschild.points["p0"]
+        k, l = legs(schwarzschild, p, *null_pairs["schwarzschild"])
+        rep = decomposability_check(schwarzschild, k, l, p)
         assert rep.verdict == "fails"
 
 
@@ -226,32 +239,36 @@ class TestConstantNullVector:
     def test_wave_vector_constant(self, ppwave, null_pairs):
         k, _ = null_pairs["ppwave"]
         for p in ppwave.points.values():
-            rep = constant_null_vector_check(ppwave, k, p)
+            rep = constant_null_vector_check(ppwave, null_leg(ppwave, k, p), p)
             assert rep.holds
             assert rep.residual == 0.0
 
     def test_flat_space_constant(self, minkowski, null_pairs):
         k, _ = null_pairs["minkowski"]
+        p = minkowski.points["p1"]
         assert constant_null_vector_check(
-            minkowski, k, minkowski.points["p1"]).holds
+            minkowski, null_leg(minkowski, k, p), p).holds
 
     def test_recurrent_but_not_constant(self, nariai, null_pairs):
         k, _ = null_pairs["nariai"]
-        rep = constant_null_vector_check(nariai, k, (0.8, -1.0, 2.2, 1.5))
+        p = (0.8, -1.0, 2.2, 1.5)
+        rep = constant_null_vector_check(nariai, null_leg(nariai, k, p), p)
         assert rep.verdict == "fails"
 
     def test_expanding_congruence_not_constant(self, schwarzschild, null_pairs):
         k, _ = null_pairs["schwarzschild"]
-        rep = constant_null_vector_check(schwarzschild, k,
-                                         schwarzschild.points["p0"])
+        p = schwarzschild.points["p0"]
+        rep = constant_null_vector_check(
+            schwarzschild, null_leg(schwarzschild, k, p), p)
         assert rep.verdict == "fails"
 
     def test_non_null_field_rejected(self, minkowski):
         from conftest import vector_field
         timelike = vector_field(minkowski, ["1", "0", "0", "0"])
+        p = minkowski.points["origin"]
         with pytest.raises(ValueError):
-            constant_null_vector_check(minkowski, timelike,
-                                       minkowski.points["origin"])
+            constant_null_vector_check(
+                minkowski, null_leg(minkowski, timelike, p), p)
 
 
 def loop_gradient_scale(m, point, v_dn):
@@ -278,5 +295,5 @@ class TestGradientScale:
         for pname, p in sorted(m.points.items()):
             for leg in (t.k, t.l, t.m_re, t.m_im):
                 v_dn = m.lowered_vector_field(leg)
-                assert _gradient_scale(m, p, v_dn) == \
+                assert _gradient_scale(m, p, null_leg(m, leg, p)) == \
                     loop_gradient_scale(m, p, v_dn), pname
