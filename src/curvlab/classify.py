@@ -124,9 +124,10 @@ def dec_check(einstein: np.ndarray, frame: TetradFrame, g: np.ndarray,
     """Dominant-energy probe: for seeded future timelike unit vectors u,
     the flux -G^a_b u^b must be causal and future-pointing.
 
-    ``scale`` is the magnitude against which the Einstein tensor is
-    considered significant (pass the curvature scale so that roundoff
-    left over from an exactly vacuum geometry is not sampled as matter).
+    ``scale`` is the magnitude against which the mixed Einstein tensor
+    G^a_b is considered significant (pass a curvature scale of its weight,
+    such as max|R^ab_cd|, so that roundoff left over from an exactly
+    vacuum geometry is not sampled as matter).
     """
     ginv = np.linalg.inv(g)
     gmix = ginv @ np.real(einstein)
@@ -234,10 +235,15 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
     semi = semi_symmetry_residual(m, p, tol)
     petrov = ad.petrov
     einstein = np.real(curv.ricci) - 0.5 * curv.scalar * curv.metric
+    # the vacuum gate weighs G^a_b against curvature of the same weight
+    # under g -> a²g, R^ab_cd = g^bf R^a_fcd, so it does not depend on units
+    vacuum_scale = max_abs(np.einsum("bf,afcd->abcd",
+                                     np.linalg.inv(curv.metric),
+                                     curv.riemann_up))
     report = ClassificationReport(
         point=tuple(p), petrov=petrov, semi_verdict=semi.verdict,
         dec=dec_check(einstein, frame, curv.metric, tol, dec_seed,
-                      scale=max_abs(curv.riemann)))
+                      scale=vacuum_scale))
     report = static_note(report, m.static)
 
     if semi.verdict == "fails":

@@ -541,16 +541,21 @@ def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
     rotate its legs there by the transformations ``adapt_weyl`` finds for
     that type (identity when it is already adapted).
 
-    Computed once per (tetrad, tol) in the point context: ``tol`` gates
-    the tetrad check, the invariant chain and the degenerate-pair
-    rotation.  A failed tetrad check raises and caches nothing.
+    The type is O, with no rotation, when max|Ψ| is at most ``tol`` of
+    the declared data's scale (a relative test, so that it does not
+    depend on units).  Computed once per (tetrad, tol) in the point
+    context: ``tol`` gates the tetrad check, the O test, the invariant
+    chain and the degenerate-pair rotation.  A failed tetrad check raises and caches nothing.
     """
     def make():
         curv = curvature(metric, point)
         frame = tetrad_frame(metric, tetrad, point)
         declared = np_scalars(curv, frame, tol)
-        petrov = petrov_classify(declared.psi, tol)
-        _, transforms = adapt_weyl(declared.psi, petrov, tol)
+        if declared.weyl_scale() <= tol * declared.scale():
+            petrov, transforms = "O", []
+        else:
+            petrov = petrov_classify(declared.psi, tol)
+            _, transforms = adapt_weyl(declared.psi, petrov, tol)
         if transforms:
             frame = tetrad_frame(metric, tetrad, point, "value", transforms)
         data = np_scalars(curv, frame, tol) if transforms else declared

@@ -408,27 +408,28 @@ class TestSyntheticSpecialBranches:
 
 
 class TestTheoremGuard:
+    # nariai is semi-symmetric with a Weyl tensor that is not zero, so the
+    # forced type is read (a zero Weyl tensor is O before any type test)
     @pytest.fixture(autouse=True)
-    def fresh_point_memo(self, minkowski, monkeypatch):
+    def fresh_point_memo(self, nariai, monkeypatch):
         # adapt_tetrad keeps the Petrov type in the point memo, so the
         # forced type must not meet one decided by an earlier test
-        monkeypatch.setattr(minkowski, "_context", None)
+        monkeypatch.setattr(nariai, "_context", None)
 
-    def test_violation_raises(self, minkowski, tetrads, monkeypatch):
+    def test_violation_raises(self, nariai, tetrads, monkeypatch):
         monkeypatch.setattr(newman_penrose, "petrov_classify",
                             lambda psi, tol=RESIDUAL_TOL: "II")
         with pytest.raises(TheoremViolationError) as err:
-            classify_point(minkowski, minkowski.points["origin"],
-                           tetrads["minkowski"])
+            classify_point(nariai, nariai.points["p0"], tetrads["nariai"])
         assert err.value.petrov == "II"
         assert "type II" in str(err.value)
 
-    def test_error_carries_point(self, minkowski, tetrads, monkeypatch):
+    def test_error_carries_point(self, nariai, tetrads, monkeypatch):
         monkeypatch.setattr(newman_penrose, "petrov_classify",
                             lambda psi, tol=RESIDUAL_TOL: "III")
-        p = minkowski.points["p1"]
+        p = nariai.points["p1"]
         with pytest.raises(TheoremViolationError) as err:
-            classify_point(minkowski, p, tetrads["minkowski"])
+            classify_point(nariai, p, tetrads["nariai"])
         assert err.value.point == tuple(p)
 
 
