@@ -545,7 +545,8 @@ def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
     the declared data's scale (a relative test, so that it does not
     depend on units).  Computed once per (tetrad, tol) in the point
     context: ``tol`` gates the tetrad check, the O test, the invariant
-    chain and the degenerate-pair rotation.  A failed tetrad check raises and caches nothing.
+    chain and the degenerate-pair rotation.  A failed tetrad check raises
+    and caches nothing.
     """
     def make():
         curv = curvature(metric, point)
@@ -556,8 +557,7 @@ def adapt_tetrad(metric: MetricField, tetrad: NullTetrad, point,
         else:
             petrov = petrov_classify(declared.psi, tol)
             _, transforms = adapt_weyl(declared.psi, petrov, tol)
-        if transforms:
-            frame = tetrad_frame(metric, tetrad, point, "value", transforms)
+        frame = tetrad_frame(metric, tetrad, point, "value", transforms)
         data = np_scalars(curv, frame, tol) if transforms else declared
         return AdaptedTetrad(petrov, transforms, frame, data)
     return metric.at(point).once(("adapted", tetrad, tol), make)
