@@ -270,20 +270,21 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
     report.constraints["sigma*psi4-rho*phi22"] = _relative(
         balance, sc_scale * np_scale)
 
-    def leg(name: str) -> NullLeg:
-        """The adapted leg ``name`` ('k' or 'l') as the null probes read
-        it."""
-        return NullLeg(*(getattr(tetrad_frame(m, tetrad, p, q, ad.transforms),
-                                 name) for q in LEG_QUANTITIES))
+    def legs() -> tuple:
+        """The adapted k and l as the null probes read them."""
+        frames = [tetrad_frame(m, tetrad, p, q, ad.transforms)
+                  for q in LEG_QUANTITIES]
+        return (NullLeg(*(f.k for f in frames)),
+                NullLeg(*(f.l for f in frames)))
 
     if petrov == "N":
-        return _classify_n(m, p, report, leg, adapted, coeff,
+        return _classify_n(m, p, report, legs, adapted, coeff,
                            sc_scale, np_scale, tol)
-    return _classify_d(m, p, report, leg, frame_ad, curv, adapted,
+    return _classify_d(m, p, report, legs, frame_ad, curv, adapted,
                        coeff, np_scale, tol)
 
 
-def _classify_n(m, p, report, leg, adapted, coeff, sc_scale, np_scale,
+def _classify_n(m, p, report, legs, adapted, coeff, sc_scale, np_scale,
                 tol):
     pattern = max(adapted.misfit("N"))
     if verdict_for(pattern, np_scale, tol) != "holds":
@@ -293,7 +294,7 @@ def _classify_n(m, p, report, leg, adapted, coeff, sc_scale, np_scale,
         return report
     shear = max(abs(coeff["sigma"]), abs(coeff["rho"]))
     if verdict_for(shear, sc_scale, tol) == "holds":
-        constant_k = constant_null_vector_check(m, leg("k"), p, tol)
+        constant_k = constant_null_vector_check(m, legs()[0], p, tol)
         report.constraints["constant_null_k"] = _relative(
             constant_k.residual, constant_k.scale)
         if constant_k.verdict == "holds":
@@ -303,7 +304,7 @@ def _classify_n(m, p, report, leg, adapted, coeff, sc_scale, np_scale,
     return report
 
 
-def _classify_d(m, p, report, leg, frame_ad, curv, adapted, coeff,
+def _classify_d(m, p, report, legs, frame_ad, curv, adapted, coeff,
                 np_scale, tol):
     slot, _, factor = FAMILIES["D"]
     psi2 = adapted.psi[slot]
@@ -333,7 +334,7 @@ def _classify_d(m, p, report, leg, frame_ad, curv, adapted, coeff,
     report.constraints.update(products)
 
     if hint == "generic":
-        k, l = leg("k"), leg("l")
+        k, l = legs()
         rec_k = recurrence_check(m, k, l, p, tol)
         rec_l = recurrence_check(m, l, k, p, tol)
         product = decomposability_check(m, k, l, p, tol)

@@ -489,9 +489,10 @@ class PointContext:
     object, and any other result, read through ``once``, under a tuple of
     its name and inputs (a tetrad as the ``NullTetrad`` object itself).
     ``values`` holds the values of the metric's arena slots, in order and
-    all in domain, as far as the fields read so far reach.  ``source`` and ``params`` let ``MetricField.at``
-    serve a repeated tuple without rebuilding ``key``.  Results are
-    handed out without a copy; callers must not modify them.
+    all in domain, as far as the fields read so far reach.  ``source`` and
+    ``params`` let ``MetricField.at`` serve a repeated tuple without
+    rebuilding ``key``.  Results are handed out without a copy; callers
+    must not modify them.
     """
 
     point: tuple

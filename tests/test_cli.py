@@ -607,6 +607,7 @@ FUZZ_TEXTS = 300
 FUZZ_NUMBERS = ("1e308", "1e400", "1e-300", "-2", "0.5")
 FUZZ_NAMES = FUZZ_NUMBERS + ("t", "x", "y", "z")
 FUZZ_WRAPS = ("{}", "1 + 0*({})", "1 + 1e-30*({})")
+FUZZ_FILES = 80
 
 
 def fuzz_text(rng, depth=3):
@@ -624,11 +625,116 @@ def fuzz_text(rng, depth=3):
     return f"{sub} {rng.choice('+-*/^')} {fuzz_text(rng, depth - 1)}"
 
 
+# values for [params] and [points] entries: numbers at and past the
+# float range, non-finite and malformed words, names and expressions
+FUZZ_VALUES = FUZZ_NUMBERS + (
+    "0", "-0.0", "2", "1e-320", "-1e308", "nan", "inf", "-inf", "", "M", "r",
+    "2*3", "(1)", "1e", "0x10", "1_0", "\u0661")
+# whole lines for [section] bodies: headers, entries of every section,
+# entries of none, and broken lines
+FUZZ_LINES = (
+    "[chart]", "[params]", "[metric]", "[tetrad]", "[points]", "[flags]",
+    "[metric", "[]", "[ tetrad ]", "[extra]", "=", "= 1", "g00 =",
+    "g00 = 1 = 2", "coords = t, r", "coords = t, r, theta, theta",
+    "coords = t, r, theta, 2phi", "M = 1", "r = 1", "p9 = 0, 4, 1, 0",
+    "p9 = 0, 4, 1", "k = 1, 0, 0, 0", "m_im = 0, 0, 0", "g44 = 1",
+    "static = maybe", "static = yes", "x", "# comment only", "; comment")
+
+
+def fuzz_value(rng) -> str:
+    return rng.choice(FUZZ_VALUES) if rng.random() < 0.8 else fuzz_text(rng)
+
+
+def fuzz_params_and_points(rng, text: str) -> str:
+    """Schwarzschild text with one to three [params] or [points] entries
+    rewritten or added."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.3:
+            at = next(i for i, line in enumerate(lines)
+                      if line.startswith("M = "))
+            lines[at] = f"M = {fuzz_value(rng)}"
+        elif roll < 0.45:
+            name = rng.choice(["N", "M", "r", "_a", "2x", "a b", "\u00e9"])
+            lines.insert(lines.index("[params]") + 1,
+                         f"{name} = {fuzz_value(rng)}")
+        else:
+            # mostly finite coordinates: r = 2 is the horizon, theta = 0
+            # and 3.14159 lie on or next to the axis
+            coords = [rng.choice(("0", "2", "3", "-4", "0.5", "3.14159"))
+                      if rng.random() < 0.8 else
+                      rng.choice(("2.0000000001", "1e308", "1e-300", "nan",
+                                  "x", "", "(1, 2)"))
+                      for _ in range(rng.choice((3, 4, 4, 4, 5)))]
+            name = f"p{rng.randrange(6)}"
+            point = f"{name} = " + ", ".join(coords)
+            at = [i for i, line in enumerate(lines)
+                  if line.startswith(f"{name} = ")]
+            if at:
+                lines[at[0]] = point
+            else:       # [points] is the file's last section
+                lines.append(point)
+    return "\n".join(lines) + "\n"
+
+
+def fuzz_sections(rng, text: str) -> str:
+    """Schwarzschild text with one or two sections dropped, repeated,
+    moved, renamed or given a fuzzed body."""
+    sections = [block.strip("\n") for block in
+                ("\n" + text).split("\n[")[1:]]
+    sections = ["[" + block for block in sections]
+    for _ in range(rng.randint(1, 2)):
+        roll = rng.random()
+        i = rng.randrange(len(sections))
+        if roll < 0.2 and len(sections) > 1:
+            del sections[i]
+        elif roll < 0.35:
+            sections.insert(rng.randrange(len(sections) + 1), sections[i])
+        elif roll < 0.5:
+            sections.insert(rng.randrange(len(sections)), sections.pop(i))
+        elif roll < 0.65:
+            body = sections[i].split("\n", 1)[1:]
+            sections[i] = "\n".join(
+                [rng.choice(FUZZ_LINES[:10] + ("[param]", "[Metric]"))]
+                + body)
+        else:
+            header, *body = sections[i].split("\n")
+            for _ in range(rng.randint(1, 3)):
+                line = rng.choice(FUZZ_LINES) if rng.random() < 0.7 else \
+                    f"{rng.choice(('g00', 'M', 'p0', 'k', 'coords'))} = " \
+                    + fuzz_text(rng)
+                if body and rng.random() < 0.5:
+                    body[rng.randrange(len(body))] = line
+                else:
+                    body.insert(rng.randrange(len(body) + 1), line)
+            sections[i] = "\n".join([header] + body)
+    return "\n\n".join(sections) + "\n"
+
+
 class TestFuzzedEntries:
+    def assert_ends_cleanly(self, capsys, path, text, what) -> int:
+        """Run ``classify`` and ``analyze --json`` on ``text``; each must
+        end in a documented exit code with no traceback and no numpy
+        warning.  Returns the exit code of ``analyze``."""
+        path.write_text(text, encoding="utf-8")
+        for argv in (("classify", str(path)),
+                     ("analyze", str(path), "--json")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code, _, err = run_cli(capsys, *argv)
+                except Exception as exc:
+                    pytest.fail(f"{argv[0]} with {what!r}: {exc!r}")
+            assert 0 <= code <= 4, (argv[0], what, code)
+            assert len(err.splitlines()) <= 1, (argv[0], what, err)
+            assert code == 0 or err.startswith("error: "), (
+                argv[0], what, err)
+        return code
+
     def test_each_ends_in_a_report_or_one_error_line(self, capsys, tmp_path):
         # each text goes into g00 or the third component of m_re, bare or
-        # under a factor that may fold it away; every run must end in a
-        # documented exit code with no traceback and no numpy warning
+        # under a factor that may fold it away
         with open(MINKOWSKI, encoding="utf-8") as fh:
             base = fh.read()
         slots = {"g00 = 1\n": "g00 = {}\n",
@@ -640,19 +746,33 @@ class TestFuzzedEntries:
             text = rng.choice(FUZZ_WRAPS).format(fuzz_text(rng))
             line = rng.choice(sorted(slots))
             entry = slots[line].format(text)
-            path.write_text(base.replace(line, entry), encoding="utf-8")
-            for argv in (("classify", str(path)),
-                         ("analyze", str(path), "--json")):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    try:
-                        code, _, err = run_cli(capsys, *argv)
-                    except Exception as exc:
-                        pytest.fail(f"{argv[0]} with {entry!r}: {exc!r}")
-                assert 0 <= code <= 4, (argv[0], entry, code)
-                assert len(err.splitlines()) <= 1, (argv[0], entry, err)
-                assert code == 0 or err.startswith("error: "), (
-                    argv[0], entry, err)
+            self.assert_ends_cleanly(capsys, path, base.replace(line, entry),
+                                     entry)
+
+    def test_fuzzed_params_and_points(self, capsys, tmp_path):
+        # parameters and points reach every stage: overflow, the horizon
+        # (degenerate), the axis (a singular tetrad), extra or missing
+        # coordinates, clashing or invalid names
+        with open(CORPUS_FILE.format("schwarzschild"), encoding="utf-8") as fh:
+            base = fh.read()
+        rng = random.Random(FUZZ_SEED)
+        codes = set()
+        for _ in range(FUZZ_FILES):
+            text = fuzz_params_and_points(rng, base)
+            codes.add(self.assert_ends_cleanly(
+                capsys, tmp_path / "fuzz.ini", text, text))
+        assert {0, 1, 2} <= codes
+
+    def test_fuzzed_sections(self, capsys, tmp_path):
+        with open(CORPUS_FILE.format("schwarzschild"), encoding="utf-8") as fh:
+            base = fh.read()
+        rng = random.Random(FUZZ_SEED)
+        codes = set()
+        for _ in range(FUZZ_FILES):
+            text = fuzz_sections(rng, base)
+            codes.add(self.assert_ends_cleanly(
+                capsys, tmp_path / "fuzz.ini", text, text))
+        assert {0, 1} <= codes
 
 
 class TestAnalysisHelpers:

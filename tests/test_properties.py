@@ -278,8 +278,11 @@ def with_tetrad(text: str, transforms) -> str:
     transformation ``transforms``, written out as combinations of the
     declared components."""
     comps = {}
-    rewrite_entries(text, "tetrad", lambda key, v: comps.setdefault(
-        key, [c.strip() for c in v.split(",")]))
+
+    def collect(key, value):
+        comps[key] = [c.strip() for c in value.split(",")]
+        return value
+    rewrite_entries(text, "tetrad", collect)
     rows = dict(zip(LEGS, lorentz_rows(transforms)))
 
     def combined(key, value):
