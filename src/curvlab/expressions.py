@@ -55,7 +55,6 @@ import math
 import operator
 import re
 import weakref
-from array import array
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -172,8 +171,10 @@ class Arena:
     the bindings (a leaf, ``a[i] == -1``).  ``ops`` maps an op node's key
     to it, ``atoms`` a constant's value or a name's (kind, name), and
     ``derivs[var]`` a node's slot to its derivative by ``var``.  Slots 0
-    and 1 are ``ZERO`` and ``ONE``.  ``with arena:`` makes it the arena
-    the constructors write into, until the block ends."""
+    and 1 are ``ZERO`` and ``ONE``.  ``a`` and ``b`` are lists that hold
+    the argument nodes' own ``slot`` ints, so a run boxes no int.
+    ``with arena:`` makes it the arena the constructors write into, until
+    the block ends."""
 
     __slots__ = ("nodes", "fns", "a", "b", "ops", "atoms", "derivs",
                  "__weakref__")
@@ -181,8 +182,8 @@ class Arena:
     def __init__(self):
         self.nodes: list[Expr] = [ZERO, ONE]
         self.fns: list[Callable] = [_instruction(ZERO), _instruction(ONE)]
-        self.a = array("i", [-1, -1])
-        self.b = array("i", [-1, -1])
+        self.a: list[int] = [-1, -1]
+        self.b: list[int] = [-1, -1]
         self.ops: dict[int, Expr] = {}
         self.atoms: dict = {0.0: ZERO, 1.0: ONE}
         self.derivs: dict[str, dict[int, Expr]] = {}

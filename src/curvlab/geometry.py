@@ -3,8 +3,10 @@
 All differentiation is symbolic (see :mod:`curvlab.expressions`), so
 second covariant derivatives of the curvature -- fourth derivatives of
 the metric -- are exact up to floating-point rounding at evaluation
-time.  Numeric tensor values at a point are plain dense complex ndarrays,
-one axis per slot; the variance of each slot is the field's.
+time.  Numeric tensor values at a point are plain dense ndarrays, one
+axis per slot; the variance of each slot is the field's.  A field's
+values are complex (``MetricField.evaluate_field``); the curvature at a
+point is kept real (``Curvature``).
 
 Sign conventions are frozen in :mod:`curvlab.conventions`; the short
 version is that the curvature tensor carries an overall minus relative
@@ -243,14 +245,16 @@ class MetricField:
     def evaluate_field(self, t: SymbolicTensor, point) -> np.ndarray:
         """``t`` at ``point`` as a complex array, evaluated once per point
         context: its slots run on the metric's arena with the context's
-        value list (``Arena.run``)."""
+        value list (``Arena.run``).  The tape yields only finite floats,
+        so converting them to a real array first, which is the quicker
+        path, gives the same complex values."""
         ctx = self.at(point)
         value = ctx.memo.get(t)
         if value is None:
             arena, slots, end = self.place(t)
             comps = arena.run(ctx.values, ctx.bindings, slots, end)
-            value = ctx.memo[t] = np.array(
-                comps, dtype=complex).reshape(t.components.shape)
+            value = ctx.memo[t] = np.array(comps, dtype=float).astype(
+                complex).reshape(t.components.shape)
         return value
 
     # -- symbolic pipeline --------------------------------------------------
@@ -470,7 +474,10 @@ class MetricField:
 
 @dataclass(eq=False)
 class Curvature:
-    """All curvature objects at one point (down-index unless noted)."""
+    """All curvature objects at one point (down-index unless noted), as
+    real C-contiguous arrays: the fields' values have no imaginary part.
+    Combined with a complex leg, an array is promoted to the complex
+    values ``evaluate_field`` gives."""
 
     riemann: np.ndarray         # R_abcd
     riemann_up: np.ndarray      # R^a_bcd
@@ -513,15 +520,17 @@ class PointContext:
 
 def curvature(m: MetricField, point) -> Curvature:
     """The curvature at ``point``, evaluated once per point context."""
+    def real(t: SymbolicTensor) -> np.ndarray:
+        return np.ascontiguousarray(m.evaluate_field(t, point).real)
+
     def make():
         gv = m.metric_value(point)
         m._check_det(gv, point)
         return Curvature(
-            m.evaluate_field(m.riemann_field(), point),
-            m.evaluate_field(m.riemann_up_symbolic(), point),
-            m.evaluate_field(m.ricci_field(), point),
+            real(m.riemann_field()), real(m.riemann_up_symbolic()),
+            real(m.ricci_field()),
             float(m.evaluate_field(m.scalar_field(), point).real),
-            m.evaluate_field(m.weyl_field(), point), gv)
+            real(m.weyl_field()), gv)
     return m.at(point).once(("curvature",), make)
 
 
@@ -530,13 +539,17 @@ def commutator_action(riemann_up: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     ``riemann_up`` is R^e_{cab} and ``t`` has all slots down; the result
     gains two leading down slots (a, b) and equals
-    Σ_slots R^e_{c_i a b} T_{... e ...}.
+    Σ_slots R^e_{c_i a b} T_{... e ...}, accumulated in the inputs' common
+    dtype: real for the curvature's own arrays.  Each product then has no
+    imaginary part to add, so the result equals the complex contraction's
+    (up to the sign of a zero).
     """
     r = t.ndim
     if r > 4:
         raise RankOverflowError("commutator_action input must have rank <= 4")
     letters = list("cdef"[:r])
-    acc = np.zeros((DIM, DIM) + (DIM,) * r, dtype=complex)
+    acc = np.zeros((DIM, DIM) + (DIM,) * r,
+                   dtype=np.result_type(riemann_up, t))
     for slot in range(r):
         tin = letters.copy()
         tin[slot] = "p"

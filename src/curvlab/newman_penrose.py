@@ -16,7 +16,7 @@ quantity of the adapted legs is that of the declared legs, rotated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,12 +58,14 @@ class NullTetrad:
 class TetradFrame:
     """One quantity of the tetrad legs at one point (see ``leg_field``):
     their contravariant components, or their lowered components, ∇ or ∂,
-    with m = m_re + i m_im."""
+    with m = m_re + i m_im.  ``checks`` holds the legs' ``TetradCheck``
+    by (tol, metric value bytes), see ``validate_tetrad_from_metric_value``."""
 
     k: np.ndarray
     l: np.ndarray
     m: np.ndarray
     point: tuple
+    checks: dict = field(default_factory=dict, repr=False)
 
     @property
     def mbar(self) -> np.ndarray:
@@ -198,7 +200,12 @@ def np_scalars(curv: Curvature, frame: TetradFrame,
 def validate_tetrad_from_metric_value(gv: np.ndarray, frame: TetradFrame,
                                       tol: float = RESIDUAL_TOL) -> TetradCheck:
     """All nine cross products of the legs of ``frame`` under the numeric
-    metric ``gv`` against their targets."""
+    metric ``gv`` against their targets, computed once per frame, ``tol``
+    and metric value and kept in ``frame.checks``.  A caller that rejects
+    the check raises on each call: only the products are kept."""
+    key = (tol, gv.tobytes())
+    if key in frame.checks:
+        return frame.checks[key]
 
     def dot(x, y):
         return complex(x @ gv @ y)
@@ -225,8 +232,10 @@ def validate_tetrad_from_metric_value(gv: np.ndarray, frame: TetradFrame,
         products[name] = (value, target, res)
         if res > worst_res or math.isnan(res):
             worst, worst_res = name, res
-    return TetradCheck(products, scale, worst_res <= tol * scale < math.inf,
-                       worst, worst_res, frame.point)
+    check = frame.checks[key] = TetradCheck(
+        products, scale, worst_res <= tol * scale < math.inf, worst,
+        worst_res, frame.point)
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +249,10 @@ def spin_coefficients(metric: MetricField, tetrad: NullTetrad, point,
     covariant derivatives of the legs of ``tetrad`` rotated by
     ``transforms`` (sign table frozen in the conventions document).
 
-    The tetrad check runs on every call; the contraction once per
-    (point, tetrad, tol, transforms), and a failed check caches nothing.
+    The tetrad check is computed once per frame and raises on every call
+    of a frame that fails it; the contraction runs
+    once per (point, tetrad, tol, transforms), and a failed check caches
+    nothing.
     """
     transforms = tuple(transforms)
     frame = tetrad_frame(metric, tetrad, point, "value", transforms)

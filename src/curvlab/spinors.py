@@ -17,7 +17,9 @@ the tensor pipeline.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -35,17 +37,32 @@ def raise_slot(arr: np.ndarray, slot: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(EPS, arr, axes=(1, slot)), 0, slot)
 
 
-def _symmetrized(arr: np.ndarray, slots) -> np.ndarray:
-    slots = tuple(slots)
-    total = np.zeros_like(arr)
-    count = 0
+@functools.lru_cache(maxsize=None)
+def _permuted_indices(shape: tuple, slots: tuple) -> np.ndarray:
+    """One row per permutation of ``slots``, in ``itertools.permutations``
+    order: the flat indices of the array of ``shape`` with those axes so
+    permuted."""
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    rows = []
     for perm in itertools.permutations(slots):
-        axes = list(range(arr.ndim))
+        axes = list(range(len(shape)))
         for dest, src in zip(slots, perm):
             axes[dest] = src
-        total += np.transpose(arr, axes)
-        count += 1
-    return total / count
+        rows.append(np.transpose(flat, axes).ravel())
+    out = np.array(rows)
+    out.flags.writeable = False     # one array serves every caller
+    return out
+
+
+def _symmetrized(arr: np.ndarray, slots) -> np.ndarray:
+    """The average of ``arr`` over every permutation of the axes ``slots``.
+
+    One gather reads all the permuted copies; the sum over them adds in
+    permutation order, so each entry equals that of a loop adding the
+    transposes in turn to zeros, up to the sign of a zero."""
+    idx = _permuted_indices(arr.shape, tuple(slots))
+    total = arr.reshape(-1)[idx].sum(axis=0)
+    return (total / len(idx)).reshape(arr.shape)
 
 
 def _symmetric(value: np.ndarray, p: int, q: int) -> np.ndarray:

@@ -5,6 +5,7 @@ the metric-file loader, which has its own tests) so that low-level
 modules can be exercised before the I/O layer exists.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ from curvlab.expressions import (FUNCTIONS, ZERO, Arena, DomainError,
                                  ExprError, add, const, mul, parse_expr)
 from curvlab.geometry import MetricField, SymbolicTensor
 from curvlab.newman_penrose import NullTetrad, _clusters, pnd_roots
-from curvlab.spinors import _symmetrized, raise_slot
+from curvlab.spinors import raise_slot
 
 PI = math.pi
 
@@ -92,6 +93,41 @@ def reference_evaluate(e, bindings, memo=None):
         raise DomainError("overflow", e)
     memo[key] = v
     return v
+
+
+def reference_symmetrized(arr, slots):
+    """A reference for ``spinors._symmetrized``: the transpose loop the
+    package used to symmetrize with, adding each permuted copy in
+    ``itertools.permutations`` order to zeros."""
+    slots = tuple(slots)
+    total = np.zeros_like(arr)
+    count = 0
+    for perm in itertools.permutations(slots):
+        axes = list(range(arr.ndim))
+        for dest, src in zip(slots, perm):
+            axes[dest] = src
+        total += np.transpose(arr, axes)
+        count += 1
+    return total / count
+
+
+def reference_commutator_action(riemann_up, t):
+    """A reference for ``geometry.commutator_action``: the contraction
+    the package used to make, when the curvature arrays were complex.
+    The inputs are taken as complex, whatever their dtype."""
+    riemann_up = np.asarray(riemann_up, dtype=complex)
+    t = np.asarray(t, dtype=complex)
+    r = t.ndim
+    letters = list("cdef"[:r])
+    acc = np.zeros((4, 4) + (4,) * r, dtype=complex)
+    for slot in range(r):
+        tin = letters.copy()
+        tin[slot] = "p"
+        tout = letters.copy()
+        tout[slot] = "q"
+        spec = "pqab," + "".join(tin) + "->ab" + "".join(tout)
+        acc += np.einsum(spec, riemann_up, t)
+    return acc
 
 
 def christoffel(m, point):
@@ -205,7 +241,8 @@ def symmetrize(s: Spinor, slots) -> Spinor:
     kinds = {is_unprimed_slot(s, i) for i in slots}
     if len(kinds) > 1:
         raise SpinorSlotError("cannot symmetrize unprimed with primed slots")
-    return Spinor(_symmetrized(s.components, slots), s.unprimed, s.primed)
+    return Spinor(reference_symmetrized(s.components, slots), s.unprimed,
+                  s.primed)
 
 
 def sym_from_general(g: Spinor) -> np.ndarray:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import time
@@ -712,6 +713,86 @@ def fuzz_sections(rng, text: str) -> str:
     return "\n\n".join(sections) + "\n"
 
 
+# leg components: exact, scaled, singular on the axis or the horizon,
+# out of range, and names of every kind
+FUZZ_COMPONENTS = ("0", "1", "-1", "1/2", "1/sqrt(2)", "1/(sqrt(2)*r)",
+                   "1/(1 - 2*M/r)", "1/sin(theta)", "cos(theta)", "r", "t",
+                   "1e-200", "1e200", "M", "k", "l", "theta/0")
+FUZZ_LEG_NAMES = ("k", "l", "m_re", "m_im", "m", "n", "K", "k2", "")
+FUZZ_SCALES = ("2*({})", "-({})", "0*({})", "1e-160*({})", "1e160*({})",
+               "(1 + 1e-9)*({})", "({})/r")
+
+
+def fuzz_tetrad(rng, text: str) -> str:
+    """Schwarzschild text with one to three [tetrad] rewrites: a leg
+    component replaced, a leg scaled, rewritten whole (of three to five
+    components), dropped, renamed, swapped with another or repeated."""
+    lines = text.splitlines()
+    legs = [i for i, line in enumerate(lines)
+            if line.split("=")[0].strip() in ("k", "l", "m_re", "m_im")]
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        at = rng.choice(legs)
+        name, _, value = lines[at].partition("=")
+        comps = [c.strip() for c in value.split(",")]
+        if roll < 0.35:
+            comps[rng.randrange(len(comps))] = (
+                rng.choice(FUZZ_COMPONENTS) if rng.random() < 0.7
+                else fuzz_value(rng))
+        elif roll < 0.5:
+            comps = [rng.choice(FUZZ_SCALES).format(c) for c in comps]
+        elif roll < 0.6:
+            comps = [rng.choice(FUZZ_COMPONENTS)
+                     for _ in range(rng.choice((3, 4, 4, 5)))]
+        elif roll < 0.7:
+            lines[at] = ""
+            continue
+        elif roll < 0.8:
+            name = rng.choice(FUZZ_LEG_NAMES)
+        elif roll < 0.9:
+            other = rng.choice(legs)
+            lines[at], lines[other] = (
+                lines[at].split("=")[0] + "=" + lines[other].split("=", 1)[1],
+                lines[other].split("=")[0] + "=" + lines[at].split("=", 1)[1])
+            continue
+        else:
+            lines.insert(at, lines[at])
+            legs = [i + (i >= at) for i in legs]
+            continue
+        lines[at] = f"{name.strip()} = " + ", ".join(comps)
+    return "\n".join(lines) + "\n"
+
+
+FUZZ_CHART_NAMES = ("t", "r", "theta", "phi", "x", "T", "M", "sin", "exp",
+                    "pi", "e", "k", "_r", "r2", "2r", "r r", "", "\u00e9",
+                    "coords", "g00", "p0", "theta", "r")
+
+
+def fuzz_chart(rng, text: str) -> str:
+    """Schwarzschild text with its coordinate names changed: one renamed
+    throughout the file (to a fresh name, or one that clashes with a
+    parameter, a function or another coordinate), renamed in [chart]
+    alone, or the coords list rewritten with three to five names."""
+    chart = "coords = t, r, theta, phi"
+    old = ["t", "r", "theta", "phi"]
+    roll = rng.random()
+    if roll < 0.5:
+        i = rng.randrange(4)
+        new = rng.choice(FUZZ_CHART_NAMES)
+        body = text.replace(chart, "")
+        body = re.sub(rf"\b{old[i]}\b", new, body)
+        names = old[:i] + [new] + old[i + 1:]
+        return body.replace("[chart]", "[chart]\ncoords = "
+                            + ", ".join(names), 1)
+    if roll < 0.75:
+        names = list(old)
+        names[rng.randrange(4)] = rng.choice(FUZZ_CHART_NAMES)
+    else:
+        names = [rng.choice(FUZZ_CHART_NAMES)
+                 for _ in range(rng.choice((3, 4, 4, 5)))]
+    return text.replace(chart, "coords = " + ", ".join(names))
+
+
 class TestFuzzedEntries:
     def assert_ends_cleanly(self, capsys, path, text, what) -> int:
         """Run ``classify`` and ``analyze --json`` on ``text``; each must
@@ -770,6 +851,28 @@ class TestFuzzedEntries:
         codes = set()
         for _ in range(FUZZ_FILES):
             text = fuzz_sections(rng, base)
+            codes.add(self.assert_ends_cleanly(
+                capsys, tmp_path / "fuzz.ini", text, text))
+        assert {0, 1} <= codes
+
+    def test_fuzzed_tetrad_legs(self, capsys, tmp_path):
+        with open(CORPUS_FILE.format("schwarzschild"), encoding="utf-8") as fh:
+            base = fh.read()
+        rng = random.Random(FUZZ_SEED)
+        codes = set()
+        for _ in range(FUZZ_FILES):
+            text = fuzz_tetrad(rng, base)
+            codes.add(self.assert_ends_cleanly(
+                capsys, tmp_path / "fuzz.ini", text, text))
+        assert {0, 1} <= codes
+
+    def test_fuzzed_chart_names(self, capsys, tmp_path):
+        with open(CORPUS_FILE.format("schwarzschild"), encoding="utf-8") as fh:
+            base = fh.read()
+        rng = random.Random(FUZZ_SEED)
+        codes = set()
+        for _ in range(FUZZ_FILES):
+            text = fuzz_chart(rng, base)
             codes.add(self.assert_ends_cleanly(
                 capsys, tmp_path / "fuzz.ini", text, text))
         assert {0, 1} <= codes

@@ -3,8 +3,8 @@ tetrad data and commutator residuals are evaluated once, a metric's
 fields share one tape that holds each node once and no field builds a
 tape of its own, the checked steps run only where a value is out of
 domain, nothing symbolic is built after a metric's first point, the
-one-slot cache never serves another point, and tetrad checks still run
-on every call."""
+one-slot cache never serves another point, and each frame's tetrad check
+is made once, while an invalid tetrad still raises on every call."""
 
 import importlib.util
 import os
@@ -147,6 +147,31 @@ class TestEvaluatedOnce:
         unadapted = sum(not adapt_tetrad(m, m.tetrad, q).transforms
                         for q in m.points.values())
         assert unadapted > 0
+
+    def test_tetrad_check_once_per_frame(self, monkeypatch):
+        # np_scalars and spin_coefficients both check the declared frame,
+        # and the adapted one where it rotates
+        made = []
+        original = newman_penrose.TetradCheck
+
+        def counting(*args):
+            made.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(newman_penrose, "TetradCheck", counting)
+        m = load_corpus_metric("nariai")
+        rotated_points = 0
+        for pname in sorted(m.points):
+            made.clear()
+            analyze_point(m, pname)
+            p = m.points[pname]
+            ad = adapt_tetrad(m, m.tetrad, p)
+            rotated = bool(ad.transforms)
+            rotated_points += rotated
+            assert len(made) == 1 + rotated, pname
+            assert len(tetrad_frame(m, m.tetrad, p).checks) == 1, pname
+            assert len(ad.frame.checks) == 1, pname
+        assert rotated_points > 0
 
     @pytest.mark.parametrize("cross", [False, True])
     def test_commutator_action_three_times_per_point(self, monkeypatch,
@@ -491,6 +516,32 @@ class TestChecksStillRun:
             classify_point(m, p, tetrad=bad)
         assert not any(key[1] is bad for key in m.at(p).memo
                        if type(key) is tuple and key[0] == "spin")
+
+    def test_invalid_frame_raises_on_every_call(self):
+        m = load_corpus_metric("minkowski")
+        p = m.points["origin"]
+        t = m.tetrad
+        bad = NullTetrad(t.k, t.k, t.m_re, t.m_im)
+        frame = tetrad_frame(m, bad, p)
+        for _ in range(3):
+            with pytest.raises(InvalidTetradError):
+                np_scalars(curvature(m, p), frame)
+            with pytest.raises(InvalidTetradError):
+                spin_coefficients(m, bad, p)
+        assert len(frame.checks) == 1
+
+    def test_frame_check_is_kept_per_tol_and_metric_value(self):
+        m = load_corpus_metric("minkowski")
+        p = m.points["origin"]
+        frame = tetrad_frame(m, m.tetrad, p)
+        gv = m.metric_value(p)
+        check = validate_tetrad_from_metric_value(gv, frame)
+        assert check.valid
+        assert validate_tetrad_from_metric_value(gv.copy(), frame) is check
+        assert validate_tetrad_from_metric_value(gv, frame, 1e-14) \
+            is not check
+        assert not validate_tetrad_from_metric_value(4.0 * gv, frame).valid
+        assert validate_tetrad_from_metric_value(gv, frame) is check
 
     def test_stricter_tol_raises_where_the_default_passed(self):
         # k·l = 1 + 1e-11: inside the default tolerance, outside 1e-14

@@ -23,7 +23,9 @@ from the family's formulas alone.  At every point:
     max|Γ|·max|R| where ∇R is itself rounding noise);
 (e) the Petrov type and the branch do not change when the declared legs
     are replaced by a seeded constant Lorentz transformation of them (two
-    null rotations, then a boost), written into the metric text.
+    null rotations, then a boost), written into the metric text;
+(f) the tape gives g, Γ, R^a_bcd, C and ∇R bit for bit as the recursive
+    reference interpreter does, as complex arrays.
 
 The same text rewrites give the verdicts that must not depend on units
 (g → a²g with the legs divided by a) or on which valid tetrad is
@@ -39,10 +41,12 @@ import pytest
 
 from curvlab.classify import TheoremViolationError, classify_point
 from curvlab.conventions import SCALE_FLOOR
-from curvlab.geometry import curvature, max_abs
+from curvlab.geometry import SymbolicTensor, curvature, max_abs
 from curvlab.metricfile import parse_metric_text
 from curvlab.newman_penrose import TetradFrame, adapt_tetrad, null_rotate_frame
 from curvlab.symmetry import conformal_semi_symmetry_residual
+
+from conftest import reference_evaluate
 
 SEED = 14
 METRICS_PER_FAMILY = 12
@@ -219,6 +223,33 @@ def test_theorem_and_classification_hold_on_generated_metrics(family):
             residuals = identity_residuals(m, p)                   # (d)
             assert max(residuals.values()) <= IDENTITY_TOL, (where,
                                                              residuals)
+
+
+def tape_fields(m) -> dict:
+    return {"g": SymbolicTensor(m.g, ("d", "d")),
+            "Γ": m.christoffel_symbolic(),
+            "R^a_bcd": m.riemann_up_symbolic(),
+            "C": m.weyl_field(),
+            "∇R": m.nabla_field("riemann", 1)}
+
+
+def test_tape_matches_the_reference_interpreter_on_generated_metrics():
+    for family in sorted(FAMILIES):                                # (f)
+        rng = random.Random(f"{SEED}-{family}")
+        for index in range(METRICS_PER_FAMILY):
+            m = parse_metric_text(FAMILIES[family](rng), f"{family}-{index}")
+            fields = tape_fields(m)
+            for pname, p in m.points.items():
+                bindings, memo = m.bindings(p), {}
+                for name, f in fields.items():
+                    got = m.evaluate_field(f, p)
+                    want = np.array(
+                        [complex(reference_evaluate(e, bindings, memo))
+                         for e in f.components.ravel()],
+                        dtype=np.complex128).reshape(f.components.shape)
+                    assert got.dtype == want.dtype, (family, index, name)
+                    assert got.tobytes() == want.tobytes(), (
+                        family, index, pname, name)
 
 
 # ---------------------------------------------------------------------------
