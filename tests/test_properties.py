@@ -225,20 +225,16 @@ def test_theorem_and_classification_hold_on_generated_metrics(family):
                                                              residuals)
 
 
-def tape_fields(m) -> dict:
-    return {"g": SymbolicTensor(m.g, ("d", "d")),
-            "Γ": m.christoffel_symbolic(),
-            "R^a_bcd": m.riemann_up_symbolic(),
-            "C": m.weyl_field(),
-            "∇R": m.nabla_field("riemann", 1)}
-
-
 def test_tape_matches_the_reference_interpreter_on_generated_metrics():
     for family in sorted(FAMILIES):                                # (f)
         rng = random.Random(f"{SEED}-{family}")
         for index in range(METRICS_PER_FAMILY):
             m = parse_metric_text(FAMILIES[family](rng), f"{family}-{index}")
-            fields = tape_fields(m)
+            fields = {"g": SymbolicTensor(m.g, ("d", "d")),
+                      "Γ": m.christoffel_symbolic(),
+                      "R^a_bcd": m.riemann_up_symbolic(),
+                      "C": m.weyl_field(),
+                      "∇R": m.nabla_field("riemann", 1)}
             for pname, p in m.points.items():
                 bindings, memo = m.bindings(p), {}
                 for name, f in fields.items():
