@@ -114,7 +114,7 @@ def extract_AB(ricci: np.ndarray, frame: TetradFrame,
     design = np.stack([kl.ravel(), mmbar.ravel()], axis=1)
     target = np.real(ricci).ravel()
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    resid = float(np.max(np.abs(target - design @ coef)))
+    resid = max_abs(target - design @ coef)
     return float(coef[0]), float(coef[1]), resid
 
 
@@ -131,15 +131,15 @@ def dec_check(einstein: np.ndarray, frame: TetradFrame, g: np.ndarray,
     """
     ginv = np.linalg.inv(g)
     gmix = ginv @ np.real(einstein)
-    if scale is not None and float(np.max(np.abs(gmix))) <= tol * scale:
+    if scale is not None and max_abs(gmix) <= tol * scale:
         return "satisfied"
     e0 = np.real(frame.k + frame.l) / np.sqrt(2.0)
     e1 = np.real(frame.k - frame.l) / np.sqrt(2.0)
     e2 = np.sqrt(2.0) * np.real(frame.m)
     e3 = np.sqrt(2.0) * np.imag(frame.m)
-    gmax = max(float(np.max(np.abs(gmix))), SCALE_FLOOR)
-    metmax = float(np.max(np.abs(g)))
-    e0max = float(np.max(np.abs(e0)))
+    gmax = max(max_abs(gmix), SCALE_FLOOR)
+    metmax = max_abs(g)
+    e0max = max_abs(e0)
     ch, sh, n = _dec_samples(seed)
     u = ch * e0 + sh * (n[:, :1] * e1 + n[:, 1:2] * e2 + n[:, 2:] * e3)
     flux = -u @ gmix.T

@@ -55,6 +55,7 @@ import math
 import operator
 import re
 import weakref
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -219,12 +220,15 @@ class Arena:
         """The values at the slots ``roots``, all below ``end``, after an
         unchecked run of the slots from ``len(values)`` up to ``end``.  If
         that may have met a value out of domain, the roots are recomputed
-        checked and the run is dropped: ``values`` stays all in domain."""
+        checked and the run is dropped: ``values`` stays all in domain,
+        and stops short of ``end``."""
         start = len(values)
+        fns, a, b = self.fns, self.a, self.b
+        if start:   # copy the slots to run rather than skip those before
+            fns, a, b = fns[start:end], a[start:end], b[start:end]
         append = values.append
         try:
-            for fn, x, y in zip(self.fns[start:end], self.a[start:end],
-                                self.b[start:end]):
+            for fn, x, y in islice(zip(fns, a, b), end):
                 append(fn(values[x], values[y]) if y >= 0
                        else fn(values[x]) if x >= 0 else fn(bindings))
         except (ArithmeticError, ValueError, TypeError, KeyError):
@@ -232,7 +236,7 @@ class Arena:
         else:
             # one sum sees every new value: an inf, a nan or a complex
             # anywhere leaves a non-finite or complex total
-            total = sum(values[start:end], 0.0)
+            total = sum(values[start:] if start else values, 0.0)
             if type(total) is float and math.isfinite(total):
                 return [values[r] for r in roots]
         try:

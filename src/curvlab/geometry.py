@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from array import array
 from dataclasses import dataclass, field
 
@@ -76,7 +77,7 @@ class SymbolicTensor:
 
 def max_abs(a: np.ndarray) -> float:
     """The largest modulus among the entries of ``a``."""
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def _det_expr(g: np.ndarray, rows: tuple, cols: tuple) -> Expr:
@@ -190,11 +191,12 @@ class MetricField:
         """The evaluation context of ``point``.  Only the most recent one
         is kept: callers visit one point at a time."""
         ctx = self._context
-        # hex forms tell -0.0 from 0.0; a changed parameter also misses.
-        # A tuple cannot change in place, so the last one asked for is
-        # still the same point while the parameters are unchanged.
-        params = tuple(float(v).hex() for v in self.params.values())
-        if ctx is not None and point is ctx.source and params == ctx.params:
+        # a tuple cannot change in place: the same one, with each parameter
+        # the same object, is the same point; else ``key``'s hex forms decide
+        params = tuple(self.params.values())
+        if ctx is not None and point is ctx.source \
+                and len(params) == len(ctx.params) \
+                and all(map(operator.is_, params, ctx.params)):
             return ctx
         b = self.bindings(point)
         key = tuple(float(v).hex() for v in b.values())
@@ -229,32 +231,48 @@ class MetricField:
                 f"signature (+,-,-,-): eigenvalues {eigenvalues}")
 
     def place(self, t: SymbolicTensor) -> tuple:
-        """``t.slots``: the metric's arena, the components' slots there and
-        one past the last, read off the components once.  A component of
-        another arena raises ``ExprError``: its slot names another node."""
+        """``t.slots``, read off the components once: the metric's arena,
+        the components' slots there, one past the last, the distinct slots
+        (the nodes' own ints, by first appearance) and an ``np.intp`` array
+        of the field's shape indexing them.  A component of another arena
+        raises ``ExprError``: its slot names another node."""
         arena = self.arena
         if t.slots is None or t.slots[0] is not arena:
-            comps = t.components.ravel()
-            if not all(map(arena.owns, comps)):
+            comps = t.components.ravel().tolist()
+            slots = list(map(operator.attrgetter("slot"), comps))
+            end, nodes = max(slots) + 1, arena.nodes
+            # ``Arena.owns`` of every component, in one pass of C loops
+            if end > len(nodes) or not all(
+                    map(operator.is_, map(nodes.__getitem__, slots), comps)):
                 raise ExprError(f"a field of metric '{self.name}' holds an "
                                 "expression of another arena")
-            slots = array("i", [e.slot for e in comps])
-            t.slots = (arena, slots, max(slots) + 1)
+            distinct = list(dict.fromkeys(slots))
+            index = dict(zip(distinct, range(len(distinct))))
+            where = np.fromiter(map(index.__getitem__, slots), np.intp,
+                                len(slots)).reshape(t.components.shape)
+            t.slots = (arena, array("i", slots), end, distinct, where)
         return t.slots
 
     def evaluate_field(self, t: SymbolicTensor, point) -> np.ndarray:
         """``t`` at ``point`` as a complex array, evaluated once per point
-        context: its slots run on the metric's arena with the context's
-        value list (``Arena.run``).  The tape yields only finite floats,
-        so converting them to a real array first, which is the quicker
-        path, gives the same complex values."""
+        context from its distinct slots' values (``place``).  ``Arena.run``
+        extends the context's value list where it does not reach them: to
+        the end of the arena, so that later fields only read the list, or,
+        once a run at the point met a value out of domain, to ``t``'s."""
         ctx = self.at(point)
         value = ctx.memo.get(t)
         if value is None:
-            arena, slots, end = self.place(t)
-            comps = arena.run(ctx.values, ctx.bindings, slots, end)
-            value = ctx.memo[t] = np.array(comps, dtype=float).astype(
-                complex).reshape(t.components.shape)
+            arena, _, end, distinct, where = self.place(t)
+            values = ctx.values
+            if len(values) < end:
+                vals = arena.run(values, ctx.bindings, distinct,
+                                 len(arena.nodes) if ctx.clean else end)
+                ctx.clean = ctx.clean and len(values) >= end
+            else:
+                vals = [values[s] for s in distinct]
+            # a 0-d index gives a scalar: asarray keeps rank 0 an array
+            value = ctx.memo[t] = np.asarray(
+                np.array(vals, dtype=complex)[where])
         return value
 
     # -- symbolic pipeline --------------------------------------------------
@@ -496,8 +514,10 @@ class PointContext:
     object, and any other result, read through ``once``, under a tuple of
     its name and inputs (a tetrad as the ``NullTetrad`` object itself).
     ``values`` holds the values of the metric's arena slots, in order and
-    all in domain, as far as the fields read so far reach.  ``source`` and
-    ``params`` let ``MetricField.at`` serve a repeated tuple without
+    all in domain: the first field read runs the whole arena into it, and
+    while ``clean`` (no run at the point met a value out of domain) later
+    fields only read it.  ``source`` and ``params`` (the parameters'
+    objects) let ``MetricField.at`` serve a repeated tuple without
     rebuilding ``key``.  Results are handed out without a copy; callers
     must not modify them.
     """
@@ -508,6 +528,7 @@ class PointContext:
     source: tuple | None = None
     params: tuple = ()
     values: list = field(default_factory=list)
+    clean: bool = True
     memo: dict = field(default_factory=dict)
 
     def once(self, key, make):

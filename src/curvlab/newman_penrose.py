@@ -141,10 +141,10 @@ class NPData:
     scalar: float         # R (the scalar curvature itself, not R/24)
 
     def weyl_scale(self) -> float:
-        return float(np.max(np.abs(self.psi)))
+        return max_abs(self.psi)
 
     def scale(self) -> float:
-        return max(self.weyl_scale(), float(np.max(np.abs(self.phi))),
+        return max(self.weyl_scale(), max_abs(self.phi),
                    abs(self.scalar))
 
     def misfit(self, family: str) -> tuple:
@@ -385,7 +385,7 @@ def _frame_with_psi4(w: np.ndarray) -> np.ndarray:
     best_mag = abs(w[4])
     for c in _ROTATION_CANDIDATES:
         cand = null_rotate_weyl(w, c, "about-k")
-        cand = cand / np.max(np.abs(cand))
+        cand = cand / max_abs(cand)
         if abs(cand[4]) > best_mag:
             best, best_mag = cand, abs(cand[4])
     return best
@@ -394,11 +394,11 @@ def _frame_with_psi4(w: np.ndarray) -> np.ndarray:
 def petrov_classify(psi, tol: float = RESIDUAL_TOL) -> str:
     """Classify by the invariant chain: I vs (I³ = 27J²), then refine."""
     psi = np.asarray(psi, dtype=complex)
-    scale = float(np.max(np.abs(psi)))
+    scale = max_abs(psi)
     if scale < SCALE_FLOOR:
         return "O"
     w = _frame_with_psi4(psi / scale)
-    w = w / np.max(np.abs(w))
+    w = w / max_abs(w)
     inv = weyl_invariants(w)
     gate = 100.0 * tol
     i_inv, j_inv = inv["I"], inv["J"]
@@ -426,12 +426,12 @@ def pnd_roots(psi) -> tuple[list, int]:
     """Roots of Ψ0 + 4Ψ1 z + 6Ψ2 z² + 4Ψ3 z³ + Ψ4 z⁴ via the companion
     matrix, plus the multiplicity at infinity from degree drop."""
     psi = np.asarray(psi, dtype=complex)
-    scale = float(np.max(np.abs(psi)))
+    scale = max_abs(psi)
     if scale < SCALE_FLOOR:
         return [], 0
     coeffs = np.array([psi[4], 4 * psi[3], 6 * psi[2], 4 * psi[1], psi[0]],
                       dtype=complex) / scale
-    cmax = float(np.max(np.abs(coeffs)))
+    cmax = max_abs(coeffs)
     lead = 0
     while lead < 4 and abs(coeffs[lead]) <= 1e-12 * cmax:
         lead += 1
@@ -501,7 +501,7 @@ def adapt_weyl(psi, petrov: str, tol: float = RESIDUAL_TOL):
     """
     psi = np.asarray(psi, dtype=complex)
     transforms: list = []
-    scale = float(np.max(np.abs(psi)))
+    scale = max_abs(psi)
     if scale < SCALE_FLOOR:
         return psi, transforms
     # the dominant direction: the first largest cluster of roots
@@ -526,7 +526,7 @@ def adapt_weyl(psi, petrov: str, tol: float = RESIDUAL_TOL):
 
     # degenerate pair: also zero Ψ3 (and, for exact data, Ψ4) with a
     # rotation about the now-aligned k
-    if k == 2 and abs(psi[2]) > tol * np.max(np.abs(psi)):
+    if k == 2 and abs(psi[2]) > tol * max_abs(psi):
         c = np.conj(-psi[3] / (3.0 * psi[2]))
         if abs(c) > 0:
             psi = null_rotate_weyl(psi, c, "about-k")

@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .conventions import CURVATURE_SPINOR_R_FACTOR, FAMILIES
+from .geometry import max_abs
 
 EPS = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)   # ε_AB = ε^AB
 
@@ -112,7 +113,7 @@ def check_weyl_condition_1(psi: np.ndarray, scalar: float) -> float:
     condition on the Weyl spinor, reduced to algebra."""
     x = curvature_spinor(psi, scalar)
     t = np.einsum("abcg,defg->abcdef", raise_slot(x, 3), psi)
-    return float(np.max(np.abs(_symmetrized(t, (2, 3, 4, 5)))))
+    return max_abs(_symmetrized(t, (2, 3, 4, 5)))
 
 
 def check_contracted_condition(psi: np.ndarray, scalar: float) -> float:
@@ -121,14 +122,14 @@ def check_contracted_condition(psi: np.ndarray, scalar: float) -> float:
     pr = raise_slot(raise_slot(psi, 2), 3)
     q = np.einsum("adbg,efbg->adef", pr, psi)
     t = 12.0 * _symmetrized(q, (0, 1, 2, 3)) - scalar * psi
-    return float(np.max(np.abs(t)))
+    return max_abs(t)
 
 
 def check_weyl_condition_2(psi: np.ndarray, phi: np.ndarray) -> float:
     """max |Φ_{A'B'(C}^G Ψ_{DEF)G}|: the mixed Weyl-Ricci condition
     (Φ's slots are [A, B, A', B'])."""
     t = np.einsum("cgxy,defg->xycdef", raise_slot(phi, 1), psi)
-    return float(np.max(np.abs(_symmetrized(t, (2, 3, 4, 5)))))
+    return max_abs(_symmetrized(t, (2, 3, 4, 5)))
 
 
 def check_ricci_commutator(psi: np.ndarray, phi: np.ndarray,
@@ -142,4 +143,4 @@ def check_ricci_commutator(psi: np.ndarray, phi: np.ndarray,
     t2 = np.einsum("abde,cexy->abcdxy", x, phi)
     t3 = np.einsum("abxe,cdey->abcdxy", fr, phi)
     t4 = np.einsum("abye,cdxe->abcdxy", fr, phi)
-    return float(np.max(np.abs(t1 + t2 + t3 + t4)))
+    return max_abs(t1 + t2 + t3 + t4)

@@ -103,7 +103,7 @@ def _commutator_residual(m: MetricField, point, condition: str, which: str,
             out = d2 - np.swapaxes(d2, 0, 1)
         else:
             raise ValueError(f"unknown method {method!r}")
-        return _report(condition, np.max(np.abs(out)), scale, point, tol)
+        return _report(condition, max_abs(out), scale, point, tol)
     return m.at(point).once(("residual", condition, method, tol), make)
 
 
@@ -132,7 +132,7 @@ def second_order_symmetry_residual(m: MetricField, point,
     """Residual of the unsymmetrized condition ∇_a∇_b R_cdef = 0."""
     c = curvature(m, point)
     d2 = m.evaluate_field(m.nabla_field("riemann", order=2), point)
-    return _report("second_order", np.max(np.abs(d2)), max_abs(c.riemann),
+    return _report("second_order", max_abs(d2), max_abs(c.riemann),
                    point, tol)
 
 
@@ -141,7 +141,7 @@ def locally_symmetric_residual(m: MetricField, point,
     """Residual of ∇_a R_cdef = 0."""
     c = curvature(m, point)
     d1 = m.evaluate_field(m.nabla_field("riemann", order=1), point)
-    return _report("locally_symmetric", np.max(np.abs(d1)),
+    return _report("locally_symmetric", max_abs(d1),
                    max_abs(c.riemann), point, tol)
 
 
@@ -186,7 +186,7 @@ def recurrence_check(m: MetricField, k: NullLeg, partner: NullLeg, point,
     through the partner field ℓ normalised so k·ℓ = 1."""
     nabla_k = k.nabla
     v = np.einsum("b,ab->a", partner.value, nabla_k)
-    resid = np.max(np.abs(nabla_k - np.outer(v, k.lowered)))
+    resid = max_abs(nabla_k - np.outer(v, k.lowered))
     scale = _gradient_scale(m, point, k)
     return RecurrenceResult(v, float(resid), float(scale),
                             verdict_for(resid, scale, tol), tuple(point))
@@ -200,10 +200,10 @@ def decomposability_check(m: MetricField, k: NullLeg, partner: NullLeg,
     grad = np.einsum("ca,b->cab", k.nabla, lv) + \
         np.einsum("a,cb->cab", kv, partner.nabla)
     scale = max(
-        _gradient_scale(m, point, k) * np.max(np.abs(lv)),
-        _gradient_scale(m, point, partner) * np.max(np.abs(kv)),
+        _gradient_scale(m, point, k) * max_abs(lv),
+        _gradient_scale(m, point, partner) * max_abs(kv),
         SCALE_FLOOR)
-    return _report("decomposable", np.max(np.abs(grad)), scale, point, tol)
+    return _report("decomposable", max_abs(grad), scale, point, tol)
 
 
 def constant_null_vector_check(m: MetricField, k: NullLeg, point,
@@ -211,10 +211,10 @@ def constant_null_vector_check(m: MetricField, k: NullLeg, point,
     """Residual of ∇_a k_b = 0 for a null field k (nullity is asserted)."""
     kv_dn, kv_up = k.lowered, k.value
     norm = complex(np.dot(kv_up, kv_dn))
-    null_scale = max(np.max(np.abs(kv_up)) * np.max(np.abs(kv_dn)), SCALE_FLOOR)
+    null_scale = max(max_abs(kv_up) * max_abs(kv_dn), SCALE_FLOOR)
     if abs(norm) > tol * null_scale:
         raise ValueError(
             f"field is not null at {tuple(point)}: k·k = {norm:.3e}")
     scale = _gradient_scale(m, point, k)
-    return _report("constant_null", np.max(np.abs(k.nabla)), scale, point,
+    return _report("constant_null", max_abs(k.nabla), scale, point,
                    tol)

@@ -333,6 +333,35 @@ class TestOneEvaluator:
             assert len(m.arena.nodes) == size, pname
 
 
+class TestOneRunPerPoint:
+    @pytest.mark.parametrize("name, cross", [
+        ("product2x2", False),
+        ("schwarzschild", True),
+    ])
+    def test_a_clean_later_point_runs_the_tape_once(self, monkeypatch,
+                                                     checked_runs, name,
+                                                     cross):
+        # the first field read at the point runs the whole arena; every
+        # later field only gathers its distinct slots
+        m = load_corpus_metric(name)
+        analyze_point(m, "p0", cross_validate=cross)
+        runs = []
+        run = Arena.run
+
+        def recording(self, values, bindings, roots, end):
+            runs.append((len(values), end))
+            return run(self, values, bindings, roots, end)
+
+        monkeypatch.setattr(Arena, "run", recording)
+        for pname in ("p1", "p2"):
+            runs.clear()
+            analyze_point(m, pname, cross_validate=cross)
+            assert runs == [(0, len(m.arena.nodes))], pname
+            ctx = m.at(m.points[pname])
+            assert ctx.clean and len(ctx.values) == len(m.arena.nodes)
+        assert checked_runs["checked"] == 0
+
+
 class TestOneTape:
     def test_each_reachable_node_has_one_slot(self, monkeypatch):
         # Schwarzschild with cross-validation evaluates the most fields

@@ -578,6 +578,88 @@ class TestTapeFallback:
         assert str(got.value) == str(want)
 
 
+def gathered_field(m):
+    """A rank-2 field of 16 components over 5 distinct slots: repeated
+    nodes, ZERO components and negated nodes."""
+    with m.arena:
+        a = parse_expr("t*x - y", m.chart)
+        b = parse_expr("x*y*0.5", m.chart)
+        rows = [[a, neg(a), ZERO, b],
+                [neg(b), a, a, ZERO],
+                [ZERO, ZERO, neg(a), b],
+                [b, neg(b), a, ZERO]]
+    return SymbolicTensor(np.array(rows, dtype=object), ("d", "d"))
+
+
+def reference_field(t, bindings):
+    memo = {}
+    return np.array([complex(reference_evaluate(e, bindings, memo))
+                     for e in t.components.ravel()],
+                    dtype=np.complex128).reshape(t.components.shape)
+
+
+class TestDistinctSlotGather:
+    def test_distinct_slots_in_order_of_first_appearance(self):
+        m = fresh_minkowski()
+        field = gathered_field(m)
+        arena, slots, end, distinct, where = m.place(field)
+        comps = field.components.ravel()
+        assert list(slots) == [e.slot for e in comps]
+        assert distinct == list(dict.fromkeys(slots)) and len(distinct) == 5
+        assert all(any(s is e.slot for e in comps) for s in distinct)
+        assert where.dtype == np.intp and where.shape == (4, 4)
+        assert [distinct[i] for i in where.ravel()] == list(slots)
+
+    def test_gather_equals_the_reference_bytes_at_first_and_later_points(
+            self):
+        # a = t*x - y is +0.0 at the first point, so -a is -0.0; at the
+        # later one b = x*y*0.5 is -0.0 and -b is +0.0
+        m = fresh_minkowski()
+        field = gathered_field(m)
+        for point in ((1.0, 2.0, 2.0, 3.0), (0.5, -1.0, 0.0, 0.0)):
+            got = m.evaluate_field(field, point)
+            want = reference_field(field, m.bindings(point))
+            assert got.dtype == np.complex128 and got.shape == (4, 4)
+            assert got.tobytes() == want.tobytes(), point
+            assert m.evaluate_field(field, list(point)) is got
+        assert signed(got.real.ravel()[[3, 4]]) == [(-0.0, -1.0), (0.0, 1.0)]
+
+
+class TestPerFieldFallback:
+    def test_a_dead_node_out_of_domain_sends_the_point_to_per_field_runs(
+            self, monkeypatch):
+        # log(t - 5) lies between the two fields' slots and is out of
+        # domain at t = 0.  The run over the whole arena meets it, the
+        # field asked for first is recomputed checked, and the other one
+        # then runs its own slots only, all below the dead node
+        m = fresh_minkowski()
+        early = vector(m, ["t + 1", "x*2", "0", "1"])
+        with m.arena:
+            dead = parse_expr("log(t - 5)", m.chart)
+        late = vector(m, ["t*x", "x - 3", "0", "y"])
+        checked = []
+        original = Arena.checked
+
+        def counting(self, *args):
+            checked.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Arena, "checked", counting)
+        point = (0.0, 1.5, 0.0, 0.0)
+        assert list(m.evaluate_field(late, point)) == [0.0, -1.5, 0.0, 0.0]
+        ctx = m.at(point)
+        assert ctx.values == [] and not ctx.clean and len(checked) == 1
+        assert list(m.evaluate_field(early, point)) == [1.0, 3.0, 0.0, 1.0]
+        end = m.place(early)[2]
+        assert len(ctx.values) == end < dead.slot
+        bindings = m.bindings(point)
+        assert ctx.values == [reference_evaluate(e, bindings)
+                              for e in m.arena.nodes[:end]]
+        assert len(checked) == 1 and not ctx.clean
+        with pytest.raises(DomainError, match="log of a non-positive"):
+            evaluate(dead, bindings)
+
+
 class TestTapeBuild:
     def test_deep_expression_builds_without_recursion(self):
         # 3000 chained terms exceed the recursion depth of the reference

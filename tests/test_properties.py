@@ -25,7 +25,10 @@ from the family's formulas alone.  At every point:
     are replaced by a seeded constant Lorentz transformation of them (two
     null rotations, then a boost), written into the metric text;
 (f) the tape gives g, Γ, R^a_bcd, C and ∇R bit for bit as the recursive
-    reference interpreter does, as complex arrays.
+    reference interpreter does, as complex arrays;
+(g) the commutator and direct routes (∇∇R, ∇∇C and ∇∇Ric evaluated)
+    give the three commutator residuals within criterion 8's
+    ``ROUTE_TOL`` of their scale.
 
 The same text rewrites give the verdicts that must not depend on units
 (g → a²g with the legs divided by a) or on which valid tetrad is
@@ -39,8 +42,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from curvlab.analysis import cross_validate_point
 from curvlab.classify import TheoremViolationError, classify_point
-from curvlab.conventions import SCALE_FLOOR
+from curvlab.conventions import RESIDUAL_TOL, SCALE_FLOOR
 from curvlab.geometry import SymbolicTensor, curvature, max_abs
 from curvlab.metricfile import parse_metric_text
 from curvlab.newman_penrose import TetradFrame, adapt_tetrad, null_rotate_frame
@@ -54,6 +58,7 @@ POINTS_PER_METRIC = 6
 DEAD_BAND = "semi-symmetry residual sits inside the dead band"
 BROKEN_SHAPES = ("pattern violated", "two-term null-pair form")
 IDENTITY_TOL = 1e-10
+ROUTE_TOL = 1e-7
 
 
 def num(rng, lo, hi):
@@ -246,6 +251,17 @@ def test_tape_matches_the_reference_interpreter_on_generated_metrics():
                     assert got.dtype == want.dtype, (family, index, name)
                     assert got.tobytes() == want.tobytes(), (
                         family, index, pname, name)
+
+
+def test_commutator_and_direct_routes_agree_on_generated_metrics():
+    for family in sorted(FAMILIES):                                # (g)
+        rng = random.Random(f"{SEED}-{family}")
+        for index in range(METRICS_PER_FAMILY):
+            m = parse_metric_text(FAMILIES[family](rng), f"{family}-{index}")
+            for pname, p in m.points.items():
+                routes = cross_validate_point(m, p, RESIDUAL_TOL)
+                for name, (_, _, rel) in routes.items():
+                    assert rel <= ROUTE_TOL, (family, index, pname, name, rel)
 
 
 # ---------------------------------------------------------------------------
