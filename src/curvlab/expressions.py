@@ -40,13 +40,16 @@ arena keeps one instruction per node as it appends it: its node list is
 its tape.  One list of values in slot order serves every root of the
 arena at one set of bindings: a metric's fields share one arena, and
 each point one value list (``MetricField.evaluate_field``).
-``Arena.run`` extends the list without checks; where that may have met
-a value out of domain, ``Arena.checked`` recomputes what the roots asked
-for read, one checked step at a time, and raises ``DomainError`` naming
-the first sub-expression that is out of domain or overflows, so a dead
-node out of domain raises nothing.  ``evaluate`` checks each step of one
-expression's own nodes, in slot order.  Nothing recurses over the depth
-of an expression.
+``Arena.run`` extends the list without checks, one slot at a time while
+the arena still grows, and once it is settled (a later point's run of
+the whole arena) as numpy batches: one ufunc call per (level, op) group
+of ``neg``, ``+``, ``-``, ``*`` and ``/``, whose results are the same
+bits.  Where that may have met a value out of domain, ``Arena.checked``
+recomputes what the roots asked for read, one checked step at a time,
+and raises ``DomainError`` naming the first sub-expression that is out
+of domain or overflows, so a dead node out of domain raises nothing.
+``evaluate`` checks each step of one expression's own nodes, in slot
+order.  Nothing recurses over the depth of an expression.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ import re
 import weakref
 from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -142,6 +147,13 @@ def _new(kind: str, payload, args: tuple, slot: int) -> Expr:
 _OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
         "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 _CODE = {op: code for code, op in enumerate((*_OPS, *FUNCTIONS), 1)}
+# by op code (neg + - * /), the ops numpy rounds as Python does (each is
+# correctly rounded); its power, sin, exp ... may differ in the last bit
+_UFUNCS = dict(zip(range(1, 6), (np.negative, np.add, np.subtract,
+                                 np.multiply, np.true_divide)))
+# a ufunc group costs about what 20 interpreted slots do, and each of its
+# slots a fifth of one: batching pays where groups average this many
+_GROUP_COST = 32
 
 
 def _leaf(kind: str, v) -> Callable:
@@ -169,22 +181,26 @@ class Arena:
 
     Slot ``i`` holds ``nodes[i]`` and applies ``fns[i]`` to the values at
     slots ``a[i]`` and ``b[i]``, at ``a[i]`` alone (``b[i] == -1``), or to
-    the bindings (a leaf, ``a[i] == -1``).  ``ops`` maps an op node's key
-    to it, ``atoms`` a constant's value or a name's (kind, name), and
-    ``derivs[var]`` a node's slot to its derivative by ``var``.  Slots 0
+    the bindings (a leaf, ``a[i] == -1``); ``code[i]`` is its op code
+    (0 for a leaf).  ``ops`` maps an op node's key to it, ``atoms`` a
+    constant's value or a name's (kind, name), and ``derivs[var]`` a
+    node's slot to its derivative by ``var``.  Slots 0
     and 1 are ``ZERO`` and ``ONE``.  ``a`` and ``b`` are lists that hold
     the argument nodes' own ``slot`` ints, so a run boxes no int.
-    ``with arena:`` makes it the arena the constructors write into, until
-    the block ends."""
+    ``program`` is the end the last clean run reached at the end of the
+    arena, and ``_program`` there.  ``with arena:`` makes it the arena the
+    constructors write into, until the block ends."""
 
-    __slots__ = ("nodes", "fns", "a", "b", "ops", "atoms", "derivs",
-                 "__weakref__")
+    __slots__ = ("nodes", "fns", "a", "b", "code", "program", "ops",
+                 "atoms", "derivs", "__weakref__")
 
     def __init__(self):
         self.nodes: list[Expr] = [ZERO, ONE]
         self.fns: list[Callable] = [_instruction(ZERO), _instruction(ONE)]
         self.a: list[int] = [-1, -1]
         self.b: list[int] = [-1, -1]
+        self.code = bytearray(2)
+        self.program: tuple = (0, None)
         self.ops: dict[int, Expr] = {}
         self.atoms: dict = {0.0: ZERO, 1.0: ONE}
         self.derivs: dict[str, dict[int, Expr]] = {}
@@ -206,13 +222,14 @@ class Arena:
         return s < len(self.nodes) and self.nodes[s] is e
 
     def _append(self, kind: str, payload, args: tuple, fn: Callable,
-                x: int, y: int) -> Expr:
+                x: int, y: int, code: int = 0) -> Expr:
         nodes = self.nodes
         node = _new(kind, payload, args, len(nodes))
         nodes.append(node)
         self.fns.append(fn)
         self.a.append(x)
         self.b.append(y)
+        self.code.append(code)
         return node
 
     def run(self, values: list, bindings: Mapping[str, float],
@@ -221,28 +238,115 @@ class Arena:
         unchecked run of the slots from ``len(values)`` up to ``end``.  If
         that may have met a value out of domain, the roots are recomputed
         checked and the run is dropped: ``values`` stays all in domain,
-        and stops short of ``end``."""
+        and stops short of ``end``.  A run of the slots below an end that
+        a clean run reached before at the end of the arena (a later point
+        of a settled arena) goes through ``_program`` where it pays.  Any
+        other run, such as those that follow a first point's lazy builds,
+        steps through the slots one at a time: a program would serve it
+        once, and cost more to build than it saves."""
         start = len(values)
-        fns, a, b = self.fns, self.a, self.b
-        if start:   # copy the slots to run rather than skip those before
-            fns, a, b = fns[start:end], a[start:end], b[start:end]
-        append = values.append
         try:
-            for fn, x, y in islice(zip(fns, a, b), end):
-                append(fn(values[x], values[y]) if y >= 0
-                       else fn(values[x]) if x >= 0 else fn(bindings))
+            program = None if start else self._program(end)
+            if program:
+                v = self._batched(program, bindings, end)
+                clean = bool(np.isfinite(v).all())
+                if clean:
+                    v = v.tolist()      # drops the array before the copy
+                    values += v
+            else:
+                fns, a, b = self.fns, self.a, self.b
+                if start:   # copy the slots to run, not skip those before
+                    fns, a, b = fns[start:end], a[start:end], b[start:end]
+                append = values.append
+                for fn, x, y in islice(zip(fns, a, b), end):
+                    append(fn(values[x], values[y]) if y >= 0
+                           else fn(values[x]) if x >= 0 else fn(bindings))
+                # one sum sees every new value: an inf, a nan or a complex
+                # anywhere leaves a non-finite or complex total
+                total = sum(values[start:] if start else values, 0.0)
+                clean = type(total) is float and math.isfinite(total)
         except (ArithmeticError, ValueError, TypeError, KeyError):
-            values.extend([math.nan] * (end - len(values)))
-        else:
-            # one sum sees every new value: an inf, a nan or a complex
-            # anywhere leaves a non-finite or complex total
-            total = sum(values[start:] if start else values, 0.0)
-            if type(total) is float and math.isfinite(total):
-                return [values[r] for r in roots]
+            clean = False
+        if clean:
+            if end == len(self.nodes) != self.program[0]:
+                self.program = (end, None)
+            return [values[r] for r in roots]
+        values.extend([math.nan] * (end - len(values)))
         try:
             return self.checked(values, start, bindings, roots)
         finally:
             del values[start:]
+
+    def _program(self, end: int) -> list | None:
+        """The batched program of the slots below ``end``, if a clean run
+        reached ``end`` at the end of the arena: built once, and empty
+        where its ufunc groups would average under ``_GROUP_COST`` slots.
+
+        A slot's level is 0 for a leaf, else one more than its arguments'
+        highest.  The slots are sorted by (level, op code) with radix sorts
+        of the keys' 16-bit halves (an int32 argsort adds 0.3 MB of code),
+        so a level's ufunc groups (codes 1 to 5) are one span.  Per level
+        the program holds the scalar steps (leaves, powers and calls) and
+        its ufunc groups' int32 output, first and second argument slots,
+        which a run copies into an ``intp`` buffer that each group reads
+        through views."""
+        length, program = self.program
+        if end != length or program is not None:
+            return program if end == length else None
+        fns, a, b = self.fns, self.a, self.b
+        level: list[int] = []
+        append = level.append
+        for x, y in islice(zip(a, b), end):
+            append(0 if x < 0 else 1 + (
+                level[x] if y < 0 or level[x] >= level[y] else level[y]))
+        keys = (np.array(level, np.int32) << 5
+                | np.frombuffer(self.code, np.uint8, end))
+        sizes = np.bincount(keys, minlength=(keys.max() | 31) + 1)
+        starts = (np.cumsum(sizes) - sizes).reshape(-1, 32).tolist()
+        sizes = sizes.reshape(-1, 32)
+        count = np.count_nonzero(sizes[:, 1:6])
+        program = []
+        if count and sizes[:, 1:6].sum() >= _GROUP_COST * count:
+            order = np.lexsort(((keys & 0xFFFF).astype(np.uint16),
+                                (keys >> 16).astype(np.uint16)))
+            x, y = np.fromiter(a, np.int32, end), np.fromiter(b, np.int32, end)
+            buffer = np.empty(3 * sizes[:, 1:6].sum(axis=1).max(), np.intp)
+            for size, start in zip(sizes.tolist(), starts):
+                first, n = start[1], sum(size[1:6])
+                out = order[first:first + n]
+
+                def view(k, c):     # group c's slots of argument k (0: out)
+                    return buffer[k * n + start[c] - first:
+                                  k * n + start[c] - first + size[c]]
+
+                program.append((
+                    [(s, fns[s], a[s], b[s]) for s in np.concatenate((
+                        order[start[0]:first],
+                        order[first + n:start[0] + sum(size)])).tolist()],
+                    np.concatenate((out, x[out], y[out]), dtype=np.int32),
+                    buffer[:3 * n],
+                    [(f, view(0, c), view(1, c), view(2, c) if f.nin == 2
+                      else None) for c, f in _UFUNCS.items() if size[c]]))
+        self.program = (end, program)
+        return program
+
+    @staticmethod
+    def _batched(program: list, bindings: Mapping[str, float],
+                 end: int) -> np.ndarray:
+        """The slots below ``end``, unchecked: per level the scalar steps,
+        then one ufunc call per group.  A value out of domain is left
+        non-finite or raises (storing a complex power: ``TypeError``)."""
+        v = np.empty(end)
+        item = v.item
+        with np.errstate(all="ignore"):
+            for steps, index, buffer, groups in program:
+                for s, fn, x, y in steps:
+                    v[s] = (fn(item(x), item(y)) if y >= 0
+                            else fn(item(x)) if x >= 0 else fn(bindings))
+                buffer[...] = index
+                for ufunc, out, x, y in groups:
+                    v[out] = ufunc(v[x]) if y is None else ufunc(v[x], v[y])
+        return v
 
     def checked(self, values: list, clean: int,
                 bindings: Mapping[str, float], roots: Sequence[int]) -> list:
@@ -305,7 +409,8 @@ def _node(kind: str, payload, a: Expr, b: Expr | None = None) -> Expr:
     if node is None:
         node = arena.ops[key] = arena._append(
             kind, payload, (a,) if b is None else (a, b),
-            FUNCTIONS[payload] if kind == "call" else _OPS[kind], x, y)
+            FUNCTIONS[payload] if kind == "call" else _OPS[kind], x, y,
+            key & 31)
     return node
 
 

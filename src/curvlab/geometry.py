@@ -257,8 +257,9 @@ class MetricField:
         """``t`` at ``point`` as a complex array, evaluated once per point
         context from its distinct slots' values (``place``).  ``Arena.run``
         extends the context's value list where it does not reach them: to
-        the end of the arena, so that later fields only read the list, or,
-        once a run at the point met a value out of domain, to ``t``'s."""
+        the end of the arena, so that later fields only read the list (at
+        a later point, one batched run), or, once a run at the point met a
+        value out of domain, to ``t``'s."""
         ctx = self.at(point)
         value = ctx.memo.get(t)
         if value is None:
@@ -514,9 +515,10 @@ class PointContext:
     object, and any other result, read through ``once``, under a tuple of
     its name and inputs (a tetrad as the ``NullTetrad`` object itself).
     ``values`` holds the values of the metric's arena slots, in order and
-    all in domain: the first field read runs the whole arena into it, and
-    while ``clean`` (no run at the point met a value out of domain) later
-    fields only read it.  ``source`` and ``params`` (the parameters'
+    all in domain, as a list of floats, which the interpreter extends and
+    the gathers read (a batched run's array is converted once): the first
+    field read runs the whole arena into it, and while ``clean`` (no run
+    at the point met a value out of domain) later fields only read it.  ``source`` and ``params`` (the parameters'
     objects) let ``MetricField.at`` serve a repeated tuple without
     rebuilding ``key``.  Results are handed out without a copy; callers
     must not modify them.

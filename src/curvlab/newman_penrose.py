@@ -490,7 +490,8 @@ def adapt_weyl(psi, petrov: str, tol: float = RESIDUAL_TOL):
     doubly degenerate type also align l (zeroing Ψ3, Ψ4).
 
     The direction is the mean of the largest cluster of roots of the
-    direction quartic.  A k-fold root spread by rounding moves by about
+    direction quartic; where it lies nearer l than k (|z| > 1, or at
+    infinity), k and l are swapped first.  A k-fold root spread by rounding moves by about
     ε^(1/k) and may break its cluster; when the largest cluster is
     smaller than the type's multiplicity k, the direction is instead
     the root nearest that mean of the quartic's (k-1)-th derivative,
@@ -506,11 +507,14 @@ def adapt_weyl(psi, petrov: str, tol: float = RESIDUAL_TOL):
         return psi, transforms
     # the dominant direction: the first largest cluster of roots
     best = max(_clusters(*pnd_roots(psi)), key=len)
-    if None in best:
-        # dominant direction at infinity: swap k and l to bring it to 0
+    if None in best or abs(complex(np.mean(best))) > 1.0:
+        # it lies nearer l (at infinity) than k: swap them to bring it
+        # near 0, where the roots and the derivative below are accurate,
+        # and take it there: the largest cluster nearest 0
         psi = null_rotate_weyl(psi, 0.0, "reverse")
         transforms.append(("reverse", 0.0))
-        best = max(_clusters(*pnd_roots(psi)), key=len)
+        best = min(_clusters(*pnd_roots(psi)), key=lambda c: (
+            -len(c), max(_chordal(z, 0.0) for z in c)))
 
     center = None if None in best else complex(np.mean(best))
     k = _MULTIPLICITY[petrov]

@@ -95,6 +95,21 @@ def reference_evaluate(e, bindings, memo=None):
     return v
 
 
+def whole_runs(arena, bindings) -> tuple:
+    """The values of every slot of ``arena`` at ``bindings`` from two runs
+    of the whole arena: one stepping through the slots, with no program,
+    then one through the program for its length (built here if need be;
+    it batches only where ``expressions._GROUP_COST`` lets it)."""
+    end = len(arena.nodes)
+    program = arena.program if arena.program[0] == end else (end, None)
+    arena.program = (0, None)
+    interpreted, batched = [], []
+    arena.run(interpreted, bindings, [], end)
+    arena.program = program
+    arena.run(batched, bindings, [], end)
+    return interpreted, batched
+
+
 def reference_symmetrized(arr, slots):
     """A reference for ``spinors._symmetrized``: the transpose loop the
     package used to symmetrize with, adding each permuted copy in

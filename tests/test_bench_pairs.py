@@ -146,6 +146,30 @@ def test_failed_runs_are_printed_and_set_the_exit_status(
 
 
 
+def test_pairs_whose_host_moved_are_printed(monkeypatch, capsys):
+    # the host-loop time of each (side, seed): seed 2's pair ran 20 %
+    # slower on the change's side, seed 3's 15 % faster, seed 4's has
+    # no host-loop time on one side
+    loops = {("P", 1): 0.150, ("C", 1): 0.160, ("P", 2): 0.100,
+             ("C", 2): 0.120, ("P", 3): 0.200, ("C", 3): 0.170,
+             ("P", 4): None, ("C", 4): 0.100}
+
+    def fake_bench(root, workload, seed, seconds, trace):
+        return fake_run() | {"host_loop_s": loops[root, seed]}
+
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    rec = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "corpus",
+                                [1, 2, 3, 4], 40.0,
+                                {"wall_s": ("lower", 0.25)})
+    ratios = [p["host_loop_ratio"] for p in rec["pairs"]]
+    assert ratios[:3] == pytest.approx([0.160 / 0.150, 1.2, 0.85])
+    assert ratios[3] is None
+    assert bench_pairs.report({"workloads": {"corpus": rec}}) == 0
+    out = capsys.readouterr().out
+    assert ("corpus          host loop moved more than 10% in 2/4 pairs: "
+            "seed 2 1.200x, seed 3 0.850x\n") in out
+
+
 def test_both_sides_run_from_fresh_exports(tmp_path, monkeypatch):
     """Neither side runs from the checkout: the parent is a ``git archive``
     export of the revision and the change a copy of the working tree's

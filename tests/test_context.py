@@ -43,6 +43,8 @@ from curvlab.newman_penrose import (
 )
 from curvlab.symmetry import semi_symmetry_residual
 
+from conftest import reference_evaluate
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -360,6 +362,74 @@ class TestOneRunPerPoint:
             ctx = m.at(m.points[pname])
             assert ctx.clean and len(ctx.values) == len(m.arena.nodes)
         assert checked_runs["checked"] == 0
+
+
+@pytest.fixture
+def programs_built(monkeypatch):
+    """The end of every batched program an arena builds."""
+    built = []
+    original = Arena._program
+
+    def recording(self, end):
+        before = self.program
+        program = original(self, end)
+        if self.program is not before:
+            built.append(end)
+        return program
+
+    monkeypatch.setattr(Arena, "_program", recording)
+    return built
+
+
+class TestProgramBuilds:
+    @pytest.mark.parametrize("name, cross, count", [
+        ("schwarzschild", True, 5),
+        ("product2x2", False, 10),
+    ])
+    def test_none_at_the_first_point_then_one_per_length(
+            self, monkeypatch, programs_built, name, cross, count):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        text = workloads.corpus_text(ROOT / "src", name)
+        if name == "product2x2":
+            text = workloads.with_points(text, workloads.grid_points(1, count))
+        m = metricfile.parse_metric_text(text, name)
+        names = sorted(m.points)
+        assert len(names) == count
+        m.weyl_field()      # so that the first run meets a length never run
+        programs_built.clear()      # parsing checked g at every point
+        analyze_point(m, names[0], cross_validate=cross)
+        assert programs_built == []
+        for pname in names[1:]:
+            analyze_point(m, pname, cross_validate=cross)
+        assert programs_built == [len(m.arena.nodes)]
+
+    def test_an_arena_that_grows_builds_again_and_stays_bit_identical(
+            self, programs_built):
+        # a field placed after the program was built joins the tape; the
+        # next point's whole run builds a program for the longer arena
+        m = load_corpus_metric("schwarzschild")
+        programs_built.clear()
+        for pname in ("p0", "p1"):
+            analyze_point(m, pname)
+        before = len(m.arena.nodes)
+        assert programs_built == [before] and m.arena.program[1]
+        with m.arena:
+            comps = [parse_expr(text, m.chart) for text in
+                     ("t*r - theta", "sin(theta)*r^3", "r/(r - 1)", "phi")]
+        field = SymbolicTensor(np.array(comps, dtype=object), ("u",))
+        for pname in ("p2", "p3"):
+            analyze_point(m, pname)
+            m.evaluate_field(field, m.points[pname])
+        after = len(m.arena.nodes)
+        assert after > before and programs_built == [before, after]
+        point = m.points["p3"]
+        bindings, memo = m.bindings(point), {}
+        want = [reference_evaluate(e, bindings, memo) for e in m.arena.nodes]
+        values = m.at(point).values
+        assert np.array(values).tobytes() == np.array(want).tobytes()
+        assert m.arena.program[1]
 
 
 class TestOneTape:

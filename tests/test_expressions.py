@@ -10,6 +10,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvlab import expressions
+from curvlab.analysis import analyze_point
 from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
 from curvlab.expressions import (
     FUNCTIONS,
@@ -38,7 +40,7 @@ from curvlab.expressions import (
 )
 from curvlab.geometry import MetricField, SymbolicTensor
 
-from conftest import metric_from_strings, reference_evaluate
+from conftest import metric_from_strings, reference_evaluate, whole_runs
 
 CHART = ("t", "r", "theta", "phi")
 PARAMS = ("M", "a")
@@ -658,6 +660,87 @@ class TestPerFieldFallback:
         assert len(checked) == 1 and not ctx.clean
         with pytest.raises(DomainError, match="log of a non-positive"):
             evaluate(dead, bindings)
+
+
+def float_bytes(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+# (components of a field, its first good t, its second good t, the bad
+# t): a / group with a zero divisor, log of a negative value, a power
+# that turns complex and an overflowing product
+BATCHED_FAILURES = {
+    "division by zero": (["1/(t - 1)", "x/(t - 1)", "t + 1", "0"],
+                         2.0, 3.0, 1.0),
+    "log of a negative value": (["log(t)", "t*x", "t + 1", "0"],
+                                2.0, 3.0, -1.0),
+    "complex power": (["t^0.5", "t*x", "t + 1", "0"], 2.0, 3.0, -4.0),
+    "overflowing product": (["t*x*1e300", "t*x", "t + 1", "0"],
+                            2.0, 3.0, 1e10),
+}
+
+
+class TestBatchedRun:
+    """A settled arena's whole run, as numpy batches, gives every slot
+    the interpreter's float64 bytes, and fails where the interpreter
+    fails, with the same error, fallback and checked calls."""
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_every_slot_is_the_interpreters_on_the_corpus(self, monkeypatch,
+                                                          name):
+        monkeypatch.setattr(expressions, "_GROUP_COST", 0)  # batch them all
+        m = load_corpus_metric(name)
+        analyze_point(m, min(m.points), cross_validate=True)
+        for pname, point in sorted(m.points.items()):
+            interpreted, batched = whole_runs(m.arena, m.bindings(point))
+            assert len(batched) == len(m.arena.nodes), pname
+            assert float_bytes(batched) == float_bytes(interpreted), pname
+        assert m.arena.program[1] or name == "minkowski"  # no ufunc there
+
+    @pytest.mark.parametrize("name, batched", [
+        ("schwarzschild", True), ("ppwave_linear", False)])
+    def test_only_a_program_whose_groups_pay_is_batched(self, name,
+                                                        batched):
+        # 22,074 slots in ufunc groups of 86 on average against 231 in
+        # groups of 4: calling a ufunc per group pays only on the first
+        m = load_corpus_metric(name)
+        for pname in ("p0", "p1"):
+            analyze_point(m, pname, cross_validate=True)
+        assert m.arena.program[0] == len(m.arena.nodes)
+        assert bool(m.arena.program[1]) is batched
+
+    @pytest.mark.parametrize("case", sorted(BATCHED_FAILURES))
+    def test_failures_are_the_interpreters(self, monkeypatch, case):
+        texts, first, second, bad = BATCHED_FAILURES[case]
+        seen, checked = {}, []
+        original = Arena.checked
+
+        def counting(self, *args):
+            checked.append(args[1])
+            return original(self, *args)
+
+        monkeypatch.setattr(Arena, "checked", counting)
+        for cost in (0, math.inf):          # batched, then interpreted
+            monkeypatch.setattr(expressions, "_GROUP_COST", cost)
+            m = fresh_minkowski()
+            field = vector(m, texts)
+            late = vector(m, ["t*x - 2", "x + 2", "0", "1"])
+            for t in (first, second):
+                for f in (field, late):
+                    m.evaluate_field(f, (t, 1.5, 0.0, 0.0))
+            assert bool(m.arena.program[1]) is (cost == 0)
+            checked.clear()
+            point = (bad, 1.5, 0.0, 0.0)
+            with pytest.raises(DomainError) as raised:
+                m.evaluate_field(field, point)
+            want = reference_error(field.components[0], m.bindings(point))
+            assert str(raised.value) == str(want)
+            got = m.evaluate_field(late, point)       # the per-field run
+            ctx = m.at(point)
+            seen[cost] = (str(raised.value), got.tobytes(), ctx.clean,
+                          float_bytes(ctx.values), len(checked))
+        assert seen[0] == seen[math.inf]
+        assert seen[0][2:] == (False, float_bytes([]), 2)
 
 
 class TestTapeBuild:

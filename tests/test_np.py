@@ -695,18 +695,20 @@ SPREAD_BASE = {"N": ([0, 0, 0, 0, 1.0], [0, 1, 2, 3]),
                "II": ([0, 0, 1.0, 0, 1.0], [0, 1, 3])}
 
 
-def spread_pattern_holds(petrov, eps, draws=200, tol=1e-9):
-    """Per seeded draw: the base Ψ of ``petrov`` plus eps·(complex normal
-    noise), null-rotated about k by a complex normal parameter.  Returns
-    the types the invariant chain gives and, for the draws typed
-    ``petrov``, whether the adapted Ψ zeroes its pattern to tol·max|Ψ|."""
-    base, zero = SPREAD_BASE[petrov]
+def spread_pattern_holds(petrov, eps, draws=200, tol=1e-9, base=None,
+                         about="about-k"):
+    """Per seeded draw: the base Ψ of ``petrov`` (or ``base``) plus
+    eps·(complex normal noise), null-rotated ``about`` k (or l) by a
+    complex normal parameter.  Returns the types the invariant chain gives
+    and, for the draws typed ``petrov``, whether the adapted Ψ zeroes its
+    pattern to tol·max|Ψ|."""
+    default, zero = SPREAD_BASE[petrov]
     rng = np.random.default_rng(0)
     types, held = [], []
     for _ in range(draws):
-        psi = np.array(base, dtype=complex) + eps * (
+        psi = np.array(base or default, dtype=complex) + eps * (
             rng.normal(size=5) + 1j * rng.normal(size=5))
-        psi = null_rotate_weyl(psi, complex(*rng.normal(size=2)), "about-k")
+        psi = null_rotate_weyl(psi, complex(*rng.normal(size=2)), about)
         types.append(petrov_classify(psi, tol))
         if types[-1] == petrov:
             adapted, _ = adapt_weyl(psi, petrov, tol)
@@ -724,6 +726,16 @@ class TestRoundingSpreadRoots:
     @pytest.mark.parametrize("eps", [1e-12, 1e-11])
     def test_type_n_keeps_its_radiation_pattern(self, eps):
         types, held = spread_pattern_holds("N", eps)
+        assert types == ["N"] * 200
+        assert held == [True] * 200
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-11])
+    def test_type_n_along_l_keeps_its_radiation_pattern(self, eps):
+        # the repeated direction is l, the root at infinity: spread, its
+        # roots are large finite numbers in no large cluster, and the
+        # frame is reversed because they lie nearer l than k
+        types, held = spread_pattern_holds("N", eps, base=[1.0, 0, 0, 0, 0],
+                                           about="about-l")
         assert types == ["N"] * 200
         assert held == [True] * 200
 

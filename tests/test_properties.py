@@ -28,7 +28,12 @@ from the family's formulas alone.  At every point:
     reference interpreter does, as complex arrays;
 (g) the commutator and direct routes (∇∇R, ∇∇C and ∇∇Ric evaluated)
     give the three commutator residuals within criterion 8's
-    ``ROUTE_TOL`` of their scale.
+    ``ROUTE_TOL`` of their scale;
+(h) the batched run of each whole cross-validated arena gives every
+    slot the interpreter's float64 bytes;
+(i) R, I and J agree, and the type and the branch are equal, when the
+    chart's coordinates are relabelled (g, the legs and the points
+    permuted alike).
 
 The same text rewrites give the verdicts that must not depend on units
 (g → a²g with the legs divided by a) or on which valid tetrad is
@@ -42,15 +47,23 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from curvlab import expressions
 from curvlab.analysis import cross_validate_point
 from curvlab.classify import TheoremViolationError, classify_point
 from curvlab.conventions import RESIDUAL_TOL, SCALE_FLOOR
 from curvlab.geometry import SymbolicTensor, curvature, max_abs
 from curvlab.metricfile import parse_metric_text
-from curvlab.newman_penrose import TetradFrame, adapt_tetrad, null_rotate_frame
+from curvlab.newman_penrose import (
+    TetradFrame,
+    adapt_tetrad,
+    np_scalars,
+    null_rotate_frame,
+    tetrad_frame,
+    weyl_invariants,
+)
 from curvlab.symmetry import conformal_semi_symmetry_residual
 
-from conftest import reference_evaluate
+from conftest import reference_evaluate, whole_runs
 
 SEED = 14
 METRICS_PER_FAMILY = 12
@@ -59,6 +72,7 @@ DEAD_BAND = "semi-symmetry residual sits inside the dead band"
 BROKEN_SHAPES = ("pattern violated", "two-term null-pair form")
 IDENTITY_TOL = 1e-10
 ROUTE_TOL = 1e-7
+INVARIANT_TOL = 1e-10
 
 
 def num(rng, lo, hi):
@@ -271,6 +285,25 @@ def test_commutator_and_direct_routes_agree_on_generated_metrics():
 LEGS = ("k", "l", "m_re", "m_im")
 
 
+def test_batched_runs_are_the_interpreters_on_generated_metrics(
+        monkeypatch):
+    # (h): every slot of each cross-validated arena, batched, has the
+    # interpreter's float64 bytes at every point
+    monkeypatch.setattr(expressions, "_GROUP_COST", 0)     # batch them all
+    for family in sorted(FAMILIES):
+        rng = random.Random(f"{SEED}-{family}")
+        for index in range(METRICS_PER_FAMILY):
+            m = parse_metric_text(FAMILIES[family](rng), f"{family}-{index}")
+            cross_validate_point(m, m.points["p0"], RESIDUAL_TOL)
+            for pname, p in m.points.items():
+                interpreted, batched = whole_runs(m.arena, m.bindings(p))
+                assert len(batched) == len(m.arena.nodes)
+                assert np.array(batched).tobytes() == np.array(
+                    interpreted).tobytes(), (family, index, pname)
+            ufunc_slots = any(0 < code <= 5 for code in m.arena.code)
+            assert bool(m.arena.program[1]) is ufunc_slots, (family, index)
+
+
 def corpus_text(name: str) -> str:
     return (resources.files("curvlab") / "corpus_data"
             / f"{name}.ini").read_text(encoding="utf-8")
@@ -352,6 +385,57 @@ def seeded_lorentz(rng) -> list:
 # of 100·tol, and the type reads III (TheoremViolationError) at all six
 # points, while the roots of the direction quartic cluster as [2, 2].
 FRAME_DEPENDENT_TYPE = {("product_2x2", 6)}
+
+
+def relabelled(text: str, perm: list) -> str:
+    """``metric_text``'s ``text`` in the chart whose coordinate i is the
+    old coordinate ``perm[i]``: g, the legs' components and the points
+    permuted alike."""
+    entries = dict(line.split(" = ", 1) for line in text.splitlines()
+                   if " = " in line)
+    coords = entries["coords"].split(", ")
+    g = [entries["g{}{}".format(*sorted((perm[a], perm[b])))]
+         for a in range(4) for b in range(a, 4)]
+    tetrad = [[entries[leg].split(", ")[i] for i in perm]
+              for leg in ("k", "l", "m_re", "m_im")]
+    points = [[float(entries[f"p{n}"].split(", ")[i]) for i in perm]
+              for n in range(POINTS_PER_METRIC)]
+    return metric_text([coords[i] for i in perm], g, tetrad, points)
+
+
+def invariants(m, p) -> tuple:
+    """R, I and J at ``p`` in the declared frame, and the scale of its
+    curvature scalars (the largest of |Ψ|, |Φ| and |R|)."""
+    data = np_scalars(curvature(m, p), tetrad_frame(m, m.tetrad, p))
+    weyl = weyl_invariants(data.psi)
+    return data.scalar, weyl["I"], weyl["J"], data.scale()
+
+
+def test_relabelled_coordinates_keep_invariants_type_and_branch():
+    # R, I and J agree to INVARIANT_TOL of the scale to their weights
+    # (1, 2 and 3); the type and the branch are equal
+    for family in sorted(FAMILIES):
+        rng = random.Random(f"{SEED}-{family}")
+        chart = random.Random(f"{SEED}-{family}-chart")
+        for index in range(METRICS_PER_FAMILY):
+            text = FAMILIES[family](rng)
+            perm = chart.sample(range(4), 4)
+            while perm == sorted(perm):
+                perm = chart.sample(range(4), 4)
+            m = parse_metric_text(text, f"{family}-{index}")
+            moved = parse_metric_text(relabelled(text, perm),
+                                      f"{family}-{index}-relabelled")
+            for pname, p in sorted(m.points.items()):
+                q = [p[i] for i in perm]
+                where = (family, index, pname, perm)
+                *base, scale = invariants(m, p)
+                *got, _ = invariants(moved, q)
+                for weight, (x, y) in enumerate(zip(base, got), 1):
+                    assert abs(x - y) <= INVARIANT_TOL * scale ** weight, (
+                        where, weight, x, y)
+                want, report = classify_point(m, p), classify_point(moved, q)
+                assert (report.petrov, report.branch) == (want.petrov,
+                                                          want.branch), where
 
 
 def test_lorentz_transformed_tetrads_keep_type_and_branch():

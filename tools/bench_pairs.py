@@ -18,15 +18,19 @@ machine.
 
 The record holds every run's gated metrics (those ``BENCHMARK.json``
 lists), its report digest, host-loop time, operations attempted and
-failed, and exit code; per pair whether the two sides' digests match;
-and per metric each side's
+failed, and exit code; per pair whether the two sides' digests match
+and the host-loop ratio (the change's host-loop time over the parent's:
+how far the host itself moved between the two runs); and per metric each
+side's
 median and quartiles, the pairs each side won (ties count for neither),
 whether a gain would count (at least ten pairs, the change wins at least
 nine tenths of them, and the medians differ, in the better direction, by
 more than the parent's interquartile range), and a regression verdict
 against the metric's ``BENCHMARK.json`` bound (see ``regression``).
-The summary prints each side's failed/attempted operations per workload,
-and the tool exits 1 when any run failed an operation or exited nonzero.
+The summary prints each side's failed/attempted operations per workload
+and the pairs whose host-loop ratio lies more than ``HOST_SPREAD`` from
+1, whose metrics compare two hosts as much as two programs; the tool
+exits 1 when any run failed an operation or exited nonzero.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 3600
 MIN_PAIRS = 10              # fewer pairs support no claim of a gain
+HOST_SPREAD = 0.1           # a pair's host loop moved by more than this
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -169,6 +174,9 @@ def run_pairs(sides: dict, workload: str, seeds: list[int], seconds: float,
                              pair[side]["metrics"].items()), flush=True)
         pair["digests_match"] = \
             pair["parent"]["digest"] == pair["change"]["digest"]
+        base, moved = (pair[side].get("host_loop_s")
+                       for side in ("parent", "change"))
+        pair["host_loop_ratio"] = moved / base if base and moved else None
         pairs.append(pair)
     traced = {side: bench(sides[side], workload, seeds[0], seconds, 1)
               for side in ("parent", "change")}
@@ -208,6 +216,12 @@ def report(record: dict) -> int:
                 status = 1
         matched = sum(p["digests_match"] for p in rec["pairs"])
         print(f"{w:<15} digests match in {matched}/{len(rec['pairs'])} pairs")
+        moved = [f"seed {p['seed']} {p['host_loop_ratio']:.3f}x"
+                 for p in rec["pairs"] if p["host_loop_ratio"] is not None
+                 and abs(p["host_loop_ratio"] - 1.0) > HOST_SPREAD]
+        print(f"{w:<15} host loop moved more than {HOST_SPREAD:.0%} in "
+              f"{len(moved)}/{len(rec['pairs'])} pairs"
+              + (": " + ", ".join(moved) if moved else ""))
         for name, s in rec["summary"].items():
             print(f"{w:<15} {name:<14} parent {s['parent']['median']:.5g} "
                   f"change {s['change']['median']:.5g} "
