@@ -100,8 +100,7 @@ def _load(path: str):
 
 def _cmd_analyze(args) -> int:
     m = _load(args.file)
-    point = args.point if args.point else None
-    reports = run_analysis(m, tol=args.tol, seed=args.seed, point=point,
+    reports = run_analysis(m, tol=args.tol, seed=args.seed, point=args.point,
                            cross_validate=args.cross_validate)
     if args.json:
         sys.stdout.write(reports_to_json(reports, args.tol, args.seed))

@@ -37,17 +37,18 @@ threads must serialise the calls.
 Evaluation runs straight-line code.  A node is made after its
 arguments, so an arena's creation order is a topological order, and the
 arena keeps one instruction per node as it appends it: its node list is
-its tape.  One list of values in slot order serves every root of the
-arena at one set of bindings: a metric's fields share one arena, and
-each point one value list (``MetricField.evaluate_field``).
-``Arena.run`` extends the list without checks, one slot at a time while
-the arena still grows, and once it is settled (a later point's run of
-the whole arena) as numpy batches: one ufunc call per (level, op) group
-of ``neg``, ``+``, ``-``, ``*`` and ``/``, whose results are the same
-bits.  Where that may have met a value out of domain, ``Arena.checked``
-recomputes what the roots asked for read, one checked step at a time,
-and raises ``DomainError`` naming the first sub-expression that is out
-of domain or overflows, so a dead node out of domain raises nothing.
+its tape.  One float array of values in slot order serves every root
+of the arena at one set of bindings: a metric's fields share one arena,
+each point one value array, and each field is one gather from it
+(``MetricField.evaluate_field``).  ``Arena.run`` computes the slots the
+array does not reach yet, without checks: one slot at a time while the
+arena still grows, and once it is settled (a later point's run of the
+whole arena) as numpy batches, one ufunc call per (level, op) group of
+``neg``, ``+``, ``-``, ``*`` and ``/``, whose results are the same bits.
+Where a new value is not finite, ``Arena.checked`` recomputes what the
+roots asked for read, one checked step at a time, and raises
+``DomainError`` naming the first sub-expression that is out of domain
+or overflows, so a dead node out of domain raises nothing.
 ``evaluate`` checks each step of one expression's own nodes, in slot
 order.  Nothing recurses over the depth of an expression.
 """
@@ -59,7 +60,7 @@ import operator
 import re
 import weakref
 from itertools import islice
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -151,9 +152,6 @@ _CODE = {op: code for code, op in enumerate((*_OPS, *FUNCTIONS), 1)}
 # correctly rounded); its power, sin, exp ... may differ in the last bit
 _UFUNCS = dict(zip(range(1, 6), (np.negative, np.add, np.subtract,
                                  np.multiply, np.true_divide)))
-# a ufunc group costs about what 20 interpreted slots do, and each of its
-# slots a fifth of one: batching pays where groups average this many
-_GROUP_COST = 32
 
 
 def _leaf(kind: str, v) -> Callable:
@@ -184,12 +182,13 @@ class Arena:
     the bindings (a leaf, ``a[i] == -1``); ``code[i]`` is its op code
     (0 for a leaf).  ``ops`` maps an op node's key to it, ``atoms`` a
     constant's value or a name's (kind, name), and ``derivs[var]`` a
-    node's slot to its derivative by ``var``.  Slots 0
-    and 1 are ``ZERO`` and ``ONE``.  ``a`` and ``b`` are lists that hold
-    the argument nodes' own ``slot`` ints, so a run boxes no int.
-    ``program`` is the end the last clean run reached at the end of the
-    arena, and ``_program`` there.  ``with arena:`` makes it the arena the
-    constructors write into, until the block ends."""
+    node's slot to its derivative by ``var``.  Slots 0 and 1 are ``ZERO``
+    and ``ONE``.  ``a`` and ``b`` are lists that hold the argument nodes'
+    own ``slot`` ints, so a run boxes no int.  ``program`` is the end the
+    last clean run reached at the end of the arena, and the batched
+    program of the slots below it, built by the next run that reaches that
+    end again (``_program``; ``None`` until then).  ``with arena:`` makes
+    it the arena the constructors write into, until the block ends."""
 
     __slots__ = ("nodes", "fns", "a", "b", "code", "program", "ops",
                  "atoms", "derivs", "__weakref__")
@@ -232,55 +231,49 @@ class Arena:
         self.code.append(code)
         return node
 
-    def run(self, values: list, bindings: Mapping[str, float],
-            roots: Sequence[int], end: int) -> list:
-        """The values at the slots ``roots``, all below ``end``, after an
-        unchecked run of the slots from ``len(values)`` up to ``end``.  If
-        that may have met a value out of domain, the roots are recomputed
-        checked and the run is dropped: ``values`` stays all in domain,
-        and stops short of ``end``.  A run of the slots below an end that
-        a clean run reached before at the end of the arena (a later point
-        of a settled arena) goes through ``_program`` where it pays.  Any
-        other run, such as those that follow a first point's lazy builds,
-        steps through the slots one at a time: a program would serve it
-        once, and cost more to build than it saves."""
+    def run(self, values: np.ndarray, bindings: Mapping[str, float],
+            roots, end: int) -> tuple[np.ndarray, bool]:
+        """The slots below ``end`` as one float array, and whether the run
+        was clean: an unchecked run of the slots from ``len(values)`` up
+        (``values`` holds those below) that left every value finite.  A run
+        of the slots below an end that a clean run reached before at the
+        end of the arena (a later point of a settled arena) goes through
+        ``_program``.  Any other run, such as those that follow a first
+        point's lazy builds, steps through the slots one at a time: a
+        program would serve it once.  A run that is not clean is dropped:
+        the slots ``roots`` read are recomputed checked in a copy of
+        ``values`` padded with nan (``checked``), which is returned
+        instead, or the first of them out of domain raises."""
         start = len(values)
         try:
             program = None if start else self._program(end)
             if program:
                 v = self._batched(program, bindings, end)
-                clean = bool(np.isfinite(v).all())
-                if clean:
-                    v = v.tolist()      # drops the array before the copy
-                    values += v
             else:
+                vals = values.tolist()
                 fns, a, b = self.fns, self.a, self.b
                 if start:   # copy the slots to run, not skip those before
                     fns, a, b = fns[start:end], a[start:end], b[start:end]
-                append = values.append
+                append = vals.append
                 for fn, x, y in islice(zip(fns, a, b), end):
-                    append(fn(values[x], values[y]) if y >= 0
-                           else fn(values[x]) if x >= 0 else fn(bindings))
-                # one sum sees every new value: an inf, a nan or a complex
-                # anywhere leaves a non-finite or complex total
-                total = sum(values[start:] if start else values, 0.0)
-                clean = type(total) is float and math.isfinite(total)
+                    append(fn(vals[x], vals[y]) if y >= 0
+                           else fn(vals[x]) if x >= 0 else fn(bindings))
+                # a complex power raises TypeError here
+                v = np.concatenate((values, np.array(vals[start:], float)))
+            clean = bool(np.isfinite(v).all())
         except (ArithmeticError, ValueError, TypeError, KeyError):
             clean = False
         if clean:
             if end == len(self.nodes) != self.program[0]:
                 self.program = (end, None)
-            return [values[r] for r in roots]
-        values.extend([math.nan] * (end - len(values)))
-        try:
-            return self.checked(values, start, bindings, roots)
-        finally:
-            del values[start:]
+            return v, True
+        scratch = values.tolist() + [math.nan] * (end - start)
+        return np.array(self.checked(scratch, start, bindings, roots)), False
 
     def _program(self, end: int) -> list | None:
         """The batched program of the slots below ``end``, if a clean run
         reached ``end`` at the end of the arena: built once, and empty
-        where its ufunc groups would average under ``_GROUP_COST`` slots.
+        where no slot is a ufunc's (``run`` then steps through the slots).
 
         A slot's level is 0 for a leaf, else one more than its arguments'
         highest.  The slots are sorted by (level, op code) with radix sorts
@@ -304,9 +297,8 @@ class Arena:
         sizes = np.bincount(keys, minlength=(keys.max() | 31) + 1)
         starts = (np.cumsum(sizes) - sizes).reshape(-1, 32).tolist()
         sizes = sizes.reshape(-1, 32)
-        count = np.count_nonzero(sizes[:, 1:6])
         program = []
-        if count and sizes[:, 1:6].sum() >= _GROUP_COST * count:
+        if sizes[:, 1:6].any():
             order = np.lexsort(((keys & 0xFFFF).astype(np.uint16),
                                 (keys >> 16).astype(np.uint16)))
             x, y = np.fromiter(a, np.int32, end), np.fromiter(b, np.int32, end)
@@ -349,11 +341,13 @@ class Arena:
         return v
 
     def checked(self, values: list, clean: int,
-                bindings: Mapping[str, float], roots: Sequence[int]) -> list:
-        """The values at the slots ``roots``, recomputed in ``values`` from
-        those below ``clean`` (``_recompute``)."""
-        _recompute([self.nodes[r] for r in roots], values, clean, bindings)
-        return [values[r] for r in roots]
+                bindings: Mapping[str, float], roots) -> list:
+        """``values``, with every slot the slots ``roots`` (an array or
+        sequence of ints) read recomputed from those below ``clean``
+        (``_recompute``)."""
+        _recompute([self.nodes[r] for r in np.ravel(roots).tolist()],
+                   values, clean, bindings)
+        return values
 
 
 # the open arena, and the ones to reopen as ``with`` blocks end
@@ -864,17 +858,3 @@ def to_string(e: Expr) -> str:
             stack.extend(reversed(_pieces(*item)))
     return "".join(out)
 
-
-def free_names(e: Expr) -> set[str]:
-    """The coordinate and parameter names ``e`` reads, each node once."""
-    out: set[str] = set()
-    seen: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            if node.kind in ("coord", "param"):
-                out.add(node.payload)
-            stack.extend(node.args)
-    return out

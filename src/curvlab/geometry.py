@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,9 +231,8 @@ class MetricField:
 
     def place(self, t: SymbolicTensor) -> tuple:
         """``t.slots``, read off the components once: the metric's arena,
-        the components' slots there, one past the last, the distinct slots
-        (the nodes' own ints, by first appearance) and an ``np.intp`` array
-        of the field's shape indexing them.  A component of another arena
+        an ``np.intp`` array of the field's shape holding the components'
+        slots there, and one past the last.  A component of another arena
         raises ``ExprError``: its slot names another node."""
         arena = self.arena
         if t.slots is None or t.slots[0] is not arena:
@@ -246,34 +244,31 @@ class MetricField:
                     map(operator.is_, map(nodes.__getitem__, slots), comps)):
                 raise ExprError(f"a field of metric '{self.name}' holds an "
                                 "expression of another arena")
-            distinct = list(dict.fromkeys(slots))
-            index = dict(zip(distinct, range(len(distinct))))
-            where = np.fromiter(map(index.__getitem__, slots), np.intp,
-                                len(slots)).reshape(t.components.shape)
-            t.slots = (arena, array("i", slots), end, distinct, where)
+            t.slots = (arena, np.array(slots, np.intp).reshape(
+                t.components.shape), end)
         return t.slots
 
     def evaluate_field(self, t: SymbolicTensor, point) -> np.ndarray:
         """``t`` at ``point`` as a complex array, evaluated once per point
-        context from its distinct slots' values (``place``).  ``Arena.run``
-        extends the context's value list where it does not reach them: to
-        the end of the arena, so that later fields only read the list (at
-        a later point, one batched run), or, once a run at the point met a
-        value out of domain, to ``t``'s."""
+        context: one gather of its slots' values (``place``).  Where the
+        context's values do not reach them, ``Arena.run`` runs the arena on:
+        to its end, so that later fields only gather (at a later point, one
+        batched run), or, once a run at the point met a value out of
+        domain, to ``t``'s end."""
         ctx = self.at(point)
         value = ctx.memo.get(t)
         if value is None:
-            arena, _, end, distinct, where = self.place(t)
+            arena, slots, end = self.place(t)
             values = ctx.values
             if len(values) < end:
-                vals = arena.run(values, ctx.bindings, distinct,
-                                 len(arena.nodes) if ctx.clean else end)
-                ctx.clean = ctx.clean and len(values) >= end
-            else:
-                vals = [values[s] for s in distinct]
+                values, clean = arena.run(
+                    values, ctx.bindings, slots,
+                    len(arena.nodes) if ctx.clean else end)
+                if clean:
+                    ctx.values = values
+                ctx.clean = ctx.clean and clean
             # a 0-d index gives a scalar: asarray keeps rank 0 an array
-            value = ctx.memo[t] = np.asarray(
-                np.array(vals, dtype=complex)[where])
+            value = ctx.memo[t] = np.asarray(values[slots], dtype=complex)
         return value
 
     # -- symbolic pipeline --------------------------------------------------
@@ -515,13 +510,13 @@ class PointContext:
     object, and any other result, read through ``once``, under a tuple of
     its name and inputs (a tetrad as the ``NullTetrad`` object itself).
     ``values`` holds the values of the metric's arena slots, in order and
-    all in domain, as a list of floats, which the interpreter extends and
-    the gathers read (a batched run's array is converted once): the first
-    field read runs the whole arena into it, and while ``clean`` (no run
-    at the point met a value out of domain) later fields only read it.  ``source`` and ``params`` (the parameters'
-    objects) let ``MetricField.at`` serve a repeated tuple without
-    rebuilding ``key``.  Results are handed out without a copy; callers
-    must not modify them.
+    all in domain, as one float64 array, which each ``Arena.run`` at the
+    point replaces with a longer one and each field gathers from: the
+    first field read runs the whole arena, and while ``clean`` (no run at
+    the point met a value out of domain) later fields only gather.
+    ``source`` and ``params`` (the parameters' objects) let
+    ``MetricField.at`` serve a repeated tuple without rebuilding ``key``.
+    Results are handed out without a copy; callers must not modify them.
     """
 
     point: tuple
@@ -529,7 +524,7 @@ class PointContext:
     key: tuple
     source: tuple | None = None
     params: tuple = ()
-    values: list = field(default_factory=list)
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
     clean: bool = True
     memo: dict = field(default_factory=dict)
 

@@ -99,14 +99,13 @@ def whole_runs(arena, bindings) -> tuple:
     """The values of every slot of ``arena`` at ``bindings`` from two runs
     of the whole arena: one stepping through the slots, with no program,
     then one through the program for its length (built here if need be;
-    it batches only where ``expressions._GROUP_COST`` lets it)."""
+    an arena with no ufunc slot has an empty one, and steps again)."""
     end = len(arena.nodes)
     program = arena.program if arena.program[0] == end else (end, None)
     arena.program = (0, None)
-    interpreted, batched = [], []
-    arena.run(interpreted, bindings, [], end)
+    interpreted, _ = arena.run(np.empty(0), bindings, [], end)
     arena.program = program
-    arena.run(batched, bindings, [], end)
+    batched, _ = arena.run(np.empty(0), bindings, [], end)
     return interpreted, batched
 
 

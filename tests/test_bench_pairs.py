@@ -16,6 +16,23 @@ _SPEC.loader.exec_module(bench_pairs)
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("11-13,20") == [11, 12, 13, 20]
     assert bench_pairs.parse_seeds("5") == [5]
+    for text in ("20-11", "1,20-11", ""):
+        with pytest.raises((bench_pairs.argparse.ArgumentTypeError,
+                            ValueError)):
+            bench_pairs.parse_seeds(text)
+
+
+def test_a_reversed_seed_range_exits_before_any_export(monkeypatch, capsys):
+    def export_sides(*args):
+        raise AssertionError("exported")
+
+    monkeypatch.setattr(bench_pairs, "export_sides", export_sides)
+    with pytest.raises(SystemExit) as done:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "corpus",
+                          "--seeds", "20-11", "--seconds", "1",
+                          "--out", "unused.json"])
+    assert done.value.code == 2
+    assert "empty seed range '20-11'" in capsys.readouterr().err
 
 
 def test_quartiles_inclusive():

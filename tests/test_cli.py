@@ -422,6 +422,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "analyze", NARIAI, "--point", "nope")
         assert code == 1 and "nope" in err
 
+    def test_empty_point_name_is_one(self, capsys):
+        # an empty name is a name like any other, not "every point"
+        code, out, err = run_cli(capsys, "analyze", NARIAI, "--point", "")
+        assert code == 1 and out == ""
+        assert "has no point named ''" in err
+
     def test_degenerate_metric_is_two(self, capsys, tmp_path):
         text = ("[chart]\ncoords = t, x, y, z\n[metric]\n"
                 "g00 = t\ng01 = 0\ng02 = 0\ng03 = 0\ng11 = -1\ng12 = 0\n"

@@ -10,7 +10,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curvlab import expressions
 from curvlab.analysis import analyze_point
 from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
 from curvlab.expressions import (
@@ -33,15 +32,16 @@ from curvlab.expressions import (
     UndeclaredNameError,
     differentiate,
     evaluate,
-    free_names,
     parse_expr,
     sub,
     to_string,
 )
 from curvlab.geometry import MetricField, SymbolicTensor
+from curvlab.metricfile import parse_metric_text
 
 from conftest import metric_from_strings, reference_evaluate, whole_runs
 
+ROOT = Path(__file__).resolve().parents[1]
 CHART = ("t", "r", "theta", "phi")
 PARAMS = ("M", "a")
 
@@ -272,10 +272,10 @@ class TestEvaluation:
             f = parse_expr("sin(r)^2", CHART)
         bindings = {"r": 0.8}
         roots = [e.slot, f.slot]
-        values = []
-        v1, v2 = arena.run(values, bindings, roots, len(arena.nodes))
-        assert len(values) == len(arena.nodes)
-        assert [values[s] for s in roots] == [v1, v2]
+        values, clean = arena.run(np.empty(0), bindings, roots,
+                                  len(arena.nodes))
+        assert clean and len(values) == len(arena.nodes)
+        v1, v2 = values[roots].tolist()
         assert v1 == evaluate(e, bindings) == reference_evaluate(e, bindings)
         assert v2 == evaluate(f, bindings)
         npt.assert_allclose(
@@ -342,28 +342,6 @@ class TestStructure:
                                       "0*(1e308*10)", "1e400*0"))
     def test_zero_times_an_unfolded_constant_is_zero(self, text):
         assert parse_expr(text, CHART) is ZERO
-
-    def test_free_names(self):
-        e = parse_expr("sin(theta)*M + r", CHART, PARAMS)
-        assert free_names(e) == {"theta", "M", "r"}
-
-    def test_free_names_visits_a_shared_node_once(self):
-        # 60 squarings make a DAG of 61 nodes and 2^60 root-to-leaf
-        # paths; the child process turns a walk over paths into a timeout
-        # rather than a hung suite
-        script = (
-            "from curvlab.expressions import coord, free_names, mul\n"
-            "e = coord('t')\n"
-            "for _ in range(60):\n"
-            "    e = mul(e, e)\n"
-            "print(sorted(free_names(e)))\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "['t']"
 
     def test_interning_tells_apart_ops_order_and_kinds(self):
         a, b = coord("r"), param("M")
@@ -549,13 +527,13 @@ class TestTapeFallback:
         bad = (1.0, 4.0, 0.0, 0.0)
         got = m.evaluate_field(late, bad)
         assert list(got) == [6.0, 2.0, 0.0, 1.0]
-        assert m.at(bad).values == []
+        assert len(m.at(bad).values) == 0
         self.assert_raises_like_the_reference(m, early, bad)
         assert m.evaluate_field(late, bad) is got
 
     def test_overflowing_sum_falls_back_to_finite_values(self, monkeypatch):
-        # each value is finite, their sum is not: the checked steps
-        # return the values
+        # each value is finite, their sum is not: the run is clean, and
+        # no checked step is needed to return the values
         m = fresh_minkowski()
         field = self.field("t*1.7e308", m)
         m.evaluate_field(field, (0.5, 0.0, 0.0, 0.0))
@@ -569,7 +547,7 @@ class TestTapeFallback:
         monkeypatch.setattr(Arena, "checked", counting)
         got = m.evaluate_field(field, (1.0, 0.0, 0.0, 0.0))
         assert got[0] == 1.7e308 and got[1] == 2.0
-        assert len(checked) == 1
+        assert len(checked) == 0
         assert evaluate(field.components[0], {"t": 1.0}) == 1.7e308
 
     def test_missing_binding_is_the_interpreters_error(self):
@@ -601,16 +579,8 @@ def reference_field(t, bindings):
 
 
 class TestDistinctSlotGather:
-    def test_distinct_slots_in_order_of_first_appearance(self):
-        m = fresh_minkowski()
-        field = gathered_field(m)
-        arena, slots, end, distinct, where = m.place(field)
-        comps = field.components.ravel()
-        assert list(slots) == [e.slot for e in comps]
-        assert distinct == list(dict.fromkeys(slots)) and len(distinct) == 5
-        assert all(any(s is e.slot for e in comps) for s in distinct)
-        assert where.dtype == np.intp and where.shape == (4, 4)
-        assert [distinct[i] for i in where.ravel()] == list(slots)
+    """A field whose components repeat, negate and leave out slots is
+    one gather of its component slots' values."""
 
     def test_gather_equals_the_reference_bytes_at_first_and_later_points(
             self):
@@ -625,6 +595,51 @@ class TestDistinctSlotGather:
             assert got.tobytes() == want.tobytes(), point
             assert m.evaluate_field(field, list(point)) is got
         assert signed(got.real.ravel()[[3, 4]]) == [(-0.0, -1.0), (0.0, 1.0)]
+        arena, slots, end = m.place(field)
+        assert slots.dtype == np.intp and slots.shape == (4, 4)
+        assert slots.tolist() == [[e.slot for e in row]
+                                  for row in field.components]
+
+    def test_a_rank_0_field_is_a_0_d_array(self):
+        m = fresh_minkowski()
+        with m.arena:
+            e = parse_expr("t*x - y", m.chart)
+        field = SymbolicTensor(np.array(e, dtype=object), ())
+        for point in ((1.0, 2.0, 3.0, 0.0), (2.0, 2.0, 1.0, 0.0)):
+            got = m.evaluate_field(field, point)
+            assert type(got) is np.ndarray and got.shape == ()
+            assert got.dtype == np.complex128
+            assert got == reference_evaluate(e, m.bindings(point))
+
+    def test_values_are_one_float_array_after_every_run(self, monkeypatch):
+        # clean runs at a first point (stepped) and a later one (batched),
+        # and a point whose whole run meets a value out of domain
+        runs = []
+        original = Arena.run
+
+        def recording(self, values, bindings, roots, end):
+            v, clean = original(self, values, bindings, roots, end)
+            runs.append((type(v), v.dtype, len(v) == end, clean))
+            return v, clean
+
+        monkeypatch.setattr(Arena, "run", recording)
+        m = load_corpus_metric("schwarzschild")
+        for pname in ("p0", "p1"):
+            analyze_point(m, pname)
+            ctx = m.at(m.points[pname])
+            assert type(ctx.values) is np.ndarray, pname
+            assert ctx.values.dtype == np.float64 and ctx.clean, pname
+        assert m.arena.program[1]
+        assert set(runs) == {(np.ndarray, np.dtype(float), True, True)}
+        runs.clear()
+        with m.arena:
+            dead = parse_expr("log(t - 5)", m.chart)
+        live = vector(m, ["t + 1", "r*2", "0", "1"])
+        ctx = m.at((0.0, 3.0, 1.0, 0.5))
+        assert list(m.evaluate_field(live, ctx.point)) == [1, 6, 0, 1]
+        assert runs == [(np.ndarray, np.dtype(float), True, False)]
+        assert type(ctx.values) is np.ndarray and len(ctx.values) == 0
+        assert dead.slot < live.components[0].slot and not ctx.clean
 
 
 class TestPerFieldFallback:
@@ -650,13 +665,13 @@ class TestPerFieldFallback:
         point = (0.0, 1.5, 0.0, 0.0)
         assert list(m.evaluate_field(late, point)) == [0.0, -1.5, 0.0, 0.0]
         ctx = m.at(point)
-        assert ctx.values == [] and not ctx.clean and len(checked) == 1
+        assert len(ctx.values) == 0 and not ctx.clean and len(checked) == 1
         assert list(m.evaluate_field(early, point)) == [1.0, 3.0, 0.0, 1.0]
         end = m.place(early)[2]
         assert len(ctx.values) == end < dead.slot
         bindings = m.bindings(point)
-        assert ctx.values == [reference_evaluate(e, bindings)
-                              for e in m.arena.nodes[:end]]
+        assert ctx.values.tolist() == [reference_evaluate(e, bindings)
+                                       for e in m.arena.nodes[:end]]
         assert len(checked) == 1 and not ctx.clean
         with pytest.raises(DomainError, match="log of a non-positive"):
             evaluate(dead, bindings)
@@ -680,15 +695,27 @@ BATCHED_FAILURES = {
 }
 
 
+@pytest.fixture
+def batched_runs(monkeypatch):
+    """The end of every batched run."""
+    calls = []
+    original = Arena._batched
+
+    def counting(program, bindings, end):
+        calls.append(end)
+        return original(program, bindings, end)
+
+    monkeypatch.setattr(Arena, "_batched", staticmethod(counting))
+    return calls
+
+
 class TestBatchedRun:
     """A settled arena's whole run, as numpy batches, gives every slot
     the interpreter's float64 bytes, and fails where the interpreter
     fails, with the same error, fallback and checked calls."""
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
-    def test_every_slot_is_the_interpreters_on_the_corpus(self, monkeypatch,
-                                                          name):
-        monkeypatch.setattr(expressions, "_GROUP_COST", 0)  # batch them all
+    def test_every_slot_is_the_interpreters_on_the_corpus(self, name):
         m = load_corpus_metric(name)
         analyze_point(m, min(m.points), cross_validate=True)
         for pname, point in sorted(m.points.items()):
@@ -697,17 +724,41 @@ class TestBatchedRun:
             assert float_bytes(batched) == float_bytes(interpreted), pname
         assert m.arena.program[1] or name == "minkowski"  # no ufunc there
 
-    @pytest.mark.parametrize("name, batched", [
-        ("schwarzschild", True), ("ppwave_linear", False)])
-    def test_only_a_program_whose_groups_pay_is_batched(self, name,
-                                                        batched):
-        # 22,074 slots in ufunc groups of 86 on average against 231 in
-        # groups of 4: calling a ufunc per group pays only on the first
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_later_points_of_the_corpus_run_batched(self, batched_runs,
+                                                    name):
+        # each later point runs the whole arena once, as numpy batches,
+        # wherever the arena has a ufunc slot (ppwave_linear's 231 slots
+        # as well as Schwarzschild's 22,074)
         m = load_corpus_metric(name)
-        for pname in ("p0", "p1"):
+        names = sorted(m.points)
+        analyze_point(m, names[0], cross_validate=True)
+        ufunc_slots = any(0 < code <= 5 for code in m.arena.code)
+        for pname in names[1:]:
+            batched_runs.clear()
             analyze_point(m, pname, cross_validate=True)
-        assert m.arena.program[0] == len(m.arena.nodes)
-        assert bool(m.arena.program[1]) is batched
+            assert batched_runs == [len(m.arena.nodes)] * ufunc_slots, pname
+        assert ufunc_slots or name == "minkowski"
+
+    def test_the_grid_scan_arena_runs_batched_and_bit_for_bit(
+            self, monkeypatch, batched_runs):
+        # the benchmark's grid_scan input: product2x2 at many points of
+        # one build, whose ufunc groups average about 22 slots
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        req = workloads.make_request("grid_scan", 1, ROOT / "src")
+        (name, text), = req["texts"]
+        m = parse_metric_text(text, name)
+        names = sorted(m.points)[:10]
+        for pname in names:
+            batched_runs.clear()
+            analyze_point(m, pname)
+        assert batched_runs == [len(m.arena.nodes)]
+        for pname in names:
+            interpreted, batched = whole_runs(m.arena,
+                                              m.bindings(m.points[pname]))
+            assert float_bytes(batched) == float_bytes(interpreted), pname
 
     @pytest.mark.parametrize("case", sorted(BATCHED_FAILURES))
     def test_failures_are_the_interpreters(self, monkeypatch, case):
@@ -720,15 +771,16 @@ class TestBatchedRun:
             return original(self, *args)
 
         monkeypatch.setattr(Arena, "checked", counting)
-        for cost in (0, math.inf):          # batched, then interpreted
-            monkeypatch.setattr(expressions, "_GROUP_COST", cost)
+        for batched in (True, False):
             m = fresh_minkowski()
             field = vector(m, texts)
             late = vector(m, ["t*x - 2", "x + 2", "0", "1"])
             for t in (first, second):
                 for f in (field, late):
                     m.evaluate_field(f, (t, 1.5, 0.0, 0.0))
-            assert bool(m.arena.program[1]) is (cost == 0)
+            assert m.arena.program[1]
+            if not batched:     # as if no clean run had reached the end
+                m.arena.program = (0, None)
             checked.clear()
             point = (bad, 1.5, 0.0, 0.0)
             with pytest.raises(DomainError) as raised:
@@ -737,10 +789,10 @@ class TestBatchedRun:
             assert str(raised.value) == str(want)
             got = m.evaluate_field(late, point)       # the per-field run
             ctx = m.at(point)
-            seen[cost] = (str(raised.value), got.tobytes(), ctx.clean,
-                          float_bytes(ctx.values), len(checked))
-        assert seen[0] == seen[math.inf]
-        assert seen[0][2:] == (False, float_bytes([]), 2)
+            seen[batched] = (str(raised.value), got.tobytes(), ctx.clean,
+                             float_bytes(ctx.values), len(checked))
+        assert seen[True] == seen[False]
+        assert seen[True][2:] == (False, float_bytes([]), 2)
 
 
 class TestTapeBuild:
@@ -781,8 +833,8 @@ class TestTapeBuild:
             assert parse_expr("sin(t)", CHART).slot == 3
             assert parse_expr("sin(t)*sin(t) + sin(t)", CHART) is e
         assert len(arena.nodes) == 6
-        values = []
-        assert arena.run(values, {"t": 0.7}, [5], 6) == [evaluate(e, {"t": 0.7})]
+        values, clean = arena.run(np.empty(0), {"t": 0.7}, [5], 6)
+        assert clean and values[5] == evaluate(e, {"t": 0.7})
         assert len(values) == 6
 
 
@@ -899,7 +951,7 @@ class TestArenas:
         assert dead.slot < live.components[0].slot
         point = (0.0, 1.5, 0.0, 0.0)
         assert list(m.evaluate_field(live, point)) == [1, 3, 0, 1]
-        assert m.at(point).values == []
+        assert len(m.at(point).values) == 0
         assert m.metric_value(point)[0, 0] == 1.0
         with pytest.raises(DomainError, match="log of a non-positive"):
             evaluate(dead, m.bindings(point))

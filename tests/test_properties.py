@@ -47,7 +47,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from curvlab import expressions
 from curvlab.analysis import cross_validate_point
 from curvlab.classify import TheoremViolationError, classify_point
 from curvlab.conventions import RESIDUAL_TOL, SCALE_FLOOR
@@ -285,11 +284,9 @@ def test_commutator_and_direct_routes_agree_on_generated_metrics():
 LEGS = ("k", "l", "m_re", "m_im")
 
 
-def test_batched_runs_are_the_interpreters_on_generated_metrics(
-        monkeypatch):
+def test_batched_runs_are_the_interpreters_on_generated_metrics():
     # (h): every slot of each cross-validated arena, batched, has the
     # interpreter's float64 bytes at every point
-    monkeypatch.setattr(expressions, "_GROUP_COST", 0)     # batch them all
     for family in sorted(FAMILIES):
         rng = random.Random(f"{SEED}-{family}")
         for index in range(METRICS_PER_FAMILY):

@@ -54,11 +54,16 @@ HOST_SPREAD = 0.1           # a pair's host loop moved by more than this
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"11-20"`` or ``"1,4,9"`` (or a mix) as a list of seeds."""
+    """``"11-20"`` or ``"1,4,9"`` (or a mix) as a list of seeds.  A range
+    that holds no seed (``"20-11"``) is an error, so argparse exits before
+    anything is exported."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"empty seed range '{part}'")
+        seeds += range(lo, hi + 1)
     return seeds
 
 
