@@ -118,6 +118,9 @@ def analyze_point(m: MetricField, pname: str, tol: float = RESIDUAL_TOL,
     if m.tetrad is None:
         raise TetradMissingError(
             f"metric '{m.name}' declares no [tetrad]; analysis needs one")
+    # ∇∇R for second_order, with ∇R; the direct routes read ∇∇C and ∇∇Ric
+    m.point_fields(("riemann", "weyl", "ricci") if cross_validate
+                   else ("riemann",))
     residuals = {}
     for name in RESIDUAL_ORDER:
         residuals[name] = _RESIDUAL_FUNCS[name](m, coords, tol)

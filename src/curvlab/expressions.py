@@ -37,20 +37,20 @@ threads must serialise the calls.
 Evaluation runs straight-line code.  A node is made after its
 arguments, so an arena's creation order is a topological order, and the
 arena keeps one instruction per node as it appends it: its node list is
-its tape.  One float array of values in slot order serves every root
-of the arena at one set of bindings: a metric's fields share one arena,
-each point one value array, and each field is one gather from it
-(``MetricField.evaluate_field``).  ``Arena.run`` computes the slots the
-array does not reach yet, without checks: one slot at a time while the
-arena still grows, and once it is settled (a later point's run of the
-whole arena) as numpy batches, one ufunc call per (level, op) group of
-``neg``, ``+``, ``-``, ``*`` and ``/``, whose results are the same bits.
-Where a new value is not finite, ``Arena.checked`` recomputes what the
-roots asked for read, one checked step at a time, and raises
-``DomainError`` naming the first sub-expression that is out of domain
-or overflows, so a dead node out of domain raises nothing.
-``evaluate`` checks each step of one expression's own nodes, in slot
-order.  Nothing recurses over the depth of an expression.
+its tape.  There are two evaluators.  ``Arena.run`` computes every slot
+of the arena at one set of bindings, without checks, as numpy batches:
+one ufunc call per (level, op) group of ``neg``, ``+``, ``-``, ``*`` and
+``/``, whose results are the bits Python's operators give, and Python's
+own functions for the rest.  A value out of domain is left non-finite
+(or nan, where Python raises), and the run reports its first non-finite
+slot.  A metric's fields share one arena, so each point makes one such
+run and each field is one gather from it (``MetricField.evaluate_field``).
+The checked evaluator (``Arena.checked``, ``evaluate``) computes what
+some roots read, one checked step at a time in slot order, and raises
+``DomainError`` naming the first sub-expression that is out of domain or
+overflows.  It serves the roots that read a slot at or above a run's
+first non-finite one, so a dead node out of domain raises nothing.
+Nothing recurses over the depth of an expression.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import math
 import operator
 import re
 import weakref
-from itertools import islice
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -184,11 +183,10 @@ class Arena:
     constant's value or a name's (kind, name), and ``derivs[var]`` a
     node's slot to its derivative by ``var``.  Slots 0 and 1 are ``ZERO``
     and ``ONE``.  ``a`` and ``b`` are lists that hold the argument nodes'
-    own ``slot`` ints, so a run boxes no int.  ``program`` is the end the
-    last clean run reached at the end of the arena, and the batched
-    program of the slots below it, built by the next run that reaches that
-    end again (``_program``; ``None`` until then).  ``with arena:`` makes
-    it the arena the constructors write into, until the block ends."""
+    own ``slot`` ints, so a run boxes no int.  ``program`` is the arena's
+    length at the last build and its batched program (``_program``;
+    ``None`` before the first run).  ``with arena:`` makes it the arena the
+    constructors write into, until the block ends."""
 
     __slots__ = ("nodes", "fns", "a", "b", "code", "program", "ops",
                  "atoms", "derivs", "__weakref__")
@@ -199,7 +197,7 @@ class Arena:
         self.a: list[int] = [-1, -1]
         self.b: list[int] = [-1, -1]
         self.code = bytearray(2)
-        self.program: tuple = (0, None)
+        self.program: tuple | None = None
         self.ops: dict[int, Expr] = {}
         self.atoms: dict = {0.0: ZERO, 1.0: ONE}
         self.derivs: dict[str, dict[int, Expr]] = {}
@@ -231,49 +229,36 @@ class Arena:
         self.code.append(code)
         return node
 
-    def run(self, values: np.ndarray, bindings: Mapping[str, float],
-            roots, end: int) -> tuple[np.ndarray, bool]:
-        """The slots below ``end`` as one float array, and whether the run
-        was clean: an unchecked run of the slots from ``len(values)`` up
-        (``values`` holds those below) that left every value finite.  A run
-        of the slots below an end that a clean run reached before at the
-        end of the arena (a later point of a settled arena) goes through
-        ``_program``.  Any other run, such as those that follow a first
-        point's lazy builds, steps through the slots one at a time: a
-        program would serve it once.  A run that is not clean is dropped:
-        the slots ``roots`` read are recomputed checked in a copy of
-        ``values`` padded with nan (``checked``), which is returned
-        instead, or the first of them out of domain raises."""
-        start = len(values)
-        try:
-            program = None if start else self._program(end)
-            if program:
-                v = self._batched(program, bindings, end)
-            else:
-                vals = values.tolist()
-                fns, a, b = self.fns, self.a, self.b
-                if start:   # copy the slots to run, not skip those before
-                    fns, a, b = fns[start:end], a[start:end], b[start:end]
-                append = vals.append
-                for fn, x, y in islice(zip(fns, a, b), end):
-                    append(fn(vals[x], vals[y]) if y >= 0
-                           else fn(vals[x]) if x >= 0 else fn(bindings))
-                # a complex power raises TypeError here
-                v = np.concatenate((values, np.array(vals[start:], float)))
-            clean = bool(np.isfinite(v).all())
-        except (ArithmeticError, ValueError, TypeError, KeyError):
-            clean = False
-        if clean:
-            if end == len(self.nodes) != self.program[0]:
-                self.program = (end, None)
-            return v, True
-        scratch = values.tolist() + [math.nan] * (end - start)
-        return np.array(self.checked(scratch, start, bindings, roots)), False
+    def run(self, bindings: Mapping[str, float]) -> tuple[np.ndarray, int]:
+        """Every slot's value at ``bindings`` as one float array, unchecked,
+        and the first slot whose value is not finite (the array's length
+        if there is none): the slots below it are in domain.  The run goes
+        through the batched program (``_program``), built again when the
+        arena grew since the last one: per level the scalar steps, then
+        one ufunc call per group.  A value out of domain is left
+        non-finite; a scalar step that raises (a log, sqrt or power out of
+        domain, a missing binding, or storing a complex power) stores nan."""
+        end = len(self.nodes)
+        if self.program is None or self.program[0] != end:
+            self.program = self._program()
+        v = np.empty(end)
+        item = v.item
+        with np.errstate(all="ignore"):
+            for steps, index, buffer, groups in self.program[1]:
+                for s, fn, x, y in steps:
+                    try:
+                        v[s] = (fn(item(x), item(y)) if y >= 0
+                                else fn(item(x)) if x >= 0 else fn(bindings))
+                    except (ArithmeticError, ValueError, TypeError, KeyError):
+                        v[s] = math.nan
+                buffer[...] = index
+                for ufunc, out, x, y in groups:
+                    v[out] = ufunc(v[x]) if y is None else ufunc(v[x], v[y])
+        finite = np.isfinite(v)
+        return v, end if finite.all() else int(finite.argmin())
 
-    def _program(self, end: int) -> list | None:
-        """The batched program of the slots below ``end``, if a clean run
-        reached ``end`` at the end of the arena: built once, and empty
-        where no slot is a ufunc's (``run`` then steps through the slots).
+    def _program(self) -> tuple[int, list]:
+        """The arena's length and its batched program.
 
         A slot's level is 0 for a leaf, else one more than its arguments'
         highest.  The slots are sorted by (level, op code) with radix sorts
@@ -283,13 +268,11 @@ class Arena:
         its ufunc groups' int32 output, first and second argument slots,
         which a run copies into an ``intp`` buffer that each group reads
         through views."""
-        length, program = self.program
-        if end != length or program is not None:
-            return program if end == length else None
         fns, a, b = self.fns, self.a, self.b
+        end = len(fns)
         level: list[int] = []
         append = level.append
-        for x, y in islice(zip(a, b), end):
+        for x, y in zip(a, b):
             append(0 if x < 0 else 1 + (
                 level[x] if y < 0 or level[x] >= level[y] else level[y]))
         keys = (np.array(level, np.int32) << 5
@@ -297,48 +280,28 @@ class Arena:
         sizes = np.bincount(keys, minlength=(keys.max() | 31) + 1)
         starts = (np.cumsum(sizes) - sizes).reshape(-1, 32).tolist()
         sizes = sizes.reshape(-1, 32)
+        order = np.lexsort(((keys & 0xFFFF).astype(np.uint16),
+                            (keys >> 16).astype(np.uint16)))
+        x, y = np.fromiter(a, np.int32, end), np.fromiter(b, np.int32, end)
+        buffer = np.empty(3 * sizes[:, 1:6].sum(axis=1).max(), np.intp)
         program = []
-        if sizes[:, 1:6].any():
-            order = np.lexsort(((keys & 0xFFFF).astype(np.uint16),
-                                (keys >> 16).astype(np.uint16)))
-            x, y = np.fromiter(a, np.int32, end), np.fromiter(b, np.int32, end)
-            buffer = np.empty(3 * sizes[:, 1:6].sum(axis=1).max(), np.intp)
-            for size, start in zip(sizes.tolist(), starts):
-                first, n = start[1], sum(size[1:6])
-                out = order[first:first + n]
+        for size, start in zip(sizes.tolist(), starts):
+            first, n = start[1], sum(size[1:6])
+            out = order[first:first + n]
 
-                def view(k, c):     # group c's slots of argument k (0: out)
-                    return buffer[k * n + start[c] - first:
-                                  k * n + start[c] - first + size[c]]
+            def view(k, c):     # group c's slots of argument k (0: out)
+                return buffer[k * n + start[c] - first:
+                              k * n + start[c] - first + size[c]]
 
-                program.append((
-                    [(s, fns[s], a[s], b[s]) for s in np.concatenate((
-                        order[start[0]:first],
-                        order[first + n:start[0] + sum(size)])).tolist()],
-                    np.concatenate((out, x[out], y[out]), dtype=np.int32),
-                    buffer[:3 * n],
-                    [(f, view(0, c), view(1, c), view(2, c) if f.nin == 2
-                      else None) for c, f in _UFUNCS.items() if size[c]]))
-        self.program = (end, program)
-        return program
-
-    @staticmethod
-    def _batched(program: list, bindings: Mapping[str, float],
-                 end: int) -> np.ndarray:
-        """The slots below ``end``, unchecked: per level the scalar steps,
-        then one ufunc call per group.  A value out of domain is left
-        non-finite or raises (storing a complex power: ``TypeError``)."""
-        v = np.empty(end)
-        item = v.item
-        with np.errstate(all="ignore"):
-            for steps, index, buffer, groups in program:
-                for s, fn, x, y in steps:
-                    v[s] = (fn(item(x), item(y)) if y >= 0
-                            else fn(item(x)) if x >= 0 else fn(bindings))
-                buffer[...] = index
-                for ufunc, out, x, y in groups:
-                    v[out] = ufunc(v[x]) if y is None else ufunc(v[x], v[y])
-        return v
+            program.append((
+                [(s, fns[s], a[s], b[s]) for s in np.concatenate((
+                    order[start[0]:first],
+                    order[first + n:start[0] + sum(size)])).tolist()],
+                np.concatenate((out, x[out], y[out]), dtype=np.int32),
+                buffer[:3 * n],
+                [(f, view(0, c), view(1, c), view(2, c) if f.nin == 2
+                  else None) for c, f in _UFUNCS.items() if size[c]]))
+        return end, program
 
     def checked(self, values: list, clean: int,
                 bindings: Mapping[str, float], roots) -> list:

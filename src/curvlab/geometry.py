@@ -148,7 +148,8 @@ class MetricField:
     (by default the open arena, see ``expressions.Arena``) and every node
     built from them.  All curvature quantities are built when first asked
     for and kept on the instance: by ``_cached`` and ``_per_field``
-    builders, and by ``nabla_field``.
+    builders, and by ``nabla_field``; ``point_fields`` asks for all that a
+    point's analysis reads.
     """
 
     def __init__(self, name, chart, g, params=None, points=None,
@@ -177,7 +178,7 @@ class MetricField:
         self._cache: dict = {}
         self._context: PointContext | None = None
         for pname, coords in self.points.items():
-            self._validate_signature(pname, coords)
+            self.check_point(pname, coords)
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -188,7 +189,8 @@ class MetricField:
 
     def at(self, point) -> PointContext:
         """The evaluation context of ``point``.  Only the most recent one
-        is kept: callers visit one point at a time."""
+        is kept: callers visit one point at a time, and each visit runs
+        the arena once (``evaluate_field``)."""
         ctx = self._context
         # a tuple cannot change in place: the same one, with each parameter
         # the same object, is the same point; else ``key``'s hex forms decide
@@ -220,7 +222,9 @@ class MetricField:
                 f"metric '{self.name}' is degenerate at {tuple(point)}: "
                 f"det(g/max|g|) = {det:.3e}")
 
-    def _validate_signature(self, pname: str, coords: tuple) -> None:
+    def check_point(self, pname: str, coords: tuple) -> None:
+        """Raise ``DegenerateMetricError`` unless the metric is regular with
+        signature (+,-,-,-) at the declared point ``pname``."""
         gv = self.metric_value(coords)
         self._check_det(gv, coords)
         eigenvalues = np.linalg.eigvalsh(gv)
@@ -250,26 +254,43 @@ class MetricField:
 
     def evaluate_field(self, t: SymbolicTensor, point) -> np.ndarray:
         """``t`` at ``point`` as a complex array, evaluated once per point
-        context: one gather of its slots' values (``place``).  Where the
-        context's values do not reach them, ``Arena.run`` runs the arena on:
-        to its end, so that later fields only gather (at a later point, one
-        batched run), or, once a run at the point met a value out of
-        domain, to ``t``'s end."""
+        context: one gather of its slots' values (``place``) from the
+        context's run of the whole arena (``Arena.run``), made by the first
+        field read at the point and again by a field placed since.  A field
+        that reads a slot at or above the run's first value out of domain
+        is recomputed checked (``Arena.checked``), and raises if a value it
+        reads is out of domain."""
         ctx = self.at(point)
         value = ctx.memo.get(t)
         if value is None:
             arena, slots, end = self.place(t)
+            if len(ctx.values) < end:
+                ctx.values, ctx.clean = arena.run(ctx.bindings)
             values = ctx.values
-            if len(values) < end:
-                values, clean = arena.run(
-                    values, ctx.bindings, slots,
-                    len(arena.nodes) if ctx.clean else end)
-                if clean:
-                    ctx.values = values
-                ctx.clean = ctx.clean and clean
+            if end > ctx.clean:
+                values = np.array(arena.checked(
+                    values.tolist(), ctx.clean, ctx.bindings, slots))
             # a 0-d index gives a scalar: asarray keeps rank 0 an array
             value = ctx.memo[t] = np.asarray(values[slots], dtype=complex)
         return value
+
+    def point_fields(self, nabla2: tuple = ()) -> None:
+        """Build every field a point reads before the point's first run,
+        so that the run covers them all and no read after it grows the
+        arena: the curvature, ∇ and ∇∇ of each of ``nabla2`` ('riemann',
+        'weyl', 'ricci'), and each declared leg's lowered value, ∇ and ∂.
+        Built once per metric and ``nabla2``."""
+        key = ("point fields", nabla2)
+        if key not in self._cache:
+            self.weyl_field()
+            for which in nabla2:
+                self.nabla_field(which, 2)
+            if self.tetrad is not None:
+                for leg in (self.tetrad.k, self.tetrad.l, self.tetrad.m_re,
+                            self.tetrad.m_im):
+                    self.covector_gradient_field(
+                        self.lowered_vector_field(leg))
+            self._cache[key] = True
 
     # -- symbolic pipeline --------------------------------------------------
     # each builder caches one SymbolicTensor: a field's slots and its
@@ -509,12 +530,10 @@ class PointContext:
     many callers ask for it: a field's value under the ``SymbolicTensor``
     object, and any other result, read through ``once``, under a tuple of
     its name and inputs (a tetrad as the ``NullTetrad`` object itself).
-    ``values`` holds the values of the metric's arena slots, in order and
-    all in domain, as one float64 array, which each ``Arena.run`` at the
-    point replaces with a longer one and each field gathers from: the
-    first field read runs the whole arena, and while ``clean`` (no run at
-    the point met a value out of domain) later fields only gather.
-    ``source`` and ``params`` (the parameters' objects) let
+    ``values`` is the latest run of the metric's whole arena at the point
+    (``Arena.run``), one float64 array that each field gathers from, and
+    ``clean`` the run's first slot out of domain: the slots below it are
+    in domain.  ``source`` and ``params`` (the parameters' objects) let
     ``MetricField.at`` serve a repeated tuple without rebuilding ``key``.
     Results are handed out without a copy; callers must not modify them.
     """
@@ -525,7 +544,7 @@ class PointContext:
     source: tuple | None = None
     params: tuple = ()
     values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    clean: bool = True
+    clean: int = 0
     memo: dict = field(default_factory=dict)
 
     def once(self, key, make):

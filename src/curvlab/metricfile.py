@@ -261,13 +261,16 @@ def parse_metric_text(text: str, name: str) -> MetricField:
                 raise MetricFileValidationError(f"[tetrad] is missing leg '{key}'")
         tetrad = NullTetrad(legs["k"], legs["l"], legs["m_re"], legs["m_im"])
 
-    m = MetricField(name, chart, g, params=params, points=points,
-                    tetrad=tetrad, static=static, arena=arena)
-    if tetrad is not None:
-        for pname, coords in m.points.items():
+    m = MetricField(name, chart, g, params=params, tetrad=tetrad,
+                    static=static, arena=arena)
+    # a point's two checks in a row read one run of the arena there
+    for pname, coords in points.items():
+        m.check_point(pname, coords)
+        if tetrad is not None:
             check = validate_tetrad(m, tetrad, coords)
             if not check.valid:
                 raise InvalidTetradError(check, f"[tetrad] at point '{pname}'")
+        m.points[pname] = coords
     return m
 
 

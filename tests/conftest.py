@@ -7,6 +7,7 @@ modules can be exercised before the I/O layer exists.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,18 +96,31 @@ def reference_evaluate(e, bindings, memo=None):
     return v
 
 
-def whole_runs(arena, bindings) -> tuple:
-    """The values of every slot of ``arena`` at ``bindings`` from two runs
-    of the whole arena: one stepping through the slots, with no program,
-    then one through the program for its length (built here if need be;
-    an arena with no ufunc slot has an empty one, and steps again)."""
-    end = len(arena.nodes)
-    program = arena.program if arena.program[0] == end else (end, None)
-    arena.program = (0, None)
-    interpreted, _ = arena.run(np.empty(0), bindings, [], end)
-    arena.program = program
-    batched, _ = arena.run(np.empty(0), bindings, [], end)
-    return interpreted, batched
+_REFERENCE_OPS = {"neg": operator.neg, "+": operator.add,
+                  "-": operator.sub, "*": operator.mul,
+                  "/": operator.truediv, "^": operator.pow,
+                  **FUNCTIONS}
+
+
+def reference_values(arena, bindings) -> list:
+    """The value of every node of ``arena`` at ``bindings``, in slot
+    order, each computed from its kind and its arguments' values with
+    Python's own operators and functions: the stepped loop the package
+    once ran, kept as a reference for arenas whose nodes are all in
+    domain (a node out of domain raises Python's error)."""
+    values = []
+    append = values.append
+    for e in arena.nodes:
+        args = e.args
+        if len(args) == 2:
+            append(_REFERENCE_OPS[e.kind](values[args[0].slot],
+                                          values[args[1].slot]))
+        elif args:
+            append(_REFERENCE_OPS[e.payload or e.kind](values[args[0].slot]))
+        else:
+            append(e.payload if e.kind == "const"
+                   else float(bindings[e.payload]))
+    return values
 
 
 def reference_symmetrized(arr, slots):

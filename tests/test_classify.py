@@ -269,7 +269,9 @@ class TestDecSamples:
     def test_analysis_never_imports_numpy_random(self):
         """The boosts come from the standard library's generator, so
         neither a non-vacuum analysis nor the corpus run loads
-        ``numpy.random`` (its bit generators, ``secrets``, ``hashlib``)."""
+        ``numpy.random`` (its bit generators, ``secrets``, ``hashlib``).
+        Nor does either load a package numpy alone does not bring: the
+        test and oracle tools are no runtime dependency."""
         root = Path(__file__).resolve().parents[1]
         product = root / "src" / "curvlab" / "corpus_data" / "product2x2.ini"
         script = (
@@ -277,14 +279,17 @@ class TestDecSamples:
             "from curvlab.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['analyze', {str(product)!r}, '--json']) == 0\n"
+            f"    assert main(['analyze', {str(product)!r},"
+            " '--cross-validate']) == 0\n"
             "    assert main(['corpus', 'run']) == 0\n"
-            "print('numpy.random' in sys.modules)\n")
+            "print(sorted({'numpy.random', 'sympy', 'scipy', 'hypothesis',"
+            " 'pytest'} & set(sys.modules)))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert done.stdout == "[]\n"
 
 
 class TestCorpusBranches:

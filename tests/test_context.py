@@ -28,7 +28,7 @@ from curvlab import (
 from curvlab.analysis import DEFAULT_SEED, analyze_point, reports_to_json
 from curvlab.classify import classify_point
 from curvlab.conventions import RESIDUAL_TOL
-from curvlab.corpus import load_corpus_metric
+from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
 from curvlab.expressions import Arena, const, mul, parse_expr
 from curvlab.geometry import MetricField, SymbolicTensor, curvature
 from curvlab.newman_penrose import (
@@ -283,7 +283,7 @@ class TestTapes:
     def test_nabla2_riemann_once_per_point_cross_validated(self, monkeypatch):
         # second_order and the direct semi route both read ∇∇R, which
         # is evaluated once per point, from its first point on by the
-        # tape, whose every slot runs at most once per point
+        # tape, whose one run per point covers every slot
         m = load_corpus_metric("schwarzschild")
         target = m.nabla_field("riemann", 2)
         served = []
@@ -298,9 +298,9 @@ class TestTapes:
         ran = []
         run = Arena.run
 
-        def counting_run(self, values, bindings, roots, end):
-            ran.append(max(end - len(values), 0))
-            return run(self, values, bindings, roots, end)
+        def counting_run(self, bindings):
+            ran.append(len(self.nodes))
+            return run(self, bindings)
 
         monkeypatch.setattr(MetricField, "evaluate_field", recording)
         monkeypatch.setattr(Arena, "run", counting_run)
@@ -310,8 +310,8 @@ class TestTapes:
             analyze_point(m, pname, cross_validate=True)
             assert len(served) == 2 and served[0] is served[1], pname
             values = m.at(m.points[pname]).values
-            assert target.slots[2] <= len(values) <= len(m.arena.nodes), pname
-            assert sum(ran) == len(values), pname
+            assert target.slots[2] <= len(values) == len(m.arena.nodes), pname
+            assert ran == [len(values)], pname
 
 
 class TestOneEvaluator:
@@ -344,92 +344,124 @@ class TestOneRunPerPoint:
                                                      checked_runs, name,
                                                      cross):
         # the first field read at the point runs the whole arena; every
-        # later field only gathers its distinct slots
+        # later field only gathers its slots
         m = load_corpus_metric(name)
         analyze_point(m, "p0", cross_validate=cross)
         runs = []
         run = Arena.run
 
-        def recording(self, values, bindings, roots, end):
-            runs.append((len(values), end))
-            return run(self, values, bindings, roots, end)
+        def recording(self, bindings):
+            runs.append(len(self.nodes))
+            return run(self, bindings)
 
         monkeypatch.setattr(Arena, "run", recording)
         for pname in ("p1", "p2"):
             runs.clear()
             analyze_point(m, pname, cross_validate=cross)
-            assert runs == [(0, len(m.arena.nodes))], pname
+            assert runs == [len(m.arena.nodes)], pname
             ctx = m.at(m.points[pname])
-            assert ctx.clean and len(ctx.values) == len(m.arena.nodes)
+            assert ctx.clean == len(ctx.values) == len(m.arena.nodes)
         assert checked_runs["checked"] == 0
 
 
 @pytest.fixture
-def programs_built(monkeypatch):
-    """The end of every batched program an arena builds."""
-    built = []
-    original = Arena._program
+def tape_events(monkeypatch):
+    """The arena length at every batched program build ("program") and
+    every ``Arena.run`` ("run", after the build the run makes), in
+    order."""
+    events = []
+    run, program = Arena.run, Arena._program
 
-    def recording(self, end):
-        before = self.program
-        program = original(self, end)
-        if self.program is not before:
-            built.append(end)
-        return program
+    def recording_run(self, bindings):
+        out = run(self, bindings)
+        events.append(("run", len(self.nodes)))
+        return out
 
-    monkeypatch.setattr(Arena, "_program", recording)
-    return built
+    def recording_program(self):
+        events.append(("program", len(self.nodes)))
+        return program(self)
+
+    monkeypatch.setattr(Arena, "run", recording_run)
+    monkeypatch.setattr(Arena, "_program", recording_program)
+    return events
 
 
 class TestProgramBuilds:
-    @pytest.mark.parametrize("name, cross, count", [
-        ("schwarzschild", True, 5),
-        ("product2x2", False, 10),
-    ])
-    def test_none_at_the_first_point_then_one_per_length(
-            self, monkeypatch, programs_built, name, cross, count):
-        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-        import workloads
-
-        text = workloads.corpus_text(ROOT / "src", name)
-        if name == "product2x2":
-            text = workloads.with_points(text, workloads.grid_points(1, count))
-        m = metricfile.parse_metric_text(text, name)
-        names = sorted(m.points)
-        assert len(names) == count
-        m.weyl_field()      # so that the first run meets a length never run
-        programs_built.clear()      # parsing checked g at every point
-        analyze_point(m, names[0], cross_validate=cross)
-        assert programs_built == []
-        for pname in names[1:]:
-            analyze_point(m, pname, cross_validate=cross)
-        assert programs_built == [len(m.arena.nodes)]
+    @pytest.mark.parametrize("mode", ["analyze", "cross_validate",
+                                      "classify"])
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_one_at_the_first_point_then_none(self, tape_events, name,
+                                              mode):
+        # every field a point reads is built before its one run, so no
+        # arena grows after a point's first run, and the program built
+        # at the first point serves every later one.  Minkowski's fields
+        # are all constants the parser made (its builders add nodes such
+        # as 1/2 that no field reads): its one point, the last one parsing
+        # checked, is served by the run parsing made there
+        m = load_corpus_metric(name)
+        for i, pname in enumerate(sorted(m.points)):
+            tape_events.clear()
+            if mode == "classify":
+                classify_point(m, m.points[pname])
+            else:
+                analyze_point(m, pname,
+                              cross_validate=mode == "cross_validate")
+            size = len(m.arena.nodes)
+            if i > 0:
+                assert tape_events == [("run", size)], pname
+            elif name == "minkowski":
+                assert tape_events == []
+            else:
+                assert tape_events == [("program", size), ("run", size)]
 
     def test_an_arena_that_grows_builds_again_and_stays_bit_identical(
-            self, programs_built):
+            self, tape_events):
         # a field placed after the program was built joins the tape; the
         # next point's whole run builds a program for the longer arena
         m = load_corpus_metric("schwarzschild")
-        programs_built.clear()
+        tape_events.clear()
         for pname in ("p0", "p1"):
             analyze_point(m, pname)
         before = len(m.arena.nodes)
-        assert programs_built == [before] and m.arena.program[1]
+        assert tape_events == [("program", before), ("run", before),
+                               ("run", before)]
         with m.arena:
             comps = [parse_expr(text, m.chart) for text in
                      ("t*r - theta", "sin(theta)*r^3", "r/(r - 1)", "phi")]
         field = SymbolicTensor(np.array(comps, dtype=object), ("u",))
+        tape_events.clear()
         for pname in ("p2", "p3"):
             analyze_point(m, pname)
             m.evaluate_field(field, m.points[pname])
         after = len(m.arena.nodes)
-        assert after > before and programs_built == [before, after]
+        assert after > before and tape_events == [
+            ("program", after), ("run", after), ("run", after)]
         point = m.points["p3"]
         bindings, memo = m.bindings(point), {}
         want = [reference_evaluate(e, bindings, memo) for e in m.arena.nodes]
         values = m.at(point).values
         assert np.array(values).tobytes() == np.array(want).tobytes()
-        assert m.arena.program[1]
+        assert m.arena.program[0] == after
+
+
+class TestParseRuns:
+    def test_parsing_runs_the_arena_once_per_declared_point(
+            self, monkeypatch, tape_events):
+        # each point's signature and tetrad checks read one run there
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        (name, text), = workloads.make_request(
+            "grid_scan", 1, ROOT / "src")["texts"]
+        m = metricfile.parse_metric_text(text, name)
+        size = len(m.arena.nodes)
+        assert len(m.points) == 100
+        assert tape_events == [("program", size)] + [("run", size)] * 100
+        for name in CORPUS_NAMES:
+            tape_events.clear()
+            m = load_corpus_metric(name)
+            assert [e for e in tape_events if e[0] == "run"] == [
+                ("run", len(m.arena.nodes))] * len(m.points), name
 
 
 class TestOneTape:

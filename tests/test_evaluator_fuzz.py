@@ -5,9 +5,9 @@ function, shared subtrees, the constants 0, 1e-300 and 1e300) are each
 built in an arena of their own and evaluated at 4 bindings, signed zeros
 and 1e200 among them.  At each binding:
 
-* every slot of the unchecked whole-arena run below its first value that
-  is not finite holds the reference's float64 bytes, and the reference
-  finds each of those nodes in domain;
+* the unchecked whole-arena run (``Arena.run``) names its first value
+  that is not finite, and every slot below it holds the reference's
+  float64 bytes, the reference finding each of those nodes in domain;
 * a root at or above that slot, recomputed checked from the clean slots
   (``Arena.checked``), raises where the reference raises and otherwise
   holds its bytes;
@@ -39,7 +39,7 @@ from curvlab.expressions import (
     sub,
 )
 
-from conftest import reference_evaluate, whole_runs
+from conftest import reference_evaluate
 
 SETS = 3000
 BINDINGS_PER_SET = 4
@@ -115,10 +115,9 @@ def test_unchecked_and_checked_evaluation_match_the_reference():
         ops.update(e.payload or e.kind for e in arena.nodes if e.args)
         for bindings in all_bindings:
             where = (n, bindings)
-            stepped, batched = whole_runs(arena, bindings)
-            assert float_bytes(stepped) == float_bytes(batched), where
+            batched, clean = arena.run(bindings)
             assert len(batched) == len(arena.nodes), where
-            clean = first_not_finite(batched)
+            assert clean == first_not_finite(batched), where
             memo = {}
             for e in arena.nodes[:clean]:
                 want = reference(e, bindings, memo)

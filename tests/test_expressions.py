@@ -39,7 +39,7 @@ from curvlab.expressions import (
 from curvlab.geometry import MetricField, SymbolicTensor
 from curvlab.metricfile import parse_metric_text
 
-from conftest import metric_from_strings, reference_evaluate, whole_runs
+from conftest import metric_from_strings, reference_evaluate, reference_values
 
 ROOT = Path(__file__).resolve().parents[1]
 CHART = ("t", "r", "theta", "phi")
@@ -272,9 +272,8 @@ class TestEvaluation:
             f = parse_expr("sin(r)^2", CHART)
         bindings = {"r": 0.8}
         roots = [e.slot, f.slot]
-        values, clean = arena.run(np.empty(0), bindings, roots,
-                                  len(arena.nodes))
-        assert clean and len(values) == len(arena.nodes)
+        values, clean = arena.run(bindings)
+        assert clean == len(values) == len(arena.nodes)
         v1, v2 = values[roots].tolist()
         assert v1 == evaluate(e, bindings) == reference_evaluate(e, bindings)
         assert v2 == evaluate(f, bindings)
@@ -527,7 +526,7 @@ class TestTapeFallback:
         bad = (1.0, 4.0, 0.0, 0.0)
         got = m.evaluate_field(late, bad)
         assert list(got) == [6.0, 2.0, 0.0, 1.0]
-        assert len(m.at(bad).values) == 0
+        assert m.at(bad).clean == early.components[0].slot
         self.assert_raises_like_the_reference(m, early, bad)
         assert m.evaluate_field(late, bad) is got
 
@@ -612,14 +611,15 @@ class TestDistinctSlotGather:
             assert got == reference_evaluate(e, m.bindings(point))
 
     def test_values_are_one_float_array_after_every_run(self, monkeypatch):
-        # clean runs at a first point (stepped) and a later one (batched),
-        # and a point whose whole run meets a value out of domain
+        # clean runs at a first and a later point, and a point whose whole
+        # run meets a value out of domain
         runs = []
         original = Arena.run
 
-        def recording(self, values, bindings, roots, end):
-            v, clean = original(self, values, bindings, roots, end)
-            runs.append((type(v), v.dtype, len(v) == end, clean))
+        def recording(self, bindings):
+            v, clean = original(self, bindings)
+            runs.append((type(v), v.dtype, len(v) == len(self.nodes),
+                         clean == len(v)))
             return v, clean
 
         monkeypatch.setattr(Arena, "run", recording)
@@ -628,8 +628,9 @@ class TestDistinctSlotGather:
             analyze_point(m, pname)
             ctx = m.at(m.points[pname])
             assert type(ctx.values) is np.ndarray, pname
-            assert ctx.values.dtype == np.float64 and ctx.clean, pname
-        assert m.arena.program[1]
+            assert ctx.values.dtype == np.float64, pname
+            assert ctx.clean == len(ctx.values), pname
+        assert m.arena.program[0] == len(m.arena.nodes)
         assert set(runs) == {(np.ndarray, np.dtype(float), True, True)}
         runs.clear()
         with m.arena:
@@ -638,17 +639,18 @@ class TestDistinctSlotGather:
         ctx = m.at((0.0, 3.0, 1.0, 0.5))
         assert list(m.evaluate_field(live, ctx.point)) == [1, 6, 0, 1]
         assert runs == [(np.ndarray, np.dtype(float), True, False)]
-        assert type(ctx.values) is np.ndarray and len(ctx.values) == 0
-        assert dead.slot < live.components[0].slot and not ctx.clean
+        assert type(ctx.values) is np.ndarray
+        assert len(ctx.values) == len(m.arena.nodes)
+        assert ctx.clean == dead.slot < live.components[0].slot
 
 
-class TestPerFieldFallback:
-    def test_a_dead_node_out_of_domain_sends_the_point_to_per_field_runs(
+class TestCheckedFields:
+    def test_a_dead_node_out_of_domain_sends_only_later_fields_to_checked_steps(
             self, monkeypatch):
         # log(t - 5) lies between the two fields' slots and is out of
-        # domain at t = 0.  The run over the whole arena meets it, the
-        # field asked for first is recomputed checked, and the other one
-        # then runs its own slots only, all below the dead node
+        # domain at t = 0.  The run over the whole arena meets it there,
+        # the field above it is recomputed checked, and the one below it
+        # is gathered from the run
         m = fresh_minkowski()
         early = vector(m, ["t + 1", "x*2", "0", "1"])
         with m.arena:
@@ -665,14 +667,14 @@ class TestPerFieldFallback:
         point = (0.0, 1.5, 0.0, 0.0)
         assert list(m.evaluate_field(late, point)) == [0.0, -1.5, 0.0, 0.0]
         ctx = m.at(point)
-        assert len(ctx.values) == 0 and not ctx.clean and len(checked) == 1
+        assert ctx.clean == dead.slot and len(checked) == 1
+        assert len(ctx.values) == len(m.arena.nodes)
         assert list(m.evaluate_field(early, point)) == [1.0, 3.0, 0.0, 1.0]
-        end = m.place(early)[2]
-        assert len(ctx.values) == end < dead.slot
+        assert m.place(early)[2] <= dead.slot
         bindings = m.bindings(point)
-        assert ctx.values.tolist() == [reference_evaluate(e, bindings)
-                                       for e in m.arena.nodes[:end]]
-        assert len(checked) == 1 and not ctx.clean
+        assert ctx.values[:dead.slot].tolist() == [
+            reference_evaluate(e, bindings) for e in m.arena.nodes[:dead.slot]]
+        assert len(checked) == 1
         with pytest.raises(DomainError, match="log of a non-positive"):
             evaluate(dead, bindings)
 
@@ -696,52 +698,51 @@ BATCHED_FAILURES = {
 
 
 @pytest.fixture
-def batched_runs(monkeypatch):
-    """The end of every batched run."""
+def runs(monkeypatch):
+    """The arena length of every ``Arena.run``."""
     calls = []
-    original = Arena._batched
+    original = Arena.run
 
-    def counting(program, bindings, end):
-        calls.append(end)
-        return original(program, bindings, end)
+    def counting(self, bindings):
+        calls.append(len(self.nodes))
+        return original(self, bindings)
 
-    monkeypatch.setattr(Arena, "_batched", staticmethod(counting))
+    monkeypatch.setattr(Arena, "run", counting)
     return calls
 
 
 class TestBatchedRun:
-    """A settled arena's whole run, as numpy batches, gives every slot
-    the interpreter's float64 bytes, and fails where the interpreter
-    fails, with the same error, fallback and checked calls."""
+    """Each run of a whole arena, as numpy batches, gives every slot the
+    reference interpreter's float64 bytes, and fails where it fails, with
+    the same error, and checked steps only for the fields that read a
+    value out of domain."""
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_every_slot_is_the_interpreters_on_the_corpus(self, name):
         m = load_corpus_metric(name)
         analyze_point(m, min(m.points), cross_validate=True)
         for pname, point in sorted(m.points.items()):
-            interpreted, batched = whole_runs(m.arena, m.bindings(point))
-            assert len(batched) == len(m.arena.nodes), pname
-            assert float_bytes(batched) == float_bytes(interpreted), pname
-        assert m.arena.program[1] or name == "minkowski"  # no ufunc there
+            bindings = m.bindings(point)
+            batched, clean = m.arena.run(bindings)
+            assert clean == len(batched) == len(m.arena.nodes), pname
+            assert float_bytes(batched) == float_bytes(
+                reference_values(m.arena, bindings)), pname
+        assert m.arena.program[0] == len(m.arena.nodes)
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
-    def test_later_points_of_the_corpus_run_batched(self, batched_runs,
-                                                    name):
-        # each later point runs the whole arena once, as numpy batches,
-        # wherever the arena has a ufunc slot (ppwave_linear's 231 slots
-        # as well as Schwarzschild's 22,074)
+    def test_later_points_of_the_corpus_run_batched(self, runs, name):
+        # each later point runs the whole arena once, as numpy batches
+        # (ppwave_linear's 231 slots as well as Schwarzschild's 22,074)
         m = load_corpus_metric(name)
         names = sorted(m.points)
         analyze_point(m, names[0], cross_validate=True)
-        ufunc_slots = any(0 < code <= 5 for code in m.arena.code)
         for pname in names[1:]:
-            batched_runs.clear()
+            runs.clear()
             analyze_point(m, pname, cross_validate=True)
-            assert batched_runs == [len(m.arena.nodes)] * ufunc_slots, pname
-        assert ufunc_slots or name == "minkowski"
+            assert runs == [len(m.arena.nodes)], pname
 
     def test_the_grid_scan_arena_runs_batched_and_bit_for_bit(
-            self, monkeypatch, batched_runs):
+            self, monkeypatch, runs):
         # the benchmark's grid_scan input: product2x2 at many points of
         # one build, whose ufunc groups average about 22 slots
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -752,18 +753,19 @@ class TestBatchedRun:
         m = parse_metric_text(text, name)
         names = sorted(m.points)[:10]
         for pname in names:
-            batched_runs.clear()
+            runs.clear()
             analyze_point(m, pname)
-        assert batched_runs == [len(m.arena.nodes)]
+            assert runs == [len(m.arena.nodes)], pname
         for pname in names:
-            interpreted, batched = whole_runs(m.arena,
-                                              m.bindings(m.points[pname]))
-            assert float_bytes(batched) == float_bytes(interpreted), pname
+            bindings = m.bindings(m.points[pname])
+            batched, _ = m.arena.run(bindings)
+            assert float_bytes(batched) == float_bytes(
+                reference_values(m.arena, bindings)), pname
 
     @pytest.mark.parametrize("case", sorted(BATCHED_FAILURES))
     def test_failures_are_the_interpreters(self, monkeypatch, case):
         texts, first, second, bad = BATCHED_FAILURES[case]
-        seen, checked = {}, []
+        checked = []
         original = Arena.checked
 
         def counting(self, *args):
@@ -771,28 +773,24 @@ class TestBatchedRun:
             return original(self, *args)
 
         monkeypatch.setattr(Arena, "checked", counting)
-        for batched in (True, False):
-            m = fresh_minkowski()
-            field = vector(m, texts)
-            late = vector(m, ["t*x - 2", "x + 2", "0", "1"])
-            for t in (first, second):
-                for f in (field, late):
-                    m.evaluate_field(f, (t, 1.5, 0.0, 0.0))
-            assert m.arena.program[1]
-            if not batched:     # as if no clean run had reached the end
-                m.arena.program = (0, None)
-            checked.clear()
-            point = (bad, 1.5, 0.0, 0.0)
-            with pytest.raises(DomainError) as raised:
-                m.evaluate_field(field, point)
-            want = reference_error(field.components[0], m.bindings(point))
-            assert str(raised.value) == str(want)
-            got = m.evaluate_field(late, point)       # the per-field run
-            ctx = m.at(point)
-            seen[batched] = (str(raised.value), got.tobytes(), ctx.clean,
-                             float_bytes(ctx.values), len(checked))
-        assert seen[True] == seen[False]
-        assert seen[True][2:] == (False, float_bytes([]), 2)
+        m = fresh_minkowski()
+        field = vector(m, texts)
+        late = vector(m, ["t*x - 2", "x + 2", "0", "1"])
+        for t in (first, second):
+            for f in (field, late):
+                m.evaluate_field(f, (t, 1.5, 0.0, 0.0))
+        assert checked == []
+        point = (bad, 1.5, 0.0, 0.0)
+        with pytest.raises(DomainError) as raised:
+            m.evaluate_field(field, point)
+        want = reference_error(field.components[0], m.bindings(point))
+        assert str(raised.value) == str(want)
+        got = m.evaluate_field(late, point)     # checked: it lies above
+        assert got.tobytes() == reference_field(late, m.bindings(point)).tobytes()
+        ctx = m.at(point)
+        assert ctx.clean == field.components[0].slot
+        assert len(ctx.values) == len(m.arena.nodes)
+        assert checked == [ctx.clean] * 2
 
 
 class TestTapeBuild:
@@ -833,8 +831,8 @@ class TestTapeBuild:
             assert parse_expr("sin(t)", CHART).slot == 3
             assert parse_expr("sin(t)*sin(t) + sin(t)", CHART) is e
         assert len(arena.nodes) == 6
-        values, clean = arena.run(np.empty(0), {"t": 0.7}, [5], 6)
-        assert clean and values[5] == evaluate(e, {"t": 0.7})
+        values, clean = arena.run({"t": 0.7})
+        assert clean == 6 and values[5] == evaluate(e, {"t": 0.7})
         assert len(values) == 6
 
 
@@ -951,7 +949,7 @@ class TestArenas:
         assert dead.slot < live.components[0].slot
         point = (0.0, 1.5, 0.0, 0.0)
         assert list(m.evaluate_field(live, point)) == [1, 3, 0, 1]
-        assert len(m.at(point).values) == 0
+        assert m.at(point).clean == dead.slot
         assert m.metric_value(point)[0, 0] == 1.0
         with pytest.raises(DomainError, match="log of a non-positive"):
             evaluate(dead, m.bindings(point))

@@ -30,7 +30,7 @@ from the family's formulas alone.  At every point:
     give the three commutator residuals within criterion 8's
     ``ROUTE_TOL`` of their scale;
 (h) the batched run of each whole cross-validated arena gives every
-    slot the interpreter's float64 bytes;
+    slot the reference interpreter's float64 bytes;
 (i) R, I and J agree, and the type and the branch are equal, when the
     chart's coordinates are relabelled (g, the legs and the points
     permuted alike).
@@ -62,7 +62,7 @@ from curvlab.newman_penrose import (
 )
 from curvlab.symmetry import conformal_semi_symmetry_residual
 
-from conftest import reference_evaluate, whole_runs
+from conftest import reference_evaluate, reference_values
 
 SEED = 14
 METRICS_PER_FAMILY = 12
@@ -286,19 +286,18 @@ LEGS = ("k", "l", "m_re", "m_im")
 
 def test_batched_runs_are_the_interpreters_on_generated_metrics():
     # (h): every slot of each cross-validated arena, batched, has the
-    # interpreter's float64 bytes at every point
+    # reference interpreter's float64 bytes at every point
     for family in sorted(FAMILIES):
         rng = random.Random(f"{SEED}-{family}")
         for index in range(METRICS_PER_FAMILY):
             m = parse_metric_text(FAMILIES[family](rng), f"{family}-{index}")
             cross_validate_point(m, m.points["p0"], RESIDUAL_TOL)
             for pname, p in m.points.items():
-                interpreted, batched = whole_runs(m.arena, m.bindings(p))
-                assert len(batched) == len(m.arena.nodes)
-                assert np.array(batched).tobytes() == np.array(
-                    interpreted).tobytes(), (family, index, pname)
-            ufunc_slots = any(0 < code <= 5 for code in m.arena.code)
-            assert bool(m.arena.program[1]) is ufunc_slots, (family, index)
+                bindings = m.bindings(p)
+                batched, clean = m.arena.run(bindings)
+                assert clean == len(batched) == len(m.arena.nodes)
+                assert batched.tobytes() == np.array(reference_values(
+                    m.arena, bindings)).tobytes(), (family, index, pname)
 
 
 def corpus_text(name: str) -> str:
