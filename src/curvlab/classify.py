@@ -229,7 +229,6 @@ def classify_point(m: MetricField, p, tetrad: NullTetrad | None = None,
     if tetrad is None:
         raise TetradMissingError(
             f"metric '{m.name}' carries no null tetrad field")
-    m.point_fields()
     curv = curvature(m, p)
     frame = tetrad_frame(m, tetrad, p)
     ad = adapt_tetrad(m, tetrad, p, tol)

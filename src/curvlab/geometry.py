@@ -556,11 +556,15 @@ class PointContext:
 
 
 def curvature(m: MetricField, point) -> Curvature:
-    """The curvature at ``point``, evaluated once per point context."""
+    """The curvature at ``point``, evaluated once per point context.  Every
+    stage of a point's classification reads it first, so it has the
+    fields they read built before the point's first run
+    (``MetricField.point_fields``)."""
     def real(t: SymbolicTensor) -> np.ndarray:
         return np.ascontiguousarray(m.evaluate_field(t, point).real)
 
     def make():
+        m.point_fields()
         gv = m.metric_value(point)
         m._check_det(gv, point)
         return Curvature(

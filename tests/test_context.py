@@ -390,8 +390,7 @@ class TestProgramBuilds:
     @pytest.mark.parametrize("mode", ["analyze", "cross_validate",
                                       "classify"])
     @pytest.mark.parametrize("name", CORPUS_NAMES)
-    def test_one_at_the_first_point_then_none(self, tape_events, name,
-                                              mode):
+    def test_one_at_the_first_point(self, tape_events, name, mode):
         # every field a point reads is built before its one run, so no
         # arena grows after a point's first run, and the program built
         # at the first point serves every later one.  Minkowski's fields

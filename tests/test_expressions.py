@@ -645,7 +645,7 @@ class TestDistinctSlotGather:
 
 
 class TestCheckedFields:
-    def test_a_dead_node_out_of_domain_sends_only_later_fields_to_checked_steps(
+    def test_a_dead_node_sends_only_later_fields_to_checked_steps(
             self, monkeypatch):
         # log(t - 5) lies between the two fields' slots and is out of
         # domain at t = 0.  The run over the whole arena meets it there,
