@@ -15,7 +15,9 @@ import pytest
 
 from curvlab.conventions import SCALE_FLOOR
 from curvlab.expressions import (FUNCTIONS, ZERO, Arena, DomainError,
-                                 ExprError, add, const, mul, parse_expr)
+                                 ExprError, ParseError, UndeclaredNameError,
+                                 _tokenize, add, call, const, coord, div,
+                                 mul, neg, param, parse_expr, pow_, sub)
 from curvlab.geometry import MetricField, SymbolicTensor
 from curvlab.newman_penrose import NullTetrad, _clusters, pnd_roots
 from curvlab.spinors import raise_slot
@@ -121,6 +123,101 @@ def reference_values(arena, bindings) -> list:
             append(e.payload if e.kind == "const"
                    else float(bindings[e.payload]))
     return values
+
+
+class _ReferenceParser:
+    """Plain recursive descent over the grammar of ``curvlab.expressions``,
+    one method per rule, calling the same constructors as each rule
+    returns and raising the same errors at the same offsets.  It recurses
+    once per level of nesting."""
+
+    _BINARY = {"+": add, "-": sub, "*": mul, "/": div}
+
+    def __init__(self, text, chart, params):
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.chart = set(chart)
+        self.params = set(params)
+
+    def peek_op(self, ops):
+        kind, value, _ = self.tokens[self.i]
+        return kind == "op" and value in ops
+
+    def advance(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def expect_close(self):
+        if not self.peek_op((")",)):
+            raise ParseError("expected ')'", self.tokens[self.i][2])
+        self.i += 1
+
+    def parse(self):
+        kind, _, offset = self.tokens[0]
+        if kind == "end":
+            raise ParseError("empty expression", offset)
+        e = self.expr()
+        kind, value, offset = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {value!r}", offset)
+        return e
+
+    def expr(self):
+        v = self.term()
+        while self.peek_op(("+", "-")):
+            op = self.advance()[1]
+            v = self._BINARY[op](v, self.term())
+        return v
+
+    def term(self):
+        v = self.factor()
+        while self.peek_op(("*", "/")):
+            op = self.advance()[1]
+            v = self._BINARY[op](v, self.factor())
+        return v
+
+    def factor(self):
+        if self.peek_op(("-",)):
+            self.advance()
+            return neg(self.power())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek_op(("^",)):
+            self.advance()
+            return pow_(base, self.factor())
+        return base
+
+    def atom(self):
+        kind, value, offset = self.advance()
+        if kind == "number":
+            return const(float(value))
+        if kind == "ident":
+            if self.peek_op(("(",)):
+                if value not in FUNCTIONS:
+                    raise UndeclaredNameError(value, offset)
+                self.advance()
+                arg = self.expr()
+                self.expect_close()
+                return call(value, arg)
+            if value in self.chart:
+                return coord(value)
+            if value in self.params:
+                return param(value)
+            raise UndeclaredNameError(value, offset)
+        if kind == "op" and value == "(":
+            e = self.expr()
+            self.expect_close()
+            return e
+        raise ParseError(f"unexpected {value!r}" if value
+                         else "unexpected end of input", offset)
+
+
+def reference_parse(text, chart, params=()):
+    """A reference for ``parse_expr``: recursive descent into the open
+    arena (``_ReferenceParser``)."""
+    return _ReferenceParser(text, chart, params).parse()
 
 
 def reference_symmetrized(arr, slots):
