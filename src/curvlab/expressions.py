@@ -1,7 +1,7 @@
 """Symbolic expression trees over chart coordinates and named parameters.
 
 This is the scalar engine underneath every metric component: a small
-immutable expression language with an explicit-stack parser, exact
+immutable expression language with an operator-precedence parser, exact
 differentiation, light simplification (constant folding and identity
 elimination only -- correctness is defined by evaluation, not by any
 canonical form), and double-precision evaluation.
@@ -50,7 +50,12 @@ some roots read, one checked step at a time in slot order, and raises
 ``DomainError`` naming the first sub-expression that is out of domain or
 overflows.  It serves the roots that read a slot at or above a run's
 first non-finite one, so a dead node out of domain raises nothing.
-Nothing recurses over the depth of an expression.
+
+Parsing is one operator-precedence loop over a value stack and an
+operator stack (``parse_expr``), which calls the constructors in the
+order recursive descent over the grammar would.  Neither it nor
+differentiation, evaluation or printing recurses over the depth of an
+expression.
 """
 
 from __future__ import annotations
@@ -514,124 +519,84 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-_BINARY = {"+": add, "-": sub, "*": mul, "/": div}
-
-
-class _Parser:
-    def __init__(self, text: str, chart: Iterable[str], params: Iterable[str]):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.chart = set(chart)
-        self.params = set(params)
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, offset = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected '{op}'", offset)
-        return self.advance()
-
-    def parse(self) -> Expr:
-        kind, _, offset = self.peek()
-        if kind == "end":
-            raise ParseError("empty expression", offset)
-        e = self.expr()
-        kind, value, offset = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", offset)
-        return e
-
-    def expr(self) -> Expr:
-        """One ``expr``.  The grammar's rules are entered as by recursive
-        descent, and call the constructors in the same order, but each
-        rule still waiting for a value is a frame on ``frames``, not on
-        the call stack, so any depth of nesting parses."""
-        frames: list[list] = []
-        rule = "expr"
-        while True:
-            # enter rules until an atom gives a value
-            while rule != "atom":
-                if rule == "factor":
-                    kind, value, _ = self.peek()
-                    if kind == "op" and value == "-":
-                        self.advance()
-                        frames.append(["neg"])
-                    frames.append(["power"])
-                    rule = "atom"
-                else:       # expr or term: a first operand, no op yet
-                    frames.append([rule, None, None])
-                    rule = "term" if rule == "expr" else "factor"
-            kind, value, offset = self.advance()
-            if kind == "number":
-                v = const(float(value))
-            elif kind == "ident":
-                nkind, nvalue, _ = self.peek()
-                if nkind == "op" and nvalue == "(":
-                    if value not in FUNCTIONS:
-                        raise UndeclaredNameError(value, offset)
-                    self.advance()
-                    frames.append(["call", value])
-                    rule = "expr"
-                    continue
-                if value in self.chart:
-                    v = coord(value)
-                elif value in self.params:
-                    v = param(value)
-                else:
-                    raise UndeclaredNameError(value, offset)
-            elif kind == "op" and value == "(":
-                frames.append(["paren"])
-                rule = "expr"
-                continue
-            else:
-                raise ParseError(f"unexpected {value!r}" if value
-                                 else "unexpected end of input", offset)
-            # hand the value to the waiting frames until one starts a rule
-            while frames:
-                frame = frames[-1]
-                tag = frame[0]
-                if tag == "expr" or tag == "term":
-                    lhs, op = frame[1], frame[2]
-                    if op is not None:
-                        v = _BINARY[op](lhs, v)
-                    kind, value, _ = self.peek()
-                    ops = "+-" if tag == "expr" else "*/"
-                    if kind == "op" and value in ops:
-                        self.advance()
-                        frame[1:] = v, value
-                        rule = "term" if tag == "expr" else "factor"
-                        break
-                elif tag == "power":
-                    kind, value, _ = self.peek()
-                    if kind == "op" and value == "^":
-                        self.advance()
-                        frames[-1] = ["pow", v]
-                        rule = "factor"
-                        break
-                elif tag == "pow":
-                    v = pow_(frame[1], v)
-                elif tag == "neg":
-                    v = neg(v)
-                else:       # call or paren: the closing parenthesis
-                    self.expect_op(")")
-                    if tag == "call":
-                        v = call(frame[1], v)
-                frames.pop()
-            else:
-                return v
+# binary operators: (precedence, constructor); unary minus binds between
+# '*' and '^', and a '(' waiting on the operator stack has precedence 0
+_BINARY = {"+": (1, add), "-": (1, sub), "*": (2, mul), "/": (2, div),
+           "^": (4, pow_)}
+_NEG = (3, neg)
 
 
 def parse_expr(text: str, chart: Iterable[str], params: Iterable[str] = ()) -> Expr:
     """Parse ``text`` against the declared coordinate and parameter names,
-    into the open arena."""
-    return _Parser(text, chart, params).parse()
+    into the open arena.
+
+    One operator-precedence loop over a value stack and an operator stack
+    that expects an operand or an operator in turn.  A pending operator
+    runs when an operator of lower or equal precedence (lower only for
+    the right-associative '^'), a ')' or the end arrives: when recursive
+    descent would return from its rule, so the constructors run in the
+    same order.  A function's '(' waits on the stack as its name, and
+    its ')' makes the call."""
+    tokens = _tokenize(text)
+    if tokens[0][0] == "end":
+        raise ParseError("empty expression", tokens[0][2])
+    chart, params = set(chart), set(params)
+    values: list[Expr] = []
+    ops: list[tuple] = []       # (precedence, constructor or function name)
+
+    def run(floor: int) -> None:
+        while ops and ops[-1][0] >= floor:
+            fn = ops.pop()[1]
+            if fn is neg:
+                values[-1] = neg(values[-1])
+            else:
+                b = values.pop()
+                values[-1] = fn(values[-1], b)
+
+    operand, i = True, 0
+    while True:
+        kind, value, offset = tokens[i]
+        i += 1
+        if not operand:
+            if kind == "op" and value in _BINARY:
+                prec, fn = _BINARY[value]
+                run(prec + (value == "^"))
+                ops.append((prec, fn))
+                operand = True
+                continue
+            run(1)
+            if not ops:
+                if kind == "end":
+                    return values[0]
+                raise ParseError(f"unexpected trailing input {value!r}",
+                                 offset)
+            if value != ")":
+                raise ParseError("expected ')'", offset)
+            fname = ops.pop()[1]
+            if fname is not None:
+                values[-1] = call(fname, values[-1])
+        elif value == "-" and not (ops and ops[-1] is _NEG):
+            ops.append(_NEG)        # a factor's one leading minus
+        elif value == "(":
+            ops.append((0, None))
+        elif kind == "ident" and tokens[i][1] == "(":
+            if value not in FUNCTIONS:
+                raise UndeclaredNameError(value, offset)
+            ops.append((0, value))
+            i += 1
+        else:
+            if kind == "number":
+                values.append(const(float(value)))
+            elif kind == "ident" and value in chart:
+                values.append(coord(value))
+            elif kind == "ident" and value in params:
+                values.append(param(value))
+            elif kind == "ident":
+                raise UndeclaredNameError(value, offset)
+            else:
+                raise ParseError(f"unexpected {value!r}" if value
+                                 else "unexpected end of input", offset)
+            operand = False
 
 
 # ---------------------------------------------------------------------------
