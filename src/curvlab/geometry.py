@@ -110,34 +110,20 @@ def _antisymmetric(component) -> np.ndarray:
     return out
 
 
-def _cached(build):
-    """A no-argument builder whose result the metric makes once, in its
-    arena."""
-    name = build.__name__
-    @functools.wraps(build)
-    def cached(self):
-        if name not in self._cache:
-            with self.arena:
-                self._cache[name] = build(self)
-        return self._cache[name]
-    return cached
-
-
-def _per_field(build):
-    """A builder of one field from another, made once per metric and
-    field contents, in the metric's arena.  The components' slots name
-    the contents: a slot names one node of the arena for the arena's
-    life, while a wrapper's own id would not (wrappers die and ids get
+def _built(build):
+    """A builder whose result the metric makes once (``MetricField.once``),
+    keyed by its name and, for a builder of one field from another, the
+    field's variance and contents.  The components' slots name the
+    contents: a slot names one node of the arena for the arena's life,
+    while a wrapper's own id would not (wrappers die and ids get
     recycled)."""
     name = build.__name__
     @functools.wraps(build)
-    def per_field(self, t: SymbolicTensor) -> SymbolicTensor:
-        key = (name, t.variance, self.place(t)[1].tobytes())
-        if key not in self._cache:
-            with self.arena:
-                self._cache[key] = build(self, t)
-        return self._cache[key]
-    return per_field
+    def built(self, *field: SymbolicTensor) -> SymbolicTensor:
+        key = (name, *((t.variance, self.place(t)[1].tobytes())
+                       for t in field))
+        return self.once(key, lambda: build(self, *field))
+    return built
 
 
 class MetricField:
@@ -147,9 +133,8 @@ class MetricField:
     one Expr object per symmetric pair.  ``arena`` holds the components
     (by default the open arena, see ``expressions.Arena``) and every node
     built from them.  All curvature quantities are built when first asked
-    for and kept on the instance: by ``_cached`` and ``_per_field``
-    builders, and by ``nabla_field``; ``point_fields`` asks for all that a
-    point's analysis reads.
+    for and kept on the instance (``once``); ``point_fields`` asks for all
+    that a point's analysis reads.
     """
 
     def __init__(self, name, chart, g, params=None, points=None,
@@ -274,29 +259,38 @@ class MetricField:
             value = ctx.memo[t] = np.asarray(values[slots], dtype=complex)
         return value
 
+    def once(self, key, make):
+        """The build under ``key``, made by ``make()`` in the metric's arena
+        the first time it is asked for; a ``make`` that raises leaves
+        nothing behind (``PointContext.once`` at one point)."""
+        if key not in self._cache:
+            with self.arena:
+                self._cache[key] = make()
+        return self._cache[key]
+
     def point_fields(self, nabla2: tuple = ()) -> None:
         """Build every field a point reads before the point's first run,
         so that the run covers them all and no read after it grows the
         arena: the curvature, ∇ and ∇∇ of each of ``nabla2`` ('riemann',
         'weyl', 'ricci'), and each declared leg's lowered value, ∇ and ∂.
         Built once per metric and ``nabla2``."""
-        key = ("point fields", nabla2)
-        if key not in self._cache:
+        def make():
             self.weyl_field()
             for which in nabla2:
                 self.nabla_field(which, 2)
             if self.tetrad is not None:
                 for leg in (self.tetrad.k, self.tetrad.l, self.tetrad.m_re,
                             self.tetrad.m_im):
-                    self.covector_gradient_field(
-                        self.lowered_vector_field(leg))
-            self._cache[key] = True
+                    v = self.lowered_vector_field(leg)
+                    self.covector_gradient_field(v)
+                    self.partial_gradient_field(v)
+        self.once(("point fields", nabla2), make)
 
     # -- symbolic pipeline --------------------------------------------------
     # each builder caches one SymbolicTensor: a field's slots and its
     # entry in the point memo belong to that object
 
-    @_cached
+    @_built
     def inverse_symbolic(self) -> SymbolicTensor:
         """g^{ab}."""
         g = self.g
@@ -313,7 +307,7 @@ class MetricField:
                     ZERO if cof is ZERO else div(cof, det))
         return SymbolicTensor(ginv, ("u", "u"))
 
-    @_cached
+    @_built
     def christoffel_symbolic(self) -> SymbolicTensor:
         """Γ^a_{bc}."""
         g = self.g
@@ -332,7 +326,7 @@ class MetricField:
                 gamma[a, b, c] = gamma[a, c, b] = mul(half, s)
         return SymbolicTensor(gamma, ("u", "d", "d"))
 
-    @_cached
+    @_built
     def riemann_up_symbolic(self) -> SymbolicTensor:
         """R^a_{bcd}."""
         gamma = self.christoffel_symbolic().components
@@ -351,14 +345,14 @@ class MetricField:
 
         return SymbolicTensor(_antisymmetric(component), ("u", "d", "d", "d"))
 
-    @_cached
+    @_built
     def riemann_field(self) -> SymbolicTensor:
         g = self.g
         rup = self.riemann_up_symbolic().components
         return SymbolicTensor(_antisymmetric(lambda a, b, c, d: _fold(
             mul(g[a, e], rup[e, b, c, d]) for e in range(DIM))), ("d",) * 4)
 
-    @_cached
+    @_built
     def ricci_field(self) -> SymbolicTensor:
         rup = self.riemann_up_symbolic().components
         ric = np.empty((DIM, DIM), dtype=object)
@@ -367,7 +361,7 @@ class MetricField:
                 ric[a, b] = ric[b, a] = _fold(rup[c, a, c, b] for c in range(DIM))
         return SymbolicTensor(ric, ("d", "d"))
 
-    @_cached
+    @_built
     def scalar_field(self) -> SymbolicTensor:
         """R, as a rank-0 field."""
         ginv = self.inverse_symbolic().components
@@ -376,7 +370,7 @@ class MetricField:
                   for a in range(DIM) for b in range(DIM))
         return SymbolicTensor(np.array(s, dtype=object), ())
 
-    @_cached
+    @_built
     def weyl_field(self) -> SymbolicTensor:
         g = self.g
         rdown = self.riemann_field().components
@@ -470,32 +464,24 @@ class MetricField:
         """Cached ∇ or ∇∇ of 'riemann', 'weyl', or 'ricci' (all-down)."""
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        key = ("nabla", which, order)
-        if key not in self._cache:
-            base = {"riemann": self.riemann_field, "weyl": self.weyl_field,
-                    "ricci": self.ricci_field}[which]()
-            first = self.nabla_field(which, 1) if order == 2 else base
-            with self.arena:
-                self._cache[key] = self._cov1(first)
-        return self._cache[key]
+        return self.once(("nabla", which, order), lambda: self._cov1(
+            self.nabla_field(which, 1) if order == 2 else
+            {"riemann": self.riemann_field, "weyl": self.weyl_field,
+             "ricci": self.ricci_field}[which]()))
 
-    @_per_field
+    @_built
     def lowered_vector_field(self, v_up: SymbolicTensor) -> SymbolicTensor:
         """v_b = g_be v^e."""
         comp = [_fold(mul(self.g[b, e], v_up.components[e]) for e in range(DIM))
                 for b in range(DIM)]
         return SymbolicTensor(np.array(comp, dtype=object), ("d",))
 
-    @_per_field
+    @_built
     def covector_gradient_field(self, v_dn: SymbolicTensor) -> SymbolicTensor:
-        """∇_a v_b for a covector field, and ∂_a v_b with it (∇'s own
-        derivatives), so that no later point builds the ∂ the null probes
-        read."""
-        out = self._cov1(v_dn)
-        self.partial_gradient_field(v_dn)
-        return out
+        """∇_a v_b for a covector field."""
+        return self._cov1(v_dn)
 
-    @_per_field
+    @_built
     def partial_gradient_field(self, v_dn: SymbolicTensor) -> SymbolicTensor:
         """∂_a v_b for a covector field (not a tensor)."""
         comp = np.array([[differentiate(e, va) for e in v_dn.components]
