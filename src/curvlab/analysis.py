@@ -99,8 +99,10 @@ def cross_validate_point(m: MetricField, coords, tol: float) -> dict:
     differentiation for the three commutator residuals.
 
     Returns name -> (commutator value, direct value, difference relative
-    to the residual scale).
+    to the residual scale).  Every ∇∇ field the direct routes read is
+    built before the first read, so the point's arena runs once.
     """
+    m.point_fields(("riemann", "weyl", "ricci"))
     out = {}
     for name in ("semi", "conformal", "ricci"):
         fn = _RESIDUAL_FUNCS[name]

@@ -413,6 +413,19 @@ class TestProgramBuilds:
             else:
                 assert tape_events == [("program", size), ("run", size)]
 
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_at_most_one_when_cross_validating_after_classify(
+            self, tape_events, name):
+        # called on its own, after classification ran the point without
+        # the ∇∇ fields, cross-validation builds them all before its
+        # first read: one program for the grown arena, not one per field
+        m = load_corpus_metric(name)
+        point = m.points[sorted(m.points)[0]]
+        classify_point(m, point)
+        tape_events.clear()
+        analysis.cross_validate_point(m, point, RESIDUAL_TOL)
+        assert sum(e[0] == "program" for e in tape_events) <= 1
+
     def test_an_arena_that_grows_builds_again_and_stays_bit_identical(
             self, tape_events):
         # a field placed after the program was built joins the tape; the
