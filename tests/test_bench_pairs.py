@@ -219,3 +219,34 @@ def test_both_sides_run_from_fresh_exports(tmp_path, monkeypatch):
     assert not (change / "out.log").exists()
     assert not (change / "gone.txt").exists()
     assert (parent / "gone.txt").is_file()
+
+
+def test_the_record_holds_each_sides_source_lines(tmp_path, monkeypatch,
+                                                  capsys):
+    """``src_lines`` counts the lines of ``src/curvlab/*.py`` in each
+    side's export, as ``wc -l`` would, and the summary prints both."""
+    repo = tmp_path / "repo"
+    pkg = repo / "src" / "curvlab"
+    pkg.mkdir(parents=True)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    (repo / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}')
+    (pkg / "a.py").write_text("1\n2\n3\n")
+    (pkg / "b.py").write_text("1\n2\n")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "parent"], check=True)
+    (pkg / "a.py").write_text("1\n")
+    (pkg / "c.py").write_text("1\n2\n3\n4\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "bench",
+                        lambda root, workload, seed, seconds, trace: fake_run())
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "corpus",
+                             "--seeds", "1", "--seconds", "1",
+                             "--out", str(out)]) == 0
+    record = bench_pairs.json.loads(out.read_text())
+    assert record["src_lines"] == {"parent": 5, "change": 7}
+    assert "src/curvlab lines: parent 5 change 7 (+2)\n" in \
+        capsys.readouterr().out

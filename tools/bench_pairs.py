@@ -27,10 +27,12 @@ whether a gain would count (at least ten pairs, the change wins at least
 nine tenths of them, and the medians differ, in the better direction, by
 more than the parent's interquartile range), and a regression verdict
 against the metric's ``BENCHMARK.json`` bound (see ``regression``).
-The summary prints each side's failed/attempted operations per workload
-and the pairs whose host-loop ratio lies more than ``HOST_SPREAD`` from
-1, whose metrics compare two hosts as much as two programs; the tool
-exits 1 when any run failed an operation or exited nonzero.
+The record also holds each side's line count of ``src/curvlab/*.py``
+(``src_lines``), counted in its export.  The summary prints those counts,
+each side's failed/attempted operations per workload and the pairs whose
+host-loop ratio lies more than ``HOST_SPREAD`` from 1, whose metrics
+compare two hosts as much as two programs; the tool exits 1 when any run
+failed an operation or exited nonzero.
 """
 
 from __future__ import annotations
@@ -143,6 +145,13 @@ def export_sides(parent: str, tmp: Path) -> dict:
             "change": export_worktree(tmp / "change")}
 
 
+def src_lines(root: Path) -> int:
+    """The lines of ``src/curvlab/*.py`` under ``root``, as ``wc -l``
+    counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src" / "curvlab").glob("*.py"))
+
+
 def bench(root: Path, workload: str, seed: int, seconds: float,
           trace: int) -> dict:
     """One ``perfbench/run.py`` run in ``root``: its metrics (the last
@@ -213,6 +222,10 @@ def report(record: dict) -> int:
     """Print the summary of a record; 1 when any run failed an operation
     or exited nonzero, else 0."""
     status = 0
+    if "src_lines" in record:
+        lines = record["src_lines"]
+        print(f"src/curvlab lines: parent {lines['parent']} change "
+              f"{lines['change']} ({lines['change'] - lines['parent']:+d})")
     for w, rec in record["workloads"].items():
         for side, f in failures(rec).items():
             print(f"{w:<15} {side:<6} failed {f['failed']}/{f['attempted']} "
@@ -259,6 +272,8 @@ def main(argv=None) -> int:
                      "machine": platform.machine(),
                      "cpus": os.cpu_count(),
                      "system": platform.system()},
+            "src_lines": {side: src_lines(root)
+                          for side, root in sides.items()},
             "workloads": {w: run_pairs(sides, w, args.seeds, args.seconds,
                                        gated) for w in args.workload}}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
