@@ -13,6 +13,7 @@ same nodes in the same order: equal kinds, payloads and argument slots.
 
 import random
 import re
+from collections import Counter
 
 from curvlab.expressions import (FUNCTIONS, Arena, ExprError, ParseError,
                                  UndeclaredNameError, parse_expr)
@@ -97,7 +98,7 @@ def outcome(text):
 
 def test_parse_expr_is_the_recursive_descent_reference():
     rng = random.Random(2022)
-    valid, errors = [], {}
+    valid, errors = [], Counter()
     for _ in range(TEXTS // 2):
         grammatical = expr(rng, 2)
         for text in (grammatical, mutate(rng, grammatical)):
@@ -106,12 +107,11 @@ def test_parse_expr_is_the_recursive_descent_reference():
             if isinstance(ours[0], int):
                 valid.append(text)
             else:
-                errors[ours[0]] = errors.get(ours[0], 0) + 1
+                errors[ours[0]] += 1
     # the texts reach both errors and, among the valid ones, every
     # operator, function, name and place of a unary minus
     assert len(valid) > 0.45 * TEXTS
-    assert min(errors.get(c, 0) for c in (ParseError,
-                                          UndeclaredNameError)) > 0.05 * TEXTS
+    assert min(errors[ParseError], errors[UndeclaredNameError]) > 0.05 * TEXTS
     lines = "\n".join(valid)
     for op in "+*/^":
         assert op in lines, op
