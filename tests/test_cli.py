@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import curvlab.analysis as analysis_mod
 from curvlab.analysis import (
     cross_validate_point,
     lemma_suite,
+    report_json_object,
     reports_to_json,
     run_analysis,
 )
@@ -24,6 +27,7 @@ from curvlab.classify import TheoremViolationError
 from curvlab.cli import main
 from curvlab.corpus import CORPUS_NAMES, load_corpus_metric
 from curvlab.expressions import FUNCTIONS
+from curvlab.metricfile import parse_metric_text
 
 CORPUS_FILE = "src/curvlab/corpus_data/{}.ini"
 NARIAI = CORPUS_FILE.format("nariai")
@@ -147,6 +151,52 @@ def pinned_digest(capsys, *argv):
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
+SCAN_POINTS = 40
+# the grid_scan benchmark's coordinate box, where product2x2 is regular
+SCAN_BOX = ((-1.0, 1.0), (-1.5, 1.5), (-math.pi, math.pi), (-math.pi, math.pi))
+
+
+@pytest.fixture(scope="module")
+def scan_reports():
+    """The reports of a seeded SCAN_POINTS-point scan of product2x2, whose
+    [points] section is the last of its file."""
+    text = (resources.files("curvlab") / "corpus_data"
+            / "product2x2.ini").read_text(encoding="utf-8")
+    rng = random.Random(40)
+    points = "".join(
+        f"p{i:03d} = " + ", ".join(repr(rng.uniform(*r)) for r in SCAN_BOX)
+        + "\n" for i in range(SCAN_POINTS))
+    m = parse_metric_text(text.split("[points]")[0] + "[points]\n" + points,
+                          "product2x2")
+    return run_analysis(m)
+
+
+def edited_reports(reports):
+    """Copies of ``reports`` whose values reach what the encoder writes
+    specially: NaN, ±inf and None, non-ASCII text, and a quote, a
+    backslash, a tab and a newline in a name."""
+    out = []
+    for k, rep in enumerate(reports):
+        c = rep.classification
+        residuals = {name: dataclasses.replace(r, residual=math.nan,
+                                               scale=math.inf)
+                     for name, r in rep.residuals.items()}
+        psi = rep.np_data.psi.copy()
+        psi[k % 5] = complex(-math.inf, math.nan)
+        out.append(dataclasses.replace(
+            rep, metric="métrique ✓ Ψ", point_name=f'p"{k}\\ \t\n',
+            coords=(math.inf, -math.inf, math.nan, -0.0),
+            residuals=residuals,
+            np_data=dataclasses.replace(rep.np_data, psi=psi,
+                                        scalar=-math.inf),
+            spin=dict(rep.spin, kappa=complex(math.nan, math.inf)),
+            classification=dataclasses.replace(
+                c, A=math.nan, B=-math.inf, recurrence=None,
+                decomposability=math.inf, purely_electric=None,
+                constraints=dict(c.constraints, edited=math.nan))))
+    return out
+
+
 class TestAnalyzeJson:
     def analyze(self, capsys, *extra):
         code, out, err = run_cli(capsys, "analyze", NARIAI, "--json",
@@ -239,6 +289,28 @@ class TestAnalyzeJson:
         second = run_cli(capsys, "analyze", NARIAI, "--json", "--seed", "7")
         assert first == second
         assert first[0] == 0
+
+    def test_rendering_is_the_one_call_encoders_bytes(self, scan_reports):
+        # reports_to_json must write exactly what one json.dumps call over
+        # the whole list writes, for every kind of value a report holds
+        def reference(reports, tol, seed):
+            return json.dumps([report_json_object(r, tol, seed)
+                               for r in reports], indent=2,
+                              sort_keys=True) + "\n"
+
+        cases = {"no reports": [], "one report": scan_reports[:1],
+                 "scan": scan_reports,
+                 "edited": edited_reports(scan_reports[:3])}
+        for name in CORPUS_NAMES:
+            cases[name] = run_analysis(load_corpus_metric(name))
+        for case, reports in cases.items():
+            for tol, seed in ((1e-9, 7), (2.5e-7, 123)):
+                assert reports_to_json(reports, tol, seed) == reference(
+                    reports, tol, seed), case
+        edited = reports_to_json(edited_reports(scan_reports[:1]), 1e-9, 7)
+        for text in ("NaN", "-Infinity", "null", "\\u00e9", '\\"', "\\\\",
+                     "\\t\\n"):
+            assert text in edited, text
 
 
 class TestAnalyzeText:
