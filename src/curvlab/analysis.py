@@ -196,8 +196,18 @@ def report_json_object(rep: PointReport, tol: float, seed: int) -> dict:
 
 
 def reports_to_json(reports: list, tol: float, seed: int) -> str:
-    objs = [report_json_object(r, tol, seed) for r in reports]
-    return json.dumps(objs, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(objs, indent=2, sort_keys=True)`` over
+    every report's object, rendered one report at a time: the encoder's
+    chunk list then holds one report, not the whole scan.  A JSON string
+    holds no raw newline, so indenting each line of a report's text by
+    two spaces nests it in the list exactly."""
+    if not reports:
+        return "[]\n"
+    body = ",\n  ".join(
+        json.dumps(report_json_object(r, tol, seed), indent=2,
+                   sort_keys=True).replace("\n", "\n  ")
+        for r in reports)
+    return "[\n  " + body + "\n]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -311,6 +312,19 @@ class TestAnalyzeJson:
         for text in ("NaN", "-Infinity", "null", "\\u00e9", '\\"', "\\\\",
                      "\\t\\n"):
             assert text in edited, text
+
+    def test_rendering_holds_one_reports_chunks_at_a_time(self,
+                                                          scan_reports):
+        # the pure-Python indent encoder keeps a chunk list of about 8
+        # times its output; rendered report by report, the peak is the
+        # output and its parts, plus one report's chunks
+        tracemalloc.start()
+        try:
+            text = reports_to_json(scan_reports, 1e-9, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text), peak / len(text)
 
 
 class TestAnalyzeText:
