@@ -90,8 +90,10 @@ def _report(condition: str, residual: float, scale: float, point,
 
 def _commutator_residual(m: MetricField, point, condition: str, which: str,
                          tol: float, method: str) -> ResidualReport:
-    """The report, computed once per point context and key."""
+    """The report, computed once per point context and key.  The direct
+    route builds its ∇∇ field before the curvature's run covers it."""
     def make():
+        field = m.nabla_field(which, order=2) if method == "direct" else None
         c = curvature(m, point)
         target = {"riemann": c.riemann, "weyl": c.weyl, "ricci": c.ricci}[which]
         scale = max(max_abs(c.riemann_up), max_abs(c.riemann),
@@ -99,7 +101,7 @@ def _commutator_residual(m: MetricField, point, condition: str, which: str,
         if method == "commutator":
             out = commutator_action(c.riemann_up, target)
         elif method == "direct":
-            d2 = m.evaluate_field(m.nabla_field(which, order=2), point)
+            d2 = m.evaluate_field(field, point)
             out = d2 - np.swapaxes(d2, 0, 1)
         else:
             raise ValueError(f"unknown method {method!r}")
@@ -130,8 +132,9 @@ def ricci_semi_symmetry_residual(m: MetricField, point,
 def second_order_symmetry_residual(m: MetricField, point,
                                    tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Residual of the unsymmetrized condition ∇_a∇_b R_cdef = 0."""
+    field = m.nabla_field("riemann", order=2)     # before the point's run
     c = curvature(m, point)
-    d2 = m.evaluate_field(m.nabla_field("riemann", order=2), point)
+    d2 = m.evaluate_field(field, point)
     return _report("second_order", max_abs(d2), max_abs(c.riemann),
                    point, tol)
 
@@ -139,8 +142,9 @@ def second_order_symmetry_residual(m: MetricField, point,
 def locally_symmetric_residual(m: MetricField, point,
                                tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Residual of ∇_a R_cdef = 0."""
+    field = m.nabla_field("riemann", order=1)     # before the point's run
     c = curvature(m, point)
-    d1 = m.evaluate_field(m.nabla_field("riemann", order=1), point)
+    d1 = m.evaluate_field(field, point)
     return _report("locally_symmetric", max_abs(d1),
                    max_abs(c.riemann), point, tol)
 

@@ -426,6 +426,24 @@ class TestProgramBuilds:
         analysis.cross_validate_point(m, point, RESIDUAL_TOL)
         assert sum(e[0] == "program" for e in tape_events) <= 1
 
+    @pytest.mark.parametrize("residual, method", [
+        ("second_order", None), ("nabla_riemann", None),
+        ("semi", "direct"), ("conformal", "direct"), ("ricci", "direct")])
+    @pytest.mark.parametrize("name", ["schwarzschild", "nariai",
+                                      "product2x2"])
+    def test_one_for_a_lone_residual(self, tape_events, name, residual,
+                                     method):
+        # a residual called on its own at a fresh metric's first point
+        # asks for its ∇ or ∇∇ field before it reads the curvature, so
+        # the point's one run covers both
+        m = load_corpus_metric(name)
+        tape_events.clear()
+        kwargs = {} if method is None else {"method": method}
+        analysis._RESIDUAL_FUNCS[residual](m, m.points["p0"], RESIDUAL_TOL,
+                                           **kwargs)
+        size = len(m.arena.nodes)
+        assert tape_events == [("program", size), ("run", size)]
+
     def test_an_arena_that_grows_builds_again_and_stays_bit_identical(
             self, tape_events):
         # a field placed after the program was built joins the tape; the
