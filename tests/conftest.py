@@ -8,6 +8,7 @@ modules can be exercised before the I/O layer exists.
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,8 @@ import pytest
 from curvlab.conventions import SCALE_FLOOR
 from curvlab.expressions import (FUNCTIONS, ZERO, Arena, DomainError,
                                  ExprError, ParseError, UndeclaredNameError,
-                                 _tokenize, add, call, const, coord, div,
-                                 mul, neg, param, parse_expr, pow_, sub)
+                                 add, call, const, coord, div, mul, neg,
+                                 param, parse_expr, pow_, sub)
 from curvlab.geometry import MetricField, SymbolicTensor
 from curvlab.newman_penrose import NullTetrad, _clusters, pnd_roots
 from curvlab.spinors import raise_slot
@@ -125,6 +126,39 @@ def reference_values(arena, bindings) -> list:
     return values
 
 
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def reference_tokenize(text):
+    """A reference for ``expressions._tokenize``: (kind, text, offset)
+    triples ending in ``("end", "", len(text))``, stepping over whitespace
+    one character at a time and matching one token at each other
+    character, or raising ``ParseError`` at the first that starts none."""
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup == "number":
+            tokens.append(("number", m.group("number"), m.start("number")))
+        elif m.lastgroup == "ident":
+            tokens.append(("ident", m.group("ident"), m.start("ident")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("end", "", n))
+    return tokens
+
+
 class _ReferenceParser:
     """Plain recursive descent over the grammar of ``curvlab.expressions``,
     one method per rule, calling the same constructors as each rule
@@ -134,7 +168,7 @@ class _ReferenceParser:
     _BINARY = {"+": add, "-": sub, "*": mul, "/": div}
 
     def __init__(self, text, chart, params):
-        self.tokens = _tokenize(text)
+        self.tokens = reference_tokenize(text)
         self.i = 0
         self.chart = set(chart)
         self.params = set(params)
