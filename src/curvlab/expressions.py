@@ -490,32 +490,27 @@ def call(fname: str, arg: Expr) -> Expr:
 # parsing
 # ---------------------------------------------------------------------------
 
+# any non-space character that starts no token is "bad", so each match
+# begins where the last one ended, and only trailing whitespace is left
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) triples in one scan, ending in ``("end", "",
+    len(text))``."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}",
+                             m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
