@@ -162,6 +162,22 @@ def test_failed_runs_are_printed_and_set_the_exit_status(
     assert f"corpus          change failed {change}" in out
 
 
+def test_each_metric_prints_the_parents_interquartile_range(monkeypatch,
+                                                            capsys):
+    # the parent's wall_s over seeds 1-5 is 1.0 ... 1.4 (quartiles 1.1
+    # and 1.3), the change's 0.5 ... 0.9
+    def fake_bench(root, workload, seed, seconds, trace):
+        wall = 0.9 + 0.1 * seed - (0.5 if root == "C" else 0.0)
+        return fake_run() | {"metrics": {"wall_s": wall}}
+
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    rec = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "corpus",
+                                [1, 2, 3, 4, 5], 40.0,
+                                {"wall_s": ("lower", 0.25)})
+    assert bench_pairs.report({"workloads": {"corpus": rec}}) == 0
+    assert ("corpus          wall_s         parent 1.2 (IQR 0.2) change 0.7 "
+            "(0.583x) wins 5/5 ok\n") in capsys.readouterr().out
+
 
 def test_pairs_whose_host_moved_are_printed(monkeypatch, capsys):
     # the host-loop time of each (side, seed): seed 2's pair ran 20 %

@@ -31,8 +31,10 @@ The record also holds each side's line count of ``src/curvlab/*.py``
 (``src_lines``), counted in its export.  The summary prints those counts,
 each side's failed/attempted operations per workload and the pairs whose
 host-loop ratio lies more than ``HOST_SPREAD`` from 1, whose metrics
-compare two hosts as much as two programs; the tool exits 1 when any run
-failed an operation or exited nonzero.
+compare two hosts as much as two programs; beside each metric's two
+medians it prints the parent's interquartile range, which a gain must
+exceed.  The tool exits 1 when any run failed an operation or exited
+nonzero.
 """
 
 from __future__ import annotations
@@ -241,8 +243,9 @@ def report(record: dict) -> int:
               f"{len(moved)}/{len(rec['pairs'])} pairs"
               + (": " + ", ".join(moved) if moved else ""))
         for name, s in rec["summary"].items():
+            iqr = s["parent"]["q3"] - s["parent"]["q1"]
             print(f"{w:<15} {name:<14} parent {s['parent']['median']:.5g} "
-                  f"change {s['change']['median']:.5g} "
+                  f"(IQR {iqr:.3g}) change {s['change']['median']:.5g} "
                   f"({s['change_over_parent']:.3f}x) wins "
                   f"{s['change_wins']}/{s['pairs']} {s['regression']}"
                   + ("  gain counts" if s["gain_counts"] else ""))
