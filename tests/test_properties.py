@@ -1,12 +1,18 @@
 """The paper's theorem and the refined classification as properties of
 generated metrics.
 
-Four families of metric text, each with its null tetrad, are drawn from
+Six families of metric text, each with its null tetrad, are drawn from
 ``random.Random`` and loaded through ``parse_metric_text``: 2+2 products
-of random 2d factors, pp-waves with random polynomial or trigonometric
-profiles, static spherically symmetric f(r) metrics, and conformally
+of random 2d factors, the same products with one factor flat on purpose
+(the Lorentzian one in even-numbered metrics, the Riemannian one in odd),
+pp-waves with random polynomial or trigonometric profiles, the same waves
+with a v·b(u) term that makes their null vector recurrent but not
+constant, static spherically symmetric f(r) metrics, and conformally
 flat a(t)²η.  Each point box lies where its chart is regular, chosen
-from the family's formulas alone.  At every point:
+from the family's formulas alone.  Each family reaches exactly the
+branches ``BRANCHES`` lists for it, and at each point of a branch that
+names a geometry the numbers show that geometry (``branch_claims``).
+At every point:
 
 (a) conformal semi-symmetry at Petrov type other than O implies
     semi-symmetry (at type O the Weyl tensor vanishes, so the conformal
@@ -60,12 +66,18 @@ from curvlab.newman_penrose import (
     tetrad_frame,
     weyl_invariants,
 )
-from curvlab.symmetry import conformal_semi_symmetry_residual
+from curvlab.symmetry import (
+    conformal_semi_symmetry_residual,
+    constant_null_vector_check,
+    null_leg,
+    recurrence_check,
+)
 
 from conftest import reference_evaluate, reference_values
 
 SEED = 14
 METRICS_PER_FAMILY = 12
+WITNESS_METRICS = 6     # per witness family, which only adds branches
 POINTS_PER_METRIC = 6
 DEAD_BAND = "semi-symmetry residual sits inside the dead band"
 BROKEN_SHAPES = ("pattern violated", "two-term null-pair form")
@@ -99,9 +111,10 @@ def box(rng, ranges):
             for _ in range(POINTS_PER_METRIC)]
 
 
-def positive_profile(rng, var):
+def positive_profile(rng, var, curved=False):
     """A function of ``var`` that is positive on the whole real line,
-    now and then a constant (which makes its 2d factor flat)."""
+    now and then a constant (which makes its 2d factor flat), never one
+    when ``curved``."""
     c = num(rng, 0.2, 1.2)
     return rng.choice([
         f"(1 + {c})",
@@ -109,13 +122,28 @@ def positive_profile(rng, var):
         f"exp({c}*{var})",
         f"(2 + sin({c}*{var}))",
         f"cosh({c}*{var})",
-    ])
+    ][curved:])
 
 
-def product_2x2(rng):
+def product_2x2(rng, index):
     """A(x)² dt² - dx² - dy² - B(y)² dz²: a Lorentzian and a Riemannian
     2-surface, each of its own random curvature; regular everywhere."""
-    a, b = positive_profile(rng, "x"), positive_profile(rng, "y")
+    return product_text(rng, positive_profile(rng, "x"),
+                        positive_profile(rng, "y"))
+
+
+def flat_factor_product(rng, index):
+    """``product_2x2`` with A constant (a flat Lorentzian factor) in
+    even-numbered metrics and B constant (a flat Riemannian factor) in
+    odd ones, the other factor curved."""
+    flat = f"(1 + {num(rng, 0.2, 1.2)})"
+    if index % 2 == 0:
+        return product_text(rng, flat, positive_profile(rng, "y", True))
+    return product_text(rng, positive_profile(rng, "x", True), flat)
+
+
+def product_text(rng, a, b):
+    """The text of A² dt² - dx² - dy² - B² dz², with points."""
     g = [f"{a}^2", "0", "0", "0", "-1", "0", "0", "-1", "0", f"-{b}^2"]
     tetrad = ([f"1/(sqrt(2)*{a})", "1/sqrt(2)", "0", "0"],
               [f"1/(sqrt(2)*{a})", "-1/sqrt(2)", "0", "0"],
@@ -125,9 +153,8 @@ def product_2x2(rng):
     return metric_text(("t", "x", "y", "z"), g, tetrad, points)
 
 
-def pp_wave(rng):
-    """2 du dv + H(u, x, y) du² - dx² - dy² with a random polynomial or
-    trigonometric profile H; regular everywhere."""
+def wave_profile(rng):
+    """A random polynomial or trigonometric profile H(u, x, y)."""
     phase = rng.choice(["1", "u", "u^2", f"sin({num(rng, 0.5, 2)}*u)",
                         f"cos({num(rng, 0.5, 2)}*u)"])
     if rng.random() < 0.5:
@@ -138,17 +165,36 @@ def pp_wave(rng):
     else:
         spatial = (f"sin({num(rng, 0.3, 1.5)}*x)"
                    f"*cos({num(rng, 0.3, 1.5)}*y)")
-    h = f"({spatial})*{phase}"
+    return f"({spatial})*{phase}"
+
+
+def pp_wave(rng, index):
+    """2 du dv + H(u, x, y) du² - dx² - dy² with a random ``wave_profile``
+    H; regular everywhere."""
+    return wave_text(rng, wave_profile(rng), (-2, 2))
+
+
+def recurrent_wave(rng, index):
+    """``pp_wave`` with g_uu = H(u, x, y) + v·b(u), b a constant, c/u or
+    c·u: ∇k = (b/2) k⊗k for k = ∂_v, so k is recurrent but not constant.
+    u > 0 in the box, where c/u is regular."""
+    b = rng.choice([num(rng, 0.2, 1), f"{num(rng, 0.5, 2)}/u",
+                    f"{num(rng, 0.2, 1)}*u"])
+    return wave_text(rng, f"{wave_profile(rng)} + v*{b}", (0.5, 2))
+
+
+def wave_text(rng, h, u_range):
+    """The text of 2 du dv + h du² - dx² - dy², with points."""
     g = [h, "1", "0", "0", "0", "0", "0", "-1", "0", "-1"]
     tetrad = (["0", "1", "0", "0"],
               ["1", f"-({h})/2", "0", "0"],
               ["0", "0", "1/sqrt(2)", "0"],
               ["0", "0", "0", "1/sqrt(2)"])
-    points = box(rng, [(-2, 2), (-2, 2), (-1.5, 1.5), (-1.5, 1.5)])
+    points = box(rng, [u_range, (-2, 2), (-1.5, 1.5), (-1.5, 1.5)])
     return metric_text(("u", "v", "x", "y"), g, tetrad, points)
 
 
-def static_spherical(rng):
+def static_spherical(rng, index):
     """f dt² - dr²/f - r² dΩ² for three forms of f, each sampled at radii
     above its largest zero: Reissner-Nordström (r > r₊), Schwarzschild
     with a negative cosmological constant (f rises with r and f(2M) > 0)
@@ -176,7 +222,7 @@ def static_spherical(rng):
     return metric_text(("t", "r", "theta", "phi"), g, tetrad, points)
 
 
-def conformally_flat(rng):
+def conformally_flat(rng, index):
     """a(t)² (dt² - dx² - dy² - dz²) with a positive scale factor;
     regular everywhere."""
     a = positive_profile(rng, "t")
@@ -212,23 +258,72 @@ def identity_residuals(m, p) -> dict:
             / max(max_abs(nr), max_abs(gamma) * max_abs(r), SCALE_FLOOR)}
 
 
+# each family's generator draws its metric number ``index`` from the
+# family's seeded ``rng`` (``family_texts``)
 FAMILIES = {
     "product_2x2": product_2x2,
+    "flat_factor_product": flat_factor_product,
     "pp_wave": pp_wave,
+    "recurrent_wave": recurrent_wave,
     "static_spherical": static_spherical,
     "conformally_flat": conformally_flat,
 }
+WITNESSES = ("flat_factor_product", "recurrent_wave")
+# the branches each family reaches at seed SEED; a generator change that
+# loses one fails
+BRANCHES = {
+    "product_2x2": {"D-generic-decomposable", "D-special-B0"},
+    "flat_factor_product": {"D-special-A0", "D-special-B0"},
+    "pp_wave": {"N-second-order-candidate"},
+    "recurrent_wave": {"N-generic"},
+    "static_spherical": {"not-semi-symmetric"},
+    "conformally_flat": {"O", "not-semi-symmetric"},
+}
+
+
+def family_texts(family):
+    """(index, metric text) of each of ``family``'s metrics, drawn in
+    order from its seeded ``random.Random``."""
+    rng = random.Random(f"{SEED}-{family}")
+    count = WITNESS_METRICS if family in WITNESSES else METRICS_PER_FAMILY
+    for index in range(count):
+        yield index, FAMILIES[family](rng, index)
+
+
+def branch_claims(m, p, report) -> bool:
+    """Whether the numbers at ``p`` show the geometry ``report.branch``
+    names.  N-generic: the declared k is recurrent and not constant.
+    D-special-A0 (B0): A (B) is zero against B (A), and the plane of the
+    declared k and l (of m and m̄), the Lorentzian (Riemannian) factor,
+    is flat while the other is curved.  Other branches claim nothing
+    checked here."""
+    if report.branch == "N-generic":
+        k, l = (null_leg(m, leg, p) for leg in (m.tetrad.k, m.tetrad.l))
+        return (recurrence_check(m, k, l, p).holds
+                and constant_null_vector_check(m, k, p).verdict == "fails")
+    if report.branch not in ("D-special-A0", "D-special-B0"):
+        return True
+    r = curvature(m, p).riemann
+    f = tetrad_frame(m, m.tetrad, p)
+    planes = [abs(np.einsum("abcd,a,b,c,d->", r, u, v, u, v))
+              for u, v in ((f.k, f.l), (f.m, f.m.conj()))]
+    a0 = report.branch == "D-special-A0"
+    zero, live = (report.A, report.B) if a0 else (report.B, report.A)
+    flat, curved = planes if a0 else planes[::-1]
+    return (abs(zero) <= RESIDUAL_TOL * abs(live)
+            and flat <= IDENTITY_TOL * max_abs(r) < curved)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_theorem_and_classification_hold_on_generated_metrics(family):
-    rng = random.Random(f"{SEED}-{family}")
-    for index in range(METRICS_PER_FAMILY):
-        text = FAMILIES[family](rng)
+    branches = set()
+    for index, text in family_texts(family):
         m = parse_metric_text(text, f"{family}-{index}")
         for pname, p in m.points.items():
             where = (family, index, pname, text)
             report = classify_point(m, p)      # (b): raises no violation
+            branches.add(report.branch)
+            assert branch_claims(m, p, report), (where, report)
             conformal = conformal_semi_symmetry_residual(m, p)
             if conformal.verdict == "holds" and report.petrov != "O":
                 assert report.semi_verdict == "holds", where        # (a)
@@ -241,13 +336,13 @@ def test_theorem_and_classification_hold_on_generated_metrics(family):
             residuals = identity_residuals(m, p)                   # (d)
             assert max(residuals.values()) <= IDENTITY_TOL, (where,
                                                              residuals)
+    assert branches == BRANCHES[family]
 
 
 def test_tape_matches_the_reference_interpreter_on_generated_metrics():
     for family in sorted(FAMILIES):                                # (f)
-        rng = random.Random(f"{SEED}-{family}")
-        for index in range(METRICS_PER_FAMILY):
-            m = parse_metric_text(FAMILIES[family](rng), f"{family}-{index}")
+        for index, text in family_texts(family):
+            m = parse_metric_text(text, f"{family}-{index}")
             fields = {"g": SymbolicTensor(m.g, ("d", "d")),
                       "Γ": m.christoffel_symbolic(),
                       "R^a_bcd": m.riemann_up_symbolic(),
@@ -268,9 +363,8 @@ def test_tape_matches_the_reference_interpreter_on_generated_metrics():
 
 def test_commutator_and_direct_routes_agree_on_generated_metrics():
     for family in sorted(FAMILIES):                                # (g)
-        rng = random.Random(f"{SEED}-{family}")
-        for index in range(METRICS_PER_FAMILY):
-            m = parse_metric_text(FAMILIES[family](rng), f"{family}-{index}")
+        for index, text in family_texts(family):
+            m = parse_metric_text(text, f"{family}-{index}")
             for pname, p in m.points.items():
                 routes = cross_validate_point(m, p, RESIDUAL_TOL)
                 for name, (_, _, rel) in routes.items():
@@ -288,9 +382,8 @@ def test_batched_runs_are_the_interpreters_on_generated_metrics():
     # (h): every slot of each cross-validated arena, batched, has the
     # reference interpreter's float64 bytes at every point
     for family in sorted(FAMILIES):
-        rng = random.Random(f"{SEED}-{family}")
-        for index in range(METRICS_PER_FAMILY):
-            m = parse_metric_text(FAMILIES[family](rng), f"{family}-{index}")
+        for index, text in family_texts(family):
+            m = parse_metric_text(text, f"{family}-{index}")
             cross_validate_point(m, m.points["p0"], RESIDUAL_TOL)
             for pname, p in m.points.items():
                 bindings = m.bindings(p)
@@ -376,11 +469,12 @@ def seeded_lorentz(rng) -> list:
 
 # FOUND, recorded rather than filtered out: ``petrov_classify`` decides
 # types III and N by absolute gates on I and J of the max-normalised Ψ.
-# On this type D product, the seeded transformation makes max|Ψ| about
-# 1500 against Ψ2 of 0.2, so the normalised |I| is 5.8e-8, under the gate
-# of 100·tol, and the type reads III (TheoremViolationError) at all six
-# points, while the roots of the direction quartic cluster as [2, 2].
-FRAME_DEPENDENT_TYPE = {("product_2x2", 6)}
+# On these type D products, the seeded transformation makes max|Ψ| about
+# 1500 (1855 on the flat-factor one) against Ψ2 of 0.2, so the normalised
+# |I| is 5.8e-8 (3.9e-8), under the gate of 100·tol, and the type reads
+# III (TheoremViolationError) at all six points, while the roots of the
+# direction quartic cluster as [2, 2].
+FRAME_DEPENDENT_TYPE = {("product_2x2", 6), ("flat_factor_product", 2)}
 
 
 def relabelled(text: str, perm: list) -> str:
@@ -411,10 +505,8 @@ def test_relabelled_coordinates_keep_invariants_type_and_branch():
     # R, I and J agree to INVARIANT_TOL of the scale to their weights
     # (1, 2 and 3); the type and the branch are equal
     for family in sorted(FAMILIES):
-        rng = random.Random(f"{SEED}-{family}")
         chart = random.Random(f"{SEED}-{family}-chart")
-        for index in range(METRICS_PER_FAMILY):
-            text = FAMILIES[family](rng)
+        for index, text in family_texts(family):
             perm = chart.sample(range(4), 4)
             while perm == sorted(perm):
                 perm = chart.sample(range(4), 4)
@@ -437,10 +529,8 @@ def test_relabelled_coordinates_keep_invariants_type_and_branch():
 def test_lorentz_transformed_tetrads_keep_type_and_branch():
     moved_cases = set()
     for family in sorted(FAMILIES):
-        rng = random.Random(f"{SEED}-{family}")
         lorentz = random.Random(f"{SEED}-{family}-lorentz")
-        for index in range(METRICS_PER_FAMILY):
-            text = FAMILIES[family](rng)
+        for index, text in family_texts(family):
             transforms = seeded_lorentz(lorentz)
             m = parse_metric_text(text, f"{family}-{index}")
             moved = parse_metric_text(with_tetrad(text, transforms),
