@@ -77,7 +77,7 @@ from conftest import reference_evaluate, reference_values
 
 SEED = 14
 METRICS_PER_FAMILY = 12
-WITNESS_METRICS = 6     # per witness family, which only adds branches
+WITNESS_METRICS = 6     # per family in WITNESSES: enough for its branches
 POINTS_PER_METRIC = 6
 DEAD_BAND = "semi-symmetry residual sits inside the dead band"
 BROKEN_SHAPES = ("pattern violated", "two-term null-pair form")
