@@ -14,6 +14,10 @@ Grammar (whitespace ignored between tokens)::
     power  := atom ('^' factor)?          # right-associative
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
+A NUMBER is an unsigned ASCII decimal literal (``NUMBER_PATTERN``: ``2``,
+``1.``, ``.5``, ``1.5e-3``); a digit of another script is an unexpected
+character.
+
 Unary minus binds tighter than '*', and '^' binds tighter still, so
 ``-x^2*y`` parses as ``(-(x^2))*y``.
 
@@ -36,12 +40,12 @@ threads must serialise the calls.
 
 Evaluation runs straight-line code.  A node is made after its
 arguments, so an arena's creation order is a topological order, and the
-arena keeps one instruction per node as it appends it: its node list is
-its tape.  There are two evaluators.  ``Arena.run`` computes every slot
-of the arena at one set of bindings, without checks, as numpy batches:
-one ufunc call per (level, op) group of ``neg``, ``+``, ``-``, ``*`` and
-``/``, whose results are the bits Python's operators give, and Python's
-own functions for the rest.  A value out of domain is left non-finite
+arena keeps each node's op code and argument slots as it appends it:
+its node list is its tape.  There are two evaluators.  ``Arena.run``
+computes every slot of the arena at one set of bindings, without checks,
+as numpy batches: one ufunc call per (level, op) group of ``neg``, ``+``,
+``-``, ``*`` and ``/``, whose results are the bits Python's operators
+give, and Python's own functions for the rest.  A value out of domain is left non-finite
 (or nan, where Python raises), and the run reports its first non-finite
 slot.  A metric's fields share one arena, so each point makes one such
 run and each field is one gather from it (``MetricField.evaluate_field``).
@@ -158,17 +162,13 @@ _UFUNCS = dict(zip(range(1, 6), (np.negative, np.add, np.subtract,
                                  np.multiply, np.true_divide)))
 
 
-def _leaf(kind: str, v) -> Callable:
-    """A leaf's instruction: a constant's value, or a name's binding."""
-    return (lambda b: v) if kind == "const" else (lambda b: float(b[v]))
-
-
 def _instruction(e: Expr) -> Callable:
-    """What computes ``e`` from its arguments' values (or, for a leaf,
-    from the bindings)."""
+    """What computes ``e`` from its arguments' values, or, for a leaf,
+    from the bindings: a constant's value, or a name's binding."""
+    kind, v = e.kind, e.payload
     if not e.args:
-        return _leaf(e.kind, e.payload)
-    return FUNCTIONS[e.payload] if e.kind == "call" else _OPS[e.kind]
+        return (lambda b: v) if kind == "const" else (lambda b: float(b[v]))
+    return FUNCTIONS[v] if kind == "call" else _OPS[kind]
 
 
 ZERO = _new("const", 0.0, (), 0)
@@ -181,10 +181,10 @@ class Arena:
     """The nodes one metric is made of, in creation order: its intern
     tables, its derivative memo and its tape.
 
-    Slot ``i`` holds ``nodes[i]`` and applies ``fns[i]`` to the values at
-    slots ``a[i]`` and ``b[i]``, at ``a[i]`` alone (``b[i] == -1``), or to
-    the bindings (a leaf, ``a[i] == -1``); ``code[i]`` is its op code
-    (0 for a leaf).  ``ops`` maps an op node's key to it, ``atoms`` a
+    Slot ``i`` holds ``nodes[i]``, whose op code ``code[i]`` (0 for a
+    leaf) applies to the values at slots ``a[i]`` and ``b[i]``, at
+    ``a[i]`` alone (``b[i] == -1``), or to the bindings (a leaf,
+    ``a[i] == -1``).  ``ops`` maps an op node's key to it, ``atoms`` a
     constant's value or a name's (kind, name), and ``derivs[var]`` a
     node's slot to its derivative by ``var``.  Slots 0 and 1 are ``ZERO``
     and ``ONE``.  ``a`` and ``b`` are lists that hold the argument nodes'
@@ -193,12 +193,11 @@ class Arena:
     ``None`` before the first run).  ``with arena:`` makes it the arena the
     constructors write into, until the block ends."""
 
-    __slots__ = ("nodes", "fns", "a", "b", "code", "program", "ops",
+    __slots__ = ("nodes", "a", "b", "code", "program", "ops",
                  "atoms", "derivs", "__weakref__")
 
     def __init__(self):
         self.nodes: list[Expr] = [ZERO, ONE]
-        self.fns: list[Callable] = [_instruction(ZERO), _instruction(ONE)]
         self.a: list[int] = [-1, -1]
         self.b: list[int] = [-1, -1]
         self.code = bytearray(2)
@@ -223,12 +222,11 @@ class Arena:
         s = e.slot
         return s < len(self.nodes) and self.nodes[s] is e
 
-    def _append(self, kind: str, payload, args: tuple, fn: Callable,
-                x: int, y: int, code: int = 0) -> Expr:
+    def _append(self, kind: str, payload, args: tuple, x: int, y: int,
+                code: int = 0) -> Expr:
         nodes = self.nodes
         node = _new(kind, payload, args, len(nodes))
         nodes.append(node)
-        self.fns.append(fn)
         self.a.append(x)
         self.b.append(y)
         self.code.append(code)
@@ -249,14 +247,13 @@ class Arena:
         v = np.empty(end)
         item = v.item
         with np.errstate(all="ignore"):
-            for steps, index, buffer, groups in self.program[1]:
+            for steps, groups in self.program[1]:
                 for s, fn, x, y in steps:
                     try:
                         v[s] = (fn(item(x), item(y)) if y >= 0
                                 else fn(item(x)) if x >= 0 else fn(bindings))
                     except (ArithmeticError, ValueError, TypeError, KeyError):
                         v[s] = math.nan
-                buffer[...] = index
                 for ufunc, out, x, y in groups:
                     v[out] = ufunc(v[x]) if y is None else ufunc(v[x], v[y])
         finite = np.isfinite(v)
@@ -269,43 +266,36 @@ class Arena:
         highest.  The slots are sorted by (level, op code) with radix sorts
         of the keys' 16-bit halves (an int32 argsort adds 0.3 MB of code),
         so a level's ufunc groups (codes 1 to 5) are one span.  Per level
-        the program holds the scalar steps (leaves, powers and calls) and
-        its ufunc groups' int32 output, first and second argument slots,
-        which a run copies into an ``intp`` buffer that each group reads
-        through views."""
-        fns, a, b = self.fns, self.a, self.b
-        end = len(fns)
+        the program holds the scalar steps (leaves, powers and calls), each
+        with its node's instruction (``_instruction``), and its ufunc
+        groups' ``intp`` output, first and second argument slots."""
+        nodes, a, b = self.nodes, self.a, self.b
+        end = len(nodes)
         level: list[int] = []
         append = level.append
         for x, y in zip(a, b):
             append(0 if x < 0 else 1 + (
                 level[x] if y < 0 or level[x] >= level[y] else level[y]))
         keys = (np.array(level, np.int32) << 5
-                | np.frombuffer(self.code, np.uint8, end))
+                | np.array(self.code, np.uint8))
         sizes = np.bincount(keys, minlength=(keys.max() | 31) + 1)
         starts = (np.cumsum(sizes) - sizes).reshape(-1, 32).tolist()
         sizes = sizes.reshape(-1, 32)
         order = np.lexsort(((keys & 0xFFFF).astype(np.uint16),
                             (keys >> 16).astype(np.uint16)))
-        x, y = np.fromiter(a, np.int32, end), np.fromiter(b, np.int32, end)
-        buffer = np.empty(3 * sizes[:, 1:6].sum(axis=1).max(), np.intp)
+        x = np.fromiter(a, np.intp, end)[order]
+        y = np.fromiter(b, np.intp, end)[order]
         program = []
         for size, start in zip(sizes.tolist(), starts):
             first, n = start[1], sum(size[1:6])
-            out = order[first:first + n]
-
-            def view(k, c):     # group c's slots of argument k (0: out)
-                return buffer[k * n + start[c] - first:
-                              k * n + start[c] - first + size[c]]
-
             program.append((
-                [(s, fns[s], a[s], b[s]) for s in np.concatenate((
-                    order[start[0]:first],
-                    order[first + n:start[0] + sum(size)])).tolist()],
-                np.concatenate((out, x[out], y[out]), dtype=np.int32),
-                buffer[:3 * n],
-                [(f, view(0, c), view(1, c), view(2, c) if f.nin == 2
-                  else None) for c, f in _UFUNCS.items() if size[c]]))
+                [(s, _instruction(nodes[s]), a[s], b[s])
+                 for s in np.concatenate((
+                     order[start[0]:first],
+                     order[first + n:start[0] + sum(size)])).tolist()],
+                [(f, order[i:i + k], x[i:i + k],
+                  y[i:i + k] if f.nin == 2 else None) for f, i, k in zip(
+                      _UFUNCS.values(), start[1:6], size[1:6]) if k]))
         return end, program
 
     def checked(self, values: list, clean: int,
@@ -370,9 +360,7 @@ def _node(kind: str, payload, a: Expr, b: Expr | None = None) -> Expr:
     node = arena.ops.get(key)
     if node is None:
         node = arena.ops[key] = arena._append(
-            kind, payload, (a,) if b is None else (a, b),
-            FUNCTIONS[payload] if kind == "call" else _OPS[kind], x, y,
-            key & 31)
+            kind, payload, (a,) if b is None else (a, b), x, y, key & 31)
     return node
 
 
@@ -380,8 +368,7 @@ def _atom(kind: str, payload, key) -> Expr:
     arena = _arena
     node = arena.atoms.get(key)
     if node is None:
-        node = arena.atoms[key] = arena._append(
-            kind, payload, (), _leaf(kind, payload), -1, -1)
+        node = arena.atoms[key] = arena._append(kind, payload, (), -1, -1)
     return node
 
 
@@ -490,10 +477,13 @@ def call(fname: str, arg: Expr) -> Expr:
 # parsing
 # ---------------------------------------------------------------------------
 
+# an unsigned ASCII decimal literal: float() alone would also read "1_0",
+# "inf" and the digits of other scripts
+NUMBER_PATTERN = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # any non-space character that starts no token is "bad", so each match
 # begins where the last one ended, and only trailing whitespace is left
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"\s*(?:(?P<number>{NUMBER_PATTERN})"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()])"
     r"|(?P<bad>\S))"

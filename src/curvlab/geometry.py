@@ -42,6 +42,8 @@ from .expressions import (
 
 DIM = 4
 MAX_RANK = 6
+# what ``MetricField.leg_fields`` gives of a vector field, in its order
+LEG_QUANTITIES = ("value", "lowered", "nabla", "partial")
 
 
 class DegenerateMetricError(Exception):
@@ -281,9 +283,7 @@ class MetricField:
             if self.tetrad is not None:
                 for leg in (self.tetrad.k, self.tetrad.l, self.tetrad.m_re,
                             self.tetrad.m_im):
-                    v = self.lowered_vector_field(leg)
-                    self.covector_gradient_field(v)
-                    self.partial_gradient_field(v)
+                    self.leg_fields(leg)
         self.once(("point fields", nabla2), make)
 
     # -- symbolic pipeline --------------------------------------------------
@@ -487,6 +487,14 @@ class MetricField:
         comp = np.array([[differentiate(e, va) for e in v_dn.components]
                          for va in self.chart], dtype=object)
         return SymbolicTensor(comp, ("d", "d"))
+
+    @_built
+    def leg_fields(self, leg: SymbolicTensor) -> tuple:
+        """The fields of the vector field ``leg``, one per
+        ``LEG_QUANTITIES`` entry: v^a itself, v_a, ∇_a v_b and ∂_a v_b."""
+        dn = self.lowered_vector_field(leg)
+        return (leg, dn, self.covector_gradient_field(dn),
+                self.partial_gradient_field(dn))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import re
 
 import numpy as np
 
-from .expressions import Arena, ExprError, parse_expr
+from .expressions import NUMBER_PATTERN, Arena, ExprError, parse_expr
 from .geometry import MetricField, SymbolicTensor
 from .newman_penrose import InvalidTetradError, NullTetrad, validate_tetrad
 
@@ -52,6 +52,7 @@ SECTION_NAMES = ("chart", "params", "metric", "tetrad", "points", "flags")
 METRIC_KEYS = tuple(f"g{i}{j}" for i in range(4) for j in range(i, 4))
 TETRAD_KEYS = ("k", "l", "m_re", "m_im")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+_NUMBER_RE = re.compile(r"[+-]?" + NUMBER_PATTERN)     # [params], [points]
 _TRUE_WORDS = ("true", "yes", "on", "1")
 _FALSE_WORDS = ("false", "no", "off", "0")
 
@@ -139,8 +140,8 @@ def _require(sections: dict, name: str) -> list:
 
 
 def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
+    """``text``, an ASCII decimal literal, as a finite float."""
+    if not (_NUMBER_RE.fullmatch(text) and math.isfinite(value := float(text))):
         raise ValueError(text)
     return value
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conventions import FAMILIES, PHI_SIGN, RESIDUAL_TOL, SCALE_FLOOR
-from .geometry import (Curvature, MetricField, SymbolicTensor, curvature,
-                       max_abs)
+from .geometry import (LEG_QUANTITIES, Curvature, MetricField,
+                       SymbolicTensor, curvature, max_abs)
 
 
 class InvalidTetradError(Exception):
@@ -56,7 +56,7 @@ class NullTetrad:
 
 @dataclass(eq=False)
 class TetradFrame:
-    """One quantity of the tetrad legs at one point (see ``leg_field``):
+    """One quantity of the tetrad legs at one point (``LEG_QUANTITIES``):
     their contravariant components, or their lowered components, ∇ or ∂,
     with m = m_re + i m_im.  ``checks`` holds the legs' ``TetradCheck``
     by (tol, metric value bytes), see ``validate_tetrad_from_metric_value``."""
@@ -72,38 +72,23 @@ class TetradFrame:
         return np.conj(self.m)
 
 
-LEG_QUANTITIES = ("value", "lowered", "nabla", "partial")
-
-
-def leg_field(metric: MetricField, leg: SymbolicTensor,
-              quantity: str) -> SymbolicTensor:
-    """The field whose value is ``quantity`` of the vector field ``leg``:
-    'value' v^a itself, 'lowered' v_a, 'nabla' ∇_a v_b or 'partial'
-    ∂_a v_b."""
-    if quantity == "value":
-        return leg
-    dn = metric.lowered_vector_field(leg)
-    if quantity == "lowered":
-        return dn
-    if quantity == "nabla":
-        return metric.covector_gradient_field(dn)
-    if quantity == "partial":
-        return metric.partial_gradient_field(dn)
-    raise ValueError(f"unknown leg quantity {quantity!r}")
-
-
 def tetrad_frame(metric: MetricField, tetrad: NullTetrad, point,
                  quantity: str = "value", transforms=()) -> TetradFrame:
-    """``quantity`` of the legs at ``point`` (see ``leg_field``), rotated
-    by the (kind, param) pairs ``transforms`` in order; made once per
-    point context.  The parameters are constants, so the rotation acts on
-    each quantity as on the legs themselves."""
+    """``quantity`` of the legs at ``point`` (one of ``LEG_QUANTITIES``;
+    see ``MetricField.leg_fields``), rotated by the (kind, param) pairs
+    ``transforms`` in order; made once per point context.  The parameters
+    are constants, so the rotation acts on each quantity as on the legs
+    themselves.  A 'value' frame reads the legs and builds nothing."""
+    if quantity not in LEG_QUANTITIES:
+        raise ValueError(f"unknown leg quantity {quantity!r}")
+    q = LEG_QUANTITIES.index(quantity)
     ctx = metric.at(point)
     transforms = tuple(transforms)
 
     def make():
         k, l, mre, mim = (
-            metric.evaluate_field(leg_field(metric, leg, quantity), point)
+            metric.evaluate_field(metric.leg_fields(leg)[q] if q else leg,
+                                  point)
             for leg in (tetrad.k, tetrad.l, tetrad.m_re, tetrad.m_im))
         frame = TetradFrame(k, l, mre + 1j * mim, ctx.point)
         for kind, param in transforms:

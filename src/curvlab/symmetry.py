@@ -34,7 +34,6 @@ from .geometry import (
     curvature,
     max_abs,
 )
-from .newman_penrose import LEG_QUANTITIES, leg_field
 
 
 class TetradMissingError(Exception):
@@ -155,8 +154,8 @@ def locally_symmetric_residual(m: MetricField, point,
 
 @dataclass(eq=False)
 class NullLeg:
-    """A vector field's numbers at one point, one per ``LEG_QUANTITIES``
-    entry: v^a, v_a, ∇_a v_b and ∂_a v_b."""
+    """A vector field's numbers at one point, one per field of
+    ``MetricField.leg_fields``: v^a, v_a, ∇_a v_b and ∂_a v_b."""
 
     value: np.ndarray
     lowered: np.ndarray
@@ -170,8 +169,7 @@ def null_leg(m: MetricField, field, point, name: str = "k") -> NullLeg:
         raise TetradMissingError(f"metric declares no tetrad field '{name}'")
     if not isinstance(field, SymbolicTensor) or field.variance != ("u",):
         raise TypeError(f"'{name}' must be a contravariant vector field")
-    return NullLeg(*(m.evaluate_field(leg_field(m, field, q), point)
-                     for q in LEG_QUANTITIES))
+    return NullLeg(*(m.evaluate_field(f, point) for f in m.leg_fields(field)))
 
 
 def _gradient_scale(m: MetricField, point, v: NullLeg) -> float:

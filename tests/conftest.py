@@ -127,7 +127,7 @@ def reference_values(arena, bindings) -> list:
 
 
 _REFERENCE_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()]))"
 )

@@ -162,6 +162,27 @@ def test_failed_runs_are_printed_and_set_the_exit_status(
     assert f"corpus          change failed {change}" in out
 
 
+@pytest.mark.parametrize("parent, change, verdict, status", [
+    ([1.0] * 5, [1.5] * 5, "worse", 1),      # 50 % slower, bound 25 %
+    ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0], "unresolved", 0),
+    ([1.0] * 5, [1.1] * 5, "ok", 0),
+])
+def test_a_worse_metric_sets_the_exit_status(monkeypatch, capsys, parent,
+                                             change, verdict, status):
+    walls = {"P": parent, "C": change}
+
+    def fake_bench(root, workload, seed, seconds, trace):
+        return fake_run() | {"metrics": {"wall_s": walls[root][seed - 1]}}
+
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    rec = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "corpus",
+                                [1, 2, 3, 4, 5], 40.0,
+                                {"wall_s": ("lower", 0.25)})
+    assert rec["summary"]["wall_s"]["regression"] == verdict
+    assert bench_pairs.report({"workloads": {"corpus": rec}}) == status
+    assert f" {verdict}\n" in capsys.readouterr().out
+
+
 def test_each_metric_prints_the_parents_interquartile_range(monkeypatch,
                                                             capsys):
     # the parent's wall_s over seeds 1-5 is 1.0 ... 1.4 (quartiles 1.1

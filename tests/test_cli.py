@@ -504,6 +504,25 @@ class TestExitCodes:
         assert err.startswith(message)
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ("1_0", "\u0661"))
+    @pytest.mark.parametrize("section", ("params", "points"))
+    def test_a_number_that_is_not_an_ascii_decimal_is_one(
+            self, capsys, tmp_path, value, section):
+        if section == "params":
+            path = self.schwarzschild_with(tmp_path, "M = 1.0",
+                                           f"M = {value}")
+            message = ("error: [params] entry 'M' must be a finite number, "
+                       f"got {value!r}\n")
+        else:
+            path = self.schwarzschild_with(
+                tmp_path, "p1 = 0.0, 3.0, 1.0, 2.0",
+                f"p1 = 0.0, 3.0, {value}, 2.0")
+            message = ("error: [points] entry 'p1' must hold finite "
+                       f"numbers, got '0.0, 3.0, {value}, 2.0'\n")
+        code, out, err = run_cli(capsys, "analyze", path)
+        assert code == 1 and out == ""
+        assert err == message
+
     def test_unknown_point_is_one(self, capsys):
         code, _, err = run_cli(capsys, "analyze", NARIAI, "--point", "nope")
         assert code == 1 and "nope" in err

@@ -224,6 +224,20 @@ class TestParseErrors:
             parse_expr("x + $", ("x",))
         assert exc.value.offset == 4
 
+    @pytest.mark.parametrize("text, offset", [
+        ("\u0663 + x", 0),        # Arabic-Indic three
+        ("x + 1\u0663", 5),
+        ("x * \uff12", 4),        # fullwidth two
+        ("1e\u0663", 2),          # float() reads "1e٣" as 1000.0
+    ])
+    def test_a_digit_of_another_script_is_a_bad_character(self, text,
+                                                          offset):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, ("x",))
+        assert exc.value.offset == offset
+        assert str(exc.value) == (f"unexpected character {text[offset]!r} "
+                                  f"(offset {offset})")
+
     def test_undeclared_identifier_named(self):
         with pytest.raises(UndeclaredNameError) as exc:
             parse_expr("x + qq*2", ("x",))

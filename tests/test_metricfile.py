@@ -212,6 +212,20 @@ class TestValidationErrors:
                                             f"p1 = 1.0, {value}, 2.0, 3.0"))
         assert "[points]" in msg and "'p1'" in msg
 
+    # float() alone reads these as 10.0, 1.0 and 3.5
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\u0663.5"])
+    def test_param_values_must_be_ascii_decimals(self, value):
+        msg = self.error_for(CURVED.replace("M = 1.0", f"M = {value}"))
+        assert msg == ("[params] entry 'M' must be a finite number, "
+                       f"got {value!r}")
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\u0663.5"])
+    def test_point_values_must_be_ascii_decimals(self, value):
+        msg = self.error_for(CURVED.replace("p1 = 1.0, 6.0, 2.0, 3.0",
+                                            f"p1 = 1.0, 6.0, {value}, 3.0"))
+        assert msg == ("[points] entry 'p1' must hold finite numbers, "
+                       f"got '1.0, 6.0, {value}, 3.0'")
+
     def test_unknown_flag_rejected(self):
         assert "[flags]" in self.error_for(FLAT + "\n[flags]\nspinning = 1\n")
 

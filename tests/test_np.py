@@ -373,10 +373,7 @@ class TestNullRotations:
 
 def leg_values(m, leg, point):
     """The value, lowered value, ∇ and ∂ of a vector leg at ``point``."""
-    dn = m.lowered_vector_field(leg)
-    fields = (leg, dn, m.covector_gradient_field(dn),
-              m.partial_gradient_field(dn))
-    return [m.evaluate_field(f, point) for f in fields]
+    return [m.evaluate_field(f, point) for f in m.leg_fields(leg)]
 
 
 def frame_leg(frame, name: str) -> np.ndarray:
@@ -384,6 +381,29 @@ def frame_leg(frame, name: str) -> np.ndarray:
     if name in ("k", "l"):
         return getattr(frame, name)
     return frame.m.real if name == "m_re" else frame.m.imag
+
+
+class TestLegRecord:
+    def test_leg_fields_are_the_builders_fields(self):
+        m = load_corpus_metric("nariai")
+        for leg in (m.tetrad.k, m.tetrad.l, m.tetrad.m_re, m.tetrad.m_im):
+            fields = m.leg_fields(leg)
+            assert len(fields) == len(LEG_QUANTITIES)
+            value, lowered, nabla, partial = fields
+            assert value is leg
+            assert lowered is m.lowered_vector_field(leg)
+            assert nabla is m.covector_gradient_field(lowered)
+            assert partial is m.partial_gradient_field(lowered)
+            assert m.leg_fields(leg) is fields
+
+    def test_a_value_frame_and_an_unknown_quantity_build_nothing(self):
+        m = load_corpus_metric("nariai")
+        size, point = len(m.arena.nodes), m.points["p1"]
+        with pytest.raises(ValueError, match="unknown leg quantity 'bogus'"):
+            tetrad_frame(m, m.tetrad, point, "bogus")
+        assert len(m.arena.nodes) == size
+        tetrad_frame(m, m.tetrad, point, "value")
+        assert len(m.arena.nodes) == size
 
 
 class TestLinearFieldRotation:

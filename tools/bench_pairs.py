@@ -34,7 +34,7 @@ host-loop ratio lies more than ``HOST_SPREAD`` from 1, whose metrics
 compare two hosts as much as two programs; beside each metric's two
 medians it prints the parent's interquartile range, which a gain must
 exceed.  The tool exits 1 when any run failed an operation or exited
-nonzero.
+nonzero, or when any gated metric's regression verdict is ``worse``.
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ def failures(rec: dict) -> dict:
 
 def report(record: dict) -> int:
     """Print the summary of a record; 1 when any run failed an operation
-    or exited nonzero, else 0."""
+    or exited nonzero, or any metric's regression verdict is ``worse``,
+    else 0."""
     status = 0
     if "src_lines" in record:
         lines = record["src_lines"]
@@ -249,6 +250,8 @@ def report(record: dict) -> int:
                   f"({s['change_over_parent']:.3f}x) wins "
                   f"{s['change_wins']}/{s['pairs']} {s['regression']}"
                   + ("  gain counts" if s["gain_counts"] else ""))
+            if s["regression"] == "worse":
+                status = 1
     return status
 
 
